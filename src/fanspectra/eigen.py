@@ -1,11 +1,15 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and multiplicity grouping.
+"""Dense symmetric eigensolver (round-robin Jacobi) and multiplicity grouping.
 
 This is the numeric oracle the closed-form spectra are checked against,
-so it deliberately does not delegate to an external eigensolver.
+so it deliberately does not delegate to an external eigensolver.  Jacobi
+sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
+Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
+of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +18,11 @@ import numpy as np
 DEFAULT_CONVERGENCE_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-6
 SWEEP_CAP = 100
+# Added to each tangent's denominator (the working copy's largest entry is in
+# [1/2, 1)): t = 0 when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level
+# between equal diagonal entries gets a small rotation, not a 45-degree one
+# that mixes two rows and leaves clusters of equal eigenvalues converging linearly.
+_GAP_FLOOR = 2.0**-52
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -38,11 +47,28 @@ class Spectrum:
         return [v for v, _ in self.pairs]
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # summed over the strict upper triangle only: subtracting the diagonal
-    # from the full Frobenius norm cancels catastrophically near convergence
-    upper = np.triu(a, 1)
-    return math.sqrt(2.0 * float(np.sum(upper * upper)))
+@functools.lru_cache(maxsize=32)
+def _next_round(m: int) -> np.ndarray:
+    """Flat gather index that moves an m x m matrix to the next round's slots.
+
+    A round rotates slots 2i and 2i+1, which sit at circle-method table
+    positions i and m-1-i; position 0 stays, the others move one place on,
+    and after m - 1 rounds every index is home.  The index stays writable
+    because numpy.take copies a read-only index on every call.
+    """
+    position = [k // 2 if k % 2 == 0 else m - 1 - k // 2 for k in range(m)]
+    slot_at = {place: k for k, place in enumerate(position)}
+    came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
+    source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
+    return (source[:, None] * m + source).ravel()
+
+
+def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
+    # squares the off-diagonal entries alone (spare is scratch): subtracting the
+    # diagonal from the full Frobenius norm cancels catastrophically near convergence
+    np.copyto(spare, work)
+    spare.reshape(-1)[:: spare.shape[0] + 1] = 0.0
+    return math.sqrt(float(np.vdot(spare, spare)))
 
 
 def symmetric_eigenvalues(
@@ -52,19 +78,19 @@ def symmetric_eigenvalues(
 ) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    Runs cyclic Jacobi rotations until the off-diagonal Frobenius norm
+    Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
     Raises JacobiConvergenceError with diagnostics if sweep_cap sweeps
     do not get there, and ValueError for non-symmetric or non-finite
-    input.
+    input or a convergence_tol that is not finite and positive.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if convergence_tol <= 0.0:
-        raise ValueError("convergence_tol must be positive")
+    if not (math.isfinite(convergence_tol) and convergence_tol > 0.0):
+        raise ValueError("convergence_tol must be finite and positive")
     if sweep_cap < 1:
         raise ValueError("sweep_cap must be at least 1")
     n = a.shape[0]
@@ -76,60 +102,87 @@ def symmetric_eigenvalues(
     if n == 1:
         return a.diagonal().copy()
 
-    a = (a + a.T) / 2.0  # exact symmetry; also takes a private copy
-    initial = _off_norm(a)
-    if initial == 0.0:
-        return np.sort(a.diagonal())
-    target = convergence_tol * initial
+    # work on 2**-exponent times the matrix so that no square over- or underflows
+    exponent = math.frexp(scale)[1]
+    values = _jacobi_diagonal(a, exponent, convergence_tol, sweep_cap)
+    values.sort()  # after the solver's buffers are freed: sorting allocates
+    return np.ldexp(values, exponent, out=values)
 
-    for sweep in range(1, sweep_cap + 1):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                g = 100.0 * abs(apq)
-                # late sweeps: annihilate entries that no longer move the diagonal
-                if sweep > 4 and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                theta = 0.5 * (aqq - app) / apq
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                tau = s / (1.0 + c)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p - s * (col_q + tau * col_p)
-                a[:, q] = col_q + s * (col_p - tau * col_q)
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-        remaining = _off_norm(a)
-        if remaining <= target:
-            return np.sort(a.diagonal())
-    raise JacobiConvergenceError(
-        f"no convergence after {sweep_cap} sweeps: off-diagonal norm {remaining:.3e}, "
-        f"target {target:.3e} (initial {initial:.3e})"
-    )
+
+def _jacobi_diagonal(
+    a: np.ndarray, exponent: int, convergence_tol: float, sweep_cap: int
+) -> np.ndarray:
+    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to."""
+    n = a.shape[0]
+    m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
+    h = m // 2
+    work, spare = np.zeros((m, m)), np.empty((m, m))
+    work[:n, :n] = a
+    np.ldexp(work, -1 - exponent, out=work)
+    np.copyto(spare, work.T)
+    np.add(work, spare, out=work)  # the exact symmetric part
+    flat_work, flat_spare = work.reshape(-1), spare.reshape(-1)
+    pairs_work, pairs_spare = work.reshape(h, 2, m), spare.reshape(h, 2, m)
+    step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
+    app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
+    blocks_spare = np.ndarray((h, 2, 2), float, spare, 0, (8 * step, 8 * m, 8))
+    new_blocks = np.zeros((h, 2, 2))  # the rotated pair blocks are diagonal
+    new_p, new_q = new_blocks[:, 0, 0], new_blocks[:, 1, 1]
+    rotation = np.empty((h, 2, 2))  # J^T: [[c, -s], [s, c]] per pair
+    cos, minus_sin, sin, cos_again = (rotation[:, i, j] for i in (0, 1) for j in (0, 1))
+    gap, t, norm = np.empty(h), np.empty(h), np.empty(h)
+    gather = _next_round(m)
+
+    initial = _off_norm(work, spare)
+    target = convergence_tol * initial
+    if initial > 0.0:
+        for _ in range(sweep_cap):
+            for _ in range(m - 1):
+                # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp:
+                # 2 a_pq / (d + sign(d) (hypot(d, 2 a_pq) + _GAP_FLOOR))
+                np.subtract(aqq, app, out=gap)
+                np.add(apq, apq, out=t)
+                np.hypot(gap, t, out=norm)
+                np.add(norm, _GAP_FLOOR, out=norm)
+                np.copysign(norm, gap, out=norm)
+                np.add(norm, gap, out=norm)
+                np.divide(t, norm, out=t)
+                np.hypot(t, 1.0, out=norm)
+                np.reciprocal(norm, out=cos)
+                np.copyto(cos_again, cos)
+                np.multiply(t, cos, out=sin)
+                np.negative(sin, out=minus_sin)
+                np.multiply(t, apq, out=gap)
+                np.subtract(app, gap, out=new_p)
+                np.add(aqq, gap, out=new_q)
+                np.matmul(rotation, pairs_work, out=pairs_spare)  # J^T A
+                np.copyto(work, spare.T)
+                np.matmul(rotation, pairs_work, out=pairs_spare)  # J^T A J
+                # the pair blocks from the update formulas: the products
+                # leave roundoff of the diagonal's size in them
+                np.copyto(blocks_spare, new_blocks)
+                np.take(flat_spare, gather, out=flat_work, mode="clip")
+            remaining = _off_norm(work, spare)
+            if remaining <= target:
+                break
+        else:
+            raise JacobiConvergenceError(
+                f"no convergence after {sweep_cap} sweeps: "
+                f"off-diagonal norm {math.ldexp(remaining, exponent):.3e}, "
+                f"target {math.ldexp(target, exponent):.3e} "
+                f"(initial {math.ldexp(initial, exponent):.3e})"
+            )
+    return flat_work[: n * (m + 1) : m + 1].copy()
 
 
 def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
     """Merge ascending values whose consecutive gaps are within grouping_tol.
 
-    The representative of each group is its arithmetic mean.
+    The representative of each group is its arithmetic mean.  Raises
+    ValueError unless grouping_tol is finite and non-negative.
     """
+    if not (math.isfinite(grouping_tol) and grouping_tol >= 0.0):
+        raise ValueError("grouping_tol must be finite and non-negative")
     vals = [float(v) for v in values]
     if any(not math.isfinite(v) for v in vals):
         raise ValueError("values must be finite")

@@ -48,6 +48,24 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "nc", "1", "4", "laplacian")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--convergence-tol", "inf"],
+            ["--convergence-tol", "nan"],
+            ["--convergence-tol", "0"],
+            ["--grouping-tol", "nan"],
+            ["--grouping-tol=-1"],
+            ["--grouping-tol", "inf"],
+        ],
+    )
+    def test_invalid_tolerances_exit_3(self, capsys, option):
+        code, out, err = run(
+            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "numeric", *option
+        )
+        assert code == 3 and not out
+        assert "tol must be finite" in err
+
     def test_generalized_distance_needs_t(self, capsys):
         code, _, err = run(
             capsys, "spectrum", "fan", "2", "3", "generalized-distance", "--mode", "numeric"
@@ -108,6 +126,11 @@ class TestQuotientCommand:
         code, out, _ = run(capsys, "quotient", "fan", "2", "3", "distance-laplacian")
         assert code == 0
         assert "contained in full spectrum" in out
+
+    def test_invalid_grouping_tol_exits_3(self, capsys):
+        code, out, err = run(capsys, "quotient", "nc", "3", "4", "laplacian", "--grouping-tol", "nan")
+        assert code == 3 and not out
+        assert "grouping_tol" in err
 
     def test_adjacency_has_no_canonical_quotient(self, capsys):
         with pytest.raises(SystemExit) as exc:

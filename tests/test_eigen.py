@@ -6,19 +6,27 @@ the Jacobi solver alone.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanspectra.closed_forms import (
+    fan_distance_laplacian_spectrum,
+    fan_laplacian_spectrum,
+    nc_distance_laplacian_spectrum,
+    nc_laplacian_spectrum,
+)
 from fanspectra.eigen import (
     JacobiConvergenceError,
     Spectrum,
+    _next_round,
     group_multiplicities,
     symmetric_eigenvalues,
 )
-from fanspectra.graphs import generalized_fan, make_graph, path_graph
+from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 
 
@@ -48,7 +56,7 @@ class TestSymmetricEigenvalues:
         assert symmetric_eigenvalues(np.empty((0, 0))).size == 0
         assert np.array_equal(symmetric_eigenvalues(np.array([[7.0]])), [7.0])
 
-    @given(order=st.integers(2, 12), seed=st.integers(0, 10_000))
+    @given(order=st.integers(2, 48), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_matches_lapack_reference(self, order, seed):
         a = random_symmetric(order, seed)
@@ -99,6 +107,93 @@ class TestSymmetricEigenvalues:
         with pytest.raises(JacobiConvergenceError, match="off-diagonal norm"):
             symmetric_eigenvalues(a, sweep_cap=1)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_convergence_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="convergence_tol"):
+            symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
+
+    def test_diagnostics_are_in_the_units_of_the_input(self):
+        a = random_symmetric(8, seed=3) * 1e100
+        with pytest.raises(JacobiConvergenceError) as caught:
+            symmetric_eigenvalues(a, sweep_cap=1)
+        initial = float(re.search(r"initial ([-+.e0-9]+)", str(caught.value)).group(1))
+        off_diagonal = a - np.diag(np.diag(a))
+        assert initial == pytest.approx(np.sqrt(np.sum(off_diagonal**2)), rel=1e-3)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_entries_far_from_one(self, factor):
+        # squares of these entries overflow or underflow in double precision
+        base = random_symmetric(6, seed=11)
+        expected = np.linalg.eigvalsh(base) * factor
+        values = symmetric_eigenvalues(base * factor)
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
+    def test_each_sweep_rotates_every_pair_once_and_restores_the_order(self, m):
+        source = _next_round(m).reshape(m, m)[:, 0] // m
+        slots = np.arange(m)  # slots[k] = the index held in slot k
+        met = []
+        for _ in range(m - 1):
+            met += [frozenset(pair) for pair in slots.reshape(-1, 2).tolist()]
+            slots = slots[source]
+        assert len(met) == len(set(met)) == m * (m - 1) // 2
+        assert np.array_equal(slots, np.arange(m))
+
+    @pytest.mark.parametrize("order", [2, 3, *range(5, 50, 2)])
+    def test_small_and_odd_orders(self, order):
+        a = random_symmetric(order, seed=order)
+        np.testing.assert_allclose(
+            symmetric_eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9
+        )
+
+    def test_exact_zeros_between_equal_diagonal_entries(self):
+        # pairs with a_pp == a_qq and a_pq == 0 make the tangent formula 0/0
+        a = 2.0 * np.eye(6)
+        a[0, 1] = a[1, 0] = 1.0
+        np.testing.assert_allclose(symmetric_eigenvalues(a), [1, 2, 2, 2, 2, 3], atol=1e-14)
+        np.testing.assert_allclose(
+            symmetric_eigenvalues(np.ones((5, 5))), [0, 0, 0, 0, 5], atol=1e-14
+        )
+
+    def test_block_diagonal_input(self):
+        blocks = [random_symmetric(k, seed=k) for k in (3, 4, 5)]
+        a = np.zeros((12, 12))
+        start = 0
+        for block in blocks:
+            a[start : start + len(block), start : start + len(block)] = block
+            start += len(block)
+        expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        np.testing.assert_allclose(symmetric_eigenvalues(a), expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "builder, graph, form",
+        [
+            (laplacian_matrix, generalized_fan, fan_laplacian_spectrum),
+            (distance_laplacian, generalized_fan, fan_distance_laplacian_spectrum),
+            (laplacian_matrix, nc_graph, nc_laplacian_spectrum),
+            (distance_laplacian, nc_graph, nc_distance_laplacian_spectrum),
+        ],
+    )
+    def test_high_multiplicity_family_spectra(self, builder, graph, form):
+        # twelve hubs: eigenvalues of multiplicity 11 and more
+        for m, n in ((12, 2), (12, 3)):
+            np.testing.assert_allclose(
+                symmetric_eigenvalues(builder(graph(m, n))), form(m, n).expanded(), atol=1e-9
+            )
+
+    def test_does_not_call_lapack(self, monkeypatch):
+        a = distance_laplacian(nc_graph(3, 4))
+        expected = np.linalg.eigvalsh(a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Jacobi oracle called numpy.linalg")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        np.testing.assert_allclose(symmetric_eigenvalues(a), expected, atol=1e-9)
+
 
 class TestGrouping:
     def test_merges_numerical_duplicates(self):
@@ -124,6 +219,15 @@ class TestGrouping:
     def test_requires_finite_values(self):
         with pytest.raises(ValueError):
             group_multiplicities([0.0, float("nan")])
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_grouping_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="grouping_tol"):
+            group_multiplicities([1.0, 2.0], grouping_tol=tol)
+
+    def test_zero_grouping_tol_merges_exact_duplicates_only(self):
+        spectrum = group_multiplicities([1.0, 1.0, 1.0 + 1e-15], grouping_tol=0.0)
+        assert spectrum.pairs == ((1.0, 2), (1.0 + 1e-15, 1))
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=30)
