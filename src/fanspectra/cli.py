@@ -10,7 +10,10 @@ Commands:
 
 Families are ``fan`` (m hubs joined to an n-path) and ``nc`` (two such
 fans with matched hubs).  Closed forms exist for the laplacian and
-distance-laplacian kinds; every other kind is numeric only.
+distance-laplacian kinds; every other kind is numeric only.  The family
+choices, graph builders, canonical partitions and closed forms all come
+from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
+and positive.
 
 Exit codes: 0 success; 1 verify sweep found failing cases; 2 usage
 errors; 3 invalid parameter values; 4 unsupported family/kind/mode
@@ -23,17 +26,13 @@ precision.  Only ``export`` ever writes a file, and only when asked to.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .closed_forms import (
-    fan_distance_laplacian_spectrum,
-    fan_laplacian_spectrum,
-    nc_distance_laplacian_spectrum,
-    nc_laplacian_spectrum,
-)
 from .eigen import (
     DEFAULT_CONVERGENCE_TOL,
     DEFAULT_GROUPING_TOL,
@@ -41,29 +40,25 @@ from .eigen import (
     group_multiplicities,
     symmetric_eigenvalues,
 )
-from .graphs import DisconnectedGraphError, generalized_fan, nc_graph, to_dot, to_edge_list
+from .graphs import DisconnectedGraphError, to_dot, to_edge_list
 from .matrices import MatrixKind, build_matrix
-from .quotient import fan_partition, nc_partition, quotient_eigenvalues, quotient_matrix
+from .quotient import quotient_eigenvalues, quotient_matrix
 from .tables import reproduce_fan_table, reproduce_generalized_fan_table
-from .verify import CASE_KINDS, compare_spectra, reports_to_json, sweep
-
-
-class UnsupportedCombination(Exception):
-    """Family/kind/mode request outside what the toolkit provides."""
-
+from .verify import (
+    CASE_KINDS,
+    FAMILIES,
+    UnsupportedCombination,
+    closed_form,
+    compare_spectra,
+    reports_to_json,
+    sweep,
+)
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_PARAMETER = 3
 EXIT_UNSUPPORTED = 4
 EXIT_DISCONNECTED = 5
 EXIT_NO_CONVERGENCE = 6
-
-CLOSED_FORMS = {
-    ("fan", "laplacian"): fan_laplacian_spectrum,
-    ("fan", "distance-laplacian"): fan_distance_laplacian_spectrum,
-    ("nc", "laplacian"): nc_laplacian_spectrum,
-    ("nc", "distance-laplacian"): nc_distance_laplacian_spectrum,
-}
 
 KIND_CHOICES = [k.value for k in MatrixKind]
 
@@ -72,105 +67,60 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _family_graph(family: str, m: int, n: int):
-    if family == "fan":
-        return generalized_fan(m, n)
-    if family == "nc":
-        return nc_graph(m, n)
-    raise UnsupportedCombination(f"unknown family {family!r}")
+def _case(args) -> dict:
+    """The JSON head of a one-case command."""
+    return {"family": args.family, "m": args.m, "n": args.n, "kind": args.kind}
 
 
-def _group_deviations(closed_pairs, closed_expanded, numeric_expanded):
+def _group_deviations(closed, numeric) -> list[float]:
     """Per closed-form group, the max gap against the numeric values at the
     same sorted positions."""
-    deviations = []
-    position = 0
-    for _, mult in closed_pairs:
-        gaps = [
-            abs(closed_expanded[position + i] - numeric_expanded[position + i])
-            for i in range(mult)
-        ]
-        deviations.append(max(gaps))
-        position += mult
-    return deviations
+    gaps = [abs(c - v) for c, v in zip(closed.expanded(), numeric.expanded())]
+    ends = itertools.accumulate(k for _, k in closed.pairs)
+    return [max(gaps[end - k : end]) for (_, k), end in zip(closed.pairs, ends)]
 
 
 def _cmd_spectrum(args) -> int:
-    graph = _family_graph(args.family, args.m, args.n)
-    closed = None
-    numeric = None
-    if args.mode in ("closed", "both"):
-        form = CLOSED_FORMS.get((args.family, args.kind))
-        if form is None:
-            raise UnsupportedCombination(
-                f"no closed form for family {args.family!r} and kind {args.kind!r}"
-            )
-        closed = form(args.m, args.n)
-    if args.mode in ("numeric", "both"):
+    graph = FAMILIES[args.family].graph(args.m, args.n)
+    payload = {**_case(args), "mode": args.mode}
+    closed = numeric = None
+    if args.mode != "numeric":
+        closed = closed_form(args.family, args.kind)(args.m, args.n)
+        payload["closed"] = asdict(closed)
+    if args.mode != "closed":
         matrix = build_matrix(graph, args.kind, t=args.t)
         raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol)
         numeric = group_multiplicities(raw, grouping_tol=args.grouping_tol)
-
-    payload: dict = {
-        "family": args.family,
-        "m": args.m,
-        "n": args.n,
-        "kind": args.kind,
-        "mode": args.mode,
-    }
-    deviation = None
-    deviations = None
-    if closed is not None:
-        payload["closed"] = {
-            "pairs": [[v, k] for v, k in closed.pairs],
-            "source": closed.source,
-            "errata_notes": list(closed.errata_notes),
-        }
-    if numeric is not None:
-        payload["numeric"] = {"pairs": [[v, k] for v, k in numeric.pairs]}
-    if closed is not None and numeric is not None:
-        deviation = compare_spectra(closed, numeric)
-        deviations = _group_deviations(closed.pairs, closed.expanded(), numeric.expanded())
-        payload["max_abs_deviation"] = deviation
-
+        payload["numeric"] = {"pairs": numeric.pairs}
+    both = args.mode == "both"
+    if both:
+        payload["max_abs_deviation"] = compare_spectra(closed, numeric)
     if args.format == "json":
         print(json.dumps(payload))
         return 0
 
-    rows: list[tuple] = []
-    if args.mode == "numeric":
-        rows = [(v, k, None) for v, k in numeric.pairs]
-    elif args.mode == "closed":
-        rows = [(v, k, None) for v, k in closed.pairs]
-    else:
-        rows = [(v, k, d) for (v, k), d in zip(closed.pairs, deviations)]
-
+    # one row per closed-form group when there is a closed form
+    pairs = (numeric if closed is None else closed).pairs
+    deviations = _group_deviations(closed, numeric) if both else [None] * len(pairs)
     if args.format == "csv":
-        header = "value,multiplicity" + (",deviation" if args.mode == "both" else "")
-        print(header)
-        for v, k, d in rows:
-            line = f"{v!r},{k}"
-            if args.mode == "both":
-                line += f",{d!r}"
-            print(line)
+        print("value,multiplicity" + (",deviation" if both else ""))
+        for (v, k), d in zip(pairs, deviations):
+            print(f"{v!r},{k}" + (f",{d!r}" if both else ""))
         return 0
 
     print(f"{args.family} m={args.m} n={args.n} {args.kind} [{args.mode}]")
-    header = f"{'value':>12}  {'mult':>4}"
-    if args.mode == "both":
-        header += f"  {'deviation':>10}"
-    print(header)
-    for v, k, d in rows:
-        line = f"{_fmt(v):>12}  {k:>4}"
-        if args.mode == "both":
-            line += f"  {_fmt(d):>10}"
-        print(line)
-    if deviation is not None:
-        print(f"max |closed - numeric| = {_fmt(deviation)}")
-    if closed is not None:
-        for note in closed.errata_notes:
-            print(f"note: {note}")
+    print(f"{'value':>12}  {'mult':>4}" + (f"  {'deviation':>10}" if both else ""))
+    for (v, k), d in zip(pairs, deviations):
+        print(f"{_fmt(v):>12}  {k:>4}" + (f"  {_fmt(d):>10}" if both else ""))
+    if both:
+        print(f"max |closed - numeric| = {_fmt(payload['max_abs_deviation'])}")
+    for note in closed.errata_notes if closed is not None else ():
+        print(f"note: {note}")
     return 0
+
+
+def _words(values, spec: str = ".2f") -> str:
+    return " ".join(format(v, spec) for v in values)
 
 
 def _print_matrix_text(matrix: np.ndarray) -> None:
@@ -179,10 +129,10 @@ def _print_matrix_text(matrix: np.ndarray) -> None:
 
 
 def _cmd_matrix(args) -> int:
-    graph = _family_graph(args.family, args.m, args.n)
+    graph = FAMILIES[args.family].graph(args.m, args.n)
     matrix = build_matrix(graph, args.kind, t=args.t)
     if args.format == "json":
-        print(json.dumps({"order": matrix.shape[0], "entries": [float(v) for v in matrix.ravel()]}))
+        print(json.dumps({"order": matrix.shape[0], "entries": matrix.ravel().tolist()}))
     elif args.format == "csv":
         for row in matrix:
             print(",".join(repr(float(v)) for v in row))
@@ -192,34 +142,23 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    if args.kind not in ("laplacian", "distance-laplacian"):
-        raise UnsupportedCombination(
-            f"canonical quotients exist for laplacian and distance-laplacian, not {args.kind!r}"
-        )
-    graph = _family_graph(args.family, args.m, args.n)
-    partition = (
-        fan_partition(args.m, args.n) if args.family == "fan" else nc_partition(args.m, args.n)
-    )
+    family = FAMILIES[args.family]
+    graph = family.graph(args.m, args.n)
+    partition = family.partition(args.m, args.n)
     matrix = build_matrix(graph, args.kind)
     quotient = quotient_matrix(matrix, partition)
     eigenvalues = quotient_eigenvalues(matrix, partition, grouping_tol=args.grouping_tol)
     raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol)
     contained = all(float(np.min(np.abs(raw - v))) <= 1e-8 for v in eigenvalues.expanded())
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "m": args.m,
-                    "n": args.n,
-                    "kind": args.kind,
-                    "block_sizes": list(quotient.block_sizes),
-                    "matrix": [[float(v) for v in row] for row in quotient.matrix],
-                    "eigenvalues": [[v, k] for v, k in eigenvalues.pairs],
-                    "contained_in_full_spectrum": contained,
-                }
-            )
-        )
+        payload = {
+            **_case(args),
+            "block_sizes": quotient.block_sizes,
+            "matrix": quotient.matrix.tolist(),
+            "eigenvalues": eigenvalues.pairs,
+            "contained_in_full_spectrum": contained,
+        }
+        print(json.dumps(payload))
         return 0
     print(f"{args.family} m={args.m} n={args.n} {args.kind} quotient")
     print(f"block sizes: {' '.join(str(s) for s in quotient.block_sizes)}")
@@ -244,54 +183,32 @@ def _cmd_tables(args) -> int:
             "note: reference column headers are swapped; keys shown are the true (m, n)",
         ]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "key": list(row.key),
-                        "adjacency": {
-                            "reference": list(row.adjacency.reference),
-                            "computed": list(row.adjacency.computed),
-                            "ok": row.adjacency.ok,
-                            "note": row.adjacency.note,
-                        },
-                        "laplacian": {
-                            "reference": list(row.laplacian.reference),
-                            "computed": list(row.laplacian.computed),
-                            "ok": row.laplacian.ok,
-                            "note": row.laplacian.note,
-                        },
-                    }
-                    for row in rows
-                ]
-            )
-        )
+        print(json.dumps([asdict(row) for row in rows]))
         return 0
     if args.format == "csv":
         print("key,column,ok,computed,reference")
         for row in rows:
-            key = " ".join(str(k) for k in row.key)
             for column, cell in (("adjacency", row.adjacency), ("laplacian", row.laplacian)):
-                computed = " ".join(f"{v:.2f}" for v in cell.computed)
-                reference = " ".join(f"{v:.2f}" for v in cell.reference)
-                print(f"{key},{column},{'yes' if cell.ok else 'no'},{computed},{reference}")
+                print(
+                    f"{_words(row.key, '')},{column},{'yes' if cell.ok else 'no'},"
+                    f"{_words(cell.computed)},{_words(cell.reference)}"
+                )
         return 0
     for title in titles:
         print(title)
     print(f"{key_header} | adjacency (computed) | laplacian (computed)")
     for row in rows:
-        key = " ".join(str(k) for k in row.key)
         cells = []
         for cell in (row.adjacency, row.laplacian):
-            text = " ".join(f"{v:.2f}" for v in cell.computed)
+            text = _words(cell.computed)
             if not cell.ok:
-                text += " [ERRATUM vs reference " + " ".join(f"{v:.2f}" for v in cell.reference) + "]"
+                text += f" [ERRATUM vs reference {_words(cell.reference)}]"
             cells.append(text)
-        print(f"{key} | {cells[0]} | {cells[1]}")
+        print(f"{_words(row.key, '')} | {cells[0]} | {cells[1]}")
     for row in rows:
         for cell in (row.adjacency, row.laplacian):
             if cell.note:
-                print(f"note ({' '.join(str(k) for k in row.key)}): {cell.note}")
+                print(f"note ({_words(row.key, '')}): {cell.note}")
     return 0
 
 
@@ -325,7 +242,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    graph = _family_graph(args.family, args.m, args.n)
+    graph = FAMILIES[args.family].graph(args.m, args.n)
     if args.format == "dot":
         text = to_dot(graph, name=f"{args.family}_{args.m}_{args.n}")
     else:
@@ -346,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_args(p):
-        p.add_argument("family", choices=["fan", "nc"])
+        p.add_argument("family", choices=list(FAMILIES))
         p.add_argument("m", type=int)
         p.add_argument("n", type=int)
 
@@ -403,22 +320,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first match decides: UnsupportedCombination and DisconnectedGraphError are ValueErrors
+_EXIT_CODES = (
+    (UnsupportedCombination, EXIT_UNSUPPORTED),
+    (DisconnectedGraphError, EXIT_DISCONNECTED),
+    (JacobiConvergenceError, EXIT_NO_CONVERGENCE),
+    (ValueError, EXIT_BAD_PARAMETER),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedCombination as exc:
+    except (ValueError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except JacobiConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,12 @@ is returned and the discrepancy recorded in ``errata_notes``:
   which yields {3n+5m, 3n+5m-4}.  The derived pair passes the trace
   identity and is returned.
 
-Values are plain double-precision reals (no symbolic layer); nearby
-contributions are merged with a 1e-9 tolerance when a formula produces
-the same eigenvalue through two routes.
+Values are plain double-precision reals (no symbolic layer).  When a
+formula produces the same eigenvalue through two routes, the
+contributions are grouped by ``eigen.group_multiplicities`` at
+``MERGE_TOL`` = 1e-9, the same rule that groups numeric spectra.
+Which family and kind each closed form belongs to is recorded once, in
+the case table ``verify.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import Spectrum
+from .eigen import Multiset, _expand, group_multiplicities
 from .quotient import QuotientMatrix
 
 MERGE_TOL = 1e-9
@@ -53,38 +56,17 @@ NC_DISTANCE_LAPLACIAN_NOTE = (
 
 
 @dataclass(frozen=True)
-class ClosedFormSpectrum:
+class ClosedFormSpectrum(Multiset):
     """Eigenvalue multiset produced by a closed form, with provenance tag."""
 
-    pairs: tuple[tuple[float, int], ...]
     source: str
     errata_notes: tuple[str, ...] = field(default=())
 
-    @property
-    def order(self) -> int:
-        return sum(k for _, k in self.pairs)
-
-    def expanded(self) -> list[float]:
-        return [v for v, k in self.pairs for _ in range(k)]
-
-    def values(self) -> list[float]:
-        return [v for v, _ in self.pairs]
-
-    def total(self) -> float:
-        return float(sum(v * k for v, k in self.pairs))
-
 
 def _spectrum(contributions, source: str, errata: tuple[str, ...] = ()) -> ClosedFormSpectrum:
-    """Assemble sorted pairs, merging values closer than MERGE_TOL."""
-    items = sorted((float(v), int(k)) for v, k in contributions if k > 0)
-    pairs: list[tuple[float, int]] = []
-    for v, k in items:
-        if pairs and v - pairs[-1][0] <= MERGE_TOL:
-            pv, pk = pairs[-1]
-            pairs[-1] = ((pv * pk + v * k) / (pk + k), pk + k)
-        else:
-            pairs.append((v, k))
-    return ClosedFormSpectrum(tuple(pairs), source, errata)
+    """Group (value, multiplicity) contributions with group_multiplicities at MERGE_TOL."""
+    values = sorted(float(v) for v, k in contributions for _ in range(k))
+    return ClosedFormSpectrum(group_multiplicities(values, MERGE_TOL).pairs, source, errata)
 
 
 def path_laplacian_eigenvalue(n: int, j: int) -> float:
@@ -104,18 +86,12 @@ def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
 
 def _consume_zero(spectrum_like, order: int, what: str, zero_tol: float = 1e-6) -> list[float]:
     """Expand a full Laplacian spectrum, check it contains 0, and drop one copy."""
-    values = sorted(_expand_values(spectrum_like))
+    values = sorted(_expand(spectrum_like))
     if len(values) != order:
         raise ValueError(f"{what} has {len(values)} eigenvalues, expected {order}")
     if abs(values[0]) > zero_tol:
         raise ValueError(f"{what} lacks the eigenvalue 0 required of a Laplacian spectrum")
     return values[1:]
-
-
-def _expand_values(spectrum_like) -> list[float]:
-    if hasattr(spectrum_like, "expanded"):
-        return list(spectrum_like.expanded())
-    return [float(v) for v in spectrum_like]
 
 
 def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectrum:
@@ -338,8 +314,3 @@ def evaluate_polynomial(coefficients, x: float) -> float:
         acc = acc * x + c
     return acc
 
-
-def spectrum_from_pairs(pairs, grouping_tol: float = MERGE_TOL) -> Spectrum:
-    """Convenience: wrap explicit (value, multiplicity) pairs as a numeric Spectrum."""
-    ordered = tuple(sorted((float(v), int(k)) for v, k in pairs))
-    return Spectrum(ordered, grouping_tol)

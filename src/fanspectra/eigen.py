@@ -5,6 +5,9 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.
+
+``group_multiplicities`` is the package's one rule for grouping values
+into multiplicities; the closed forms group their contributions with it.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ class JacobiConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue multiset: ascending (value, multiplicity) pairs."""
+class Multiset:
+    """Eigenvalue multiset: ascending (value, multiplicity) pairs.
+
+    ``Spectrum`` (numeric) and ``ClosedFormSpectrum`` extend it with their
+    own provenance fields.
+    """
 
     pairs: tuple[tuple[float, int], ...]
-    grouping_tol: float = DEFAULT_GROUPING_TOL
 
     @property
     def order(self) -> int:
@@ -45,6 +51,23 @@ class Spectrum:
 
     def values(self) -> list[float]:
         return [v for v, _ in self.pairs]
+
+    def total(self) -> float:
+        return float(sum(v * k for v, k in self.pairs))
+
+
+@dataclass(frozen=True)
+class Spectrum(Multiset):
+    """A numeric multiset and the tolerance its values were grouped with."""
+
+    grouping_tol: float = DEFAULT_GROUPING_TOL
+
+
+def _expand(spectrum_like) -> list[float]:
+    """A multiset's values with repeats, or a plain sequence's values, as floats."""
+    if hasattr(spectrum_like, "expanded"):
+        return list(spectrum_like.expanded())
+    return [float(v) for v in spectrum_like]
 
 
 @functools.lru_cache(maxsize=32)
@@ -81,8 +104,9 @@ def symmetric_eigenvalues(
     Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
     Raises JacobiConvergenceError with diagnostics if sweep_cap sweeps
-    do not get there, and ValueError for non-symmetric or non-finite
-    input or a convergence_tol that is not finite and positive.
+    do not get there, and ValueError for non-finite input, for input
+    with max|a - a^T| above 1e-10 * max|a|, or for a convergence_tol
+    that is not finite and positive.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -97,7 +121,7 @@ def symmetric_eigenvalues(
     if n == 0:
         return np.empty(0)
     scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * max(1.0, scale):
+    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     if n == 1:
         return a.diagonal().copy()

@@ -1,17 +1,27 @@
 """Cross-checking closed forms against the Jacobi oracle.
 
+``FAMILIES`` is the one table of what the package knows per graph
+family: its graph builder, its canonical equitable partition, its
+smallest m and n, and the closed form of each matrix kind that has one.
+``CASE_KINDS``, the CLI's family choices and its closed-form and
+partition lookups, ``verify_case`` and ``sweep`` all read it, so a new
+family or kind is added there and nowhere else.
+
 ``verify_case`` produces one report per (family, m, n, matrix kind):
 closed-form vs numeric deviation, trace residual, positive
 semidefiniteness of the matrix, and containment of the canonical
 equitable-quotient eigenvalues in the full spectrum.  ``sweep`` runs a
-deterministic grid of such cases.  ``verify_random_joins`` stress-tests
-the two join formulas on seeded random graph pairs.
+deterministic grid of such cases.  Both require a finite, positive
+``tol``.  ``verify_random_joins`` stress-tests the two join formulas on
+seeded random graph pairs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,31 +34,78 @@ from .closed_forms import (
     nc_distance_laplacian_spectrum,
     nc_laplacian_spectrum,
 )
-from .eigen import Spectrum, group_multiplicities, symmetric_eigenvalues
+from .eigen import Spectrum, _expand, group_multiplicities, symmetric_eigenvalues
 from .graphs import Graph, generalized_fan, join, make_graph, nc_graph
-from .matrices import distance_laplacian, laplacian_matrix
+from .matrices import build_matrix, distance_laplacian, laplacian_matrix
 from .quotient import Partition, fan_partition, nc_partition, quotient_eigenvalues
 
 DEFAULT_CASE_TOL = 1e-8
 PSD_TOL = 1e-9
 MAX_SWEEP_PARAM = 64
 
-CASE_KINDS = (
-    "fan-laplacian",
-    "nc-laplacian",
-    "fan-distance-laplacian",
-    "nc-distance-laplacian",
-)
-
 
 class SpectrumSizeMismatch(ValueError):
     """Two multisets of different cardinality can never agree."""
 
 
-def _expand(spectrum_like) -> list[float]:
-    if hasattr(spectrum_like, "expanded"):
-        return list(spectrum_like.expanded())
-    return [float(v) for v in spectrum_like]
+class UnsupportedCombination(ValueError):
+    """A family/kind request outside the case table."""
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the case table; every entry takes (m, n)."""
+
+    graph: Callable[[int, int], Graph]
+    partition: Callable[[int, int], Partition]
+    min_param: int  # the smallest m and n the family is defined for
+    closed_forms: dict[str, Callable[[int, int], ClosedFormSpectrum]]
+
+
+# The entries call this module's names when they run, not the functions bound
+# at import, so that a rebinding of those names (a tracer, a test double) is seen.
+FAMILIES = {
+    "fan": Family(
+        graph=lambda m, n: generalized_fan(m, n),
+        partition=lambda m, n: fan_partition(m, n),
+        min_param=1,
+        closed_forms={
+            "laplacian": lambda m, n: fan_laplacian_spectrum(m, n),
+            "distance-laplacian": lambda m, n: fan_distance_laplacian_spectrum(m, n),
+        },
+    ),
+    "nc": Family(
+        graph=lambda m, n: nc_graph(m, n),
+        partition=lambda m, n: nc_partition(m, n),
+        min_param=2,
+        closed_forms={
+            "laplacian": lambda m, n: nc_laplacian_spectrum(m, n),
+            "distance-laplacian": lambda m, n: nc_distance_laplacian_spectrum(m, n),
+        },
+    ),
+}
+
+# "fan-laplacian" -> ("fan", "laplacian"), kinds outer and families inner
+CASES = {
+    f"{family}-{kind}": (family, kind)
+    for kind in dict.fromkeys(k for row in FAMILIES.values() for k in row.closed_forms)
+    for family, row in FAMILIES.items()
+    if kind in row.closed_forms
+}
+CASE_KINDS = tuple(CASES)
+
+
+def closed_form(family: str, kind: str) -> Callable[[int, int], ClosedFormSpectrum]:
+    """The closed form of a case; UnsupportedCombination if the table has none."""
+    row = FAMILIES.get(family)
+    if row is None or kind not in row.closed_forms:
+        raise UnsupportedCombination(f"no closed form for family {family!r} and kind {kind!r}")
+    return row.closed_forms[kind]
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
 
 
 def compare_spectra(a, b) -> float:
@@ -57,9 +114,7 @@ def compare_spectra(a, b) -> float:
     ys = sorted(_expand(b))
     if len(xs) != len(ys):
         raise SpectrumSizeMismatch(f"multiset sizes differ: {len(xs)} vs {len(ys)}")
-    if not xs:
-        return 0.0
-    return max(abs(x - y) for x, y in zip(xs, ys))
+    return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -82,40 +137,21 @@ class VerificationReport:
         return f"{self.family}-{self.kind}"
 
 
-def _case_pieces(family: str, m: int, n: int, kind: str):
-    if family == "fan":
-        graph = generalized_fan(m, n)
-        partition = fan_partition(m, n)
-        closed = {
-            "laplacian": fan_laplacian_spectrum,
-            "distance-laplacian": fan_distance_laplacian_spectrum,
-        }
-    elif family == "nc":
-        graph = nc_graph(m, n)
-        partition = nc_partition(m, n)
-        closed = {
-            "laplacian": nc_laplacian_spectrum,
-            "distance-laplacian": nc_distance_laplacian_spectrum,
-        }
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if kind not in closed:
-        raise ValueError(f"no closed form for kind {kind!r}")
-    builder = laplacian_matrix if kind == "laplacian" else distance_laplacian
-    return graph, builder(graph), closed[kind](m, n), partition
-
-
 def verify_case(
     family: str, m: int, n: int, kind: str, tol: float = DEFAULT_CASE_TOL
 ) -> VerificationReport:
     """Check one closed form against the numeric oracle and the quotient route."""
-    _, matrix, closed, partition = _case_pieces(family, m, n, kind)
+    _require_tol(tol)
+    form = closed_form(family, kind)
+    row = FAMILIES[family]
+    matrix = build_matrix(row.graph(m, n), kind)
+    closed = form(m, n)
     raw = symmetric_eigenvalues(matrix)
     numeric = group_multiplicities(raw)
     deviation = compare_spectra(closed, raw)
     trace_residual = abs(closed.total() - float(np.trace(matrix)))
     psd_ok = bool(raw[0] >= -PSD_TOL)
-    quotient = quotient_eigenvalues(matrix, partition)
+    quotient = quotient_eigenvalues(matrix, row.partition(m, n))
     containment_ok = all(
         float(np.min(np.abs(raw - value))) <= tol for value in quotient.expanded()
     )
@@ -136,13 +172,6 @@ def verify_case(
     )
 
 
-def _split_case_kind(case_kind: str) -> tuple[str, str]:
-    family, _, kind = case_kind.partition("-")
-    if case_kind not in CASE_KINDS:
-        raise ValueError(f"unknown case kind {case_kind!r}; expected one of {CASE_KINDS}")
-    return family, kind
-
-
 def sweep(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
@@ -151,7 +180,7 @@ def sweep(
 ) -> list[VerificationReport]:
     """One report per grid cell per kind, ordered by (m, n, kind position).
 
-    Pair-class cases are skipped below their m, n >= 2 domain.  Failing
+    Cases below their family's smallest m, n are skipped.  Failing
     reports are kept, never raised; callers decide what a failure means.
     """
     for lo, hi in (m_range, n_range):
@@ -159,81 +188,39 @@ def sweep(
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")
     kinds = tuple(kinds)
     for case_kind in kinds:
-        _split_case_kind(case_kind)
+        if case_kind not in CASES:
+            raise ValueError(f"unknown case kind {case_kind!r}; expected one of {CASE_KINDS}")
+    _require_tol(tol)
     reports = []
     for m in range(m_range[0], m_range[1] + 1):
         for n in range(n_range[0], n_range[1] + 1):
             for case_kind in kinds:
-                family, kind = _split_case_kind(case_kind)
-                if family == "nc" and (m < 2 or n < 2):
-                    continue
-                reports.append(verify_case(family, m, n, kind, tol=tol))
+                family, kind = CASES[case_kind]
+                if min(m, n) >= FAMILIES[family].min_param:
+                    reports.append(verify_case(family, m, n, kind, tol=tol))
     return reports
-
-
-def all_passed(reports) -> bool:
-    return all(r.passed for r in reports)
 
 
 # --- serialization ---------------------------------------------------------
 
 
-def _closed_form_to_dict(cf: ClosedFormSpectrum) -> dict:
-    return {
-        "pairs": [[v, k] for v, k in cf.pairs],
-        "source": cf.source,
-        "errata_notes": list(cf.errata_notes),
-    }
-
-
-def _closed_form_from_dict(d: dict) -> ClosedFormSpectrum:
-    return ClosedFormSpectrum(
-        tuple((float(v), int(k)) for v, k in d["pairs"]),
-        d["source"],
-        tuple(d["errata_notes"]),
-    )
-
-
-def _spectrum_to_dict(s: Spectrum) -> dict:
-    return {"pairs": [[v, k] for v, k in s.pairs], "grouping_tol": s.grouping_tol}
-
-
-def _spectrum_from_dict(d: dict) -> Spectrum:
-    return Spectrum(tuple((float(v), int(k)) for v, k in d["pairs"]), float(d["grouping_tol"]))
-
-
 def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "family": report.family,
-        "m": report.m,
-        "n": report.n,
-        "kind": report.kind,
-        "closed_form": _closed_form_to_dict(report.closed_form),
-        "numeric": _spectrum_to_dict(report.numeric),
-        "max_abs_deviation": report.max_abs_deviation,
-        "trace_residual": report.trace_residual,
-        "psd_ok": report.psd_ok,
-        "quotient_containment_ok": report.quotient_containment_ok,
-        "errata_flags": list(report.errata_flags),
-        "passed": report.passed,
-    }
+    return asdict(report)
+
+
+def _tuples(value):
+    """JSON's lists back to the tuples of the frozen records, at any depth."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    if isinstance(value, dict):
+        return {key: _tuples(v) for key, v in value.items()}
+    return value
 
 
 def report_from_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        family=d["family"],
-        m=int(d["m"]),
-        n=int(d["n"]),
-        kind=d["kind"],
-        closed_form=_closed_form_from_dict(d["closed_form"]),
-        numeric=_spectrum_from_dict(d["numeric"]),
-        max_abs_deviation=float(d["max_abs_deviation"]),
-        trace_residual=float(d["trace_residual"]),
-        psd_ok=bool(d["psd_ok"]),
-        quotient_containment_ok=bool(d["quotient_containment_ok"]),
-        errata_flags=tuple(d["errata_flags"]),
-        passed=bool(d["passed"]),
-    )
+    d = _tuples(d)
+    closed, numeric = ClosedFormSpectrum(**d.pop("closed_form")), Spectrum(**d.pop("numeric"))
+    return VerificationReport(closed_form=closed, numeric=numeric, **d)
 
 
 def reports_to_json(reports) -> str:
@@ -279,6 +266,7 @@ def verify_random_joins(
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
+    _require_tol(tol)
     checks = []
     for k in range(pair_count):
         pair_seed = seed + k

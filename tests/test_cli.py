@@ -191,6 +191,12 @@ class TestVerifyCommand:
         assert len(reports) == 2
         assert all(r["passed"] for r in reports)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--m-range", "2:2", "--n-range", "2:2", f"--tol={tol}")
+        assert code == 3 and not out
+        assert err == "error: tol must be finite and positive\n"
+
     def test_bad_range_syntax_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--m-range", "2-5"])

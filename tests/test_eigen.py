@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanspectra.closed_forms import (
+    ClosedFormSpectrum,
     fan_distance_laplacian_spectrum,
     fan_laplacian_spectrum,
     nc_distance_laplacian_spectrum,
@@ -21,6 +22,7 @@ from fanspectra.closed_forms import (
 )
 from fanspectra.eigen import (
     JacobiConvergenceError,
+    Multiset,
     Spectrum,
     _next_round,
     group_multiplicities,
@@ -101,6 +103,23 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.eye(2), convergence_tol=0.0)
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.eye(2), sweep_cap=0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.0, 1e-200], [0.0, 0.0]],
+            [[1e-12, 5e-11], [0.0, 1e-12]],
+        ],
+    )
+    def test_symmetry_bound_is_relative_to_the_largest_entry(self, matrix):
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_eigenvalues(np.array(matrix))
+
+    def test_roundoff_asymmetry_is_accepted_at_any_scale(self):
+        for scale in (1e-200, 1.0, 1e200):
+            a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]]) * scale
+            np.testing.assert_allclose(symmetric_eigenvalues(a), [scale, 3 * scale], rtol=1e-9)
+        np.testing.assert_array_equal(symmetric_eigenvalues(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
     def test_sweep_cap_failure_carries_diagnostics(self):
         a = random_symmetric(8, seed=3)
@@ -244,3 +263,11 @@ class TestSpectrumType:
         assert s.expanded() == [0.0, 0.0, 1.5]
         assert s.values() == [0.0, 1.5]
         assert s.order == 3
+        assert s.total() == 1.5
+
+    def test_both_spectrum_types_share_the_multiset_members(self):
+        closed = ClosedFormSpectrum(((0.0, 1), (2.0, 2)), "test")
+        numeric = Spectrum(((0.0, 1), (2.0, 2)))
+        for s in (closed, numeric):
+            assert isinstance(s, Multiset)
+            assert (s.order, s.expanded(), s.values(), s.total()) == (3, [0.0, 2.0, 2.0], [0.0, 2.0], 4.0)

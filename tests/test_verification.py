@@ -1,6 +1,7 @@
 """Verification-report, sweep, and randomized join-map tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from fanspectra.graphs import generalized_fan
 from fanspectra.matrices import laplacian_matrix
 from fanspectra.verify import (
     CASE_KINDS,
+    CASES,
+    FAMILIES,
     SpectrumSizeMismatch,
+    UnsupportedCombination,
+    closed_form,
     compare_spectra,
     random_graph,
     report_from_dict,
@@ -67,6 +72,45 @@ class TestVerifyCase:
     def test_impossible_tolerance_fails_cleanly(self):
         report = verify_case("fan", 2, 2, "laplacian", tol=1e-300)
         assert not report.passed
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify_case("fan", 2, 2, "laplacian", tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sweep((2, 3), (2, 3), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify_random_joins(pair_count=1, tol=tol)
+
+
+class TestCaseTable:
+    def test_case_kinds_order(self):
+        assert CASE_KINDS == (
+            "fan-laplacian",
+            "nc-laplacian",
+            "fan-distance-laplacian",
+            "nc-distance-laplacian",
+        )
+        assert all(CASES[case] == tuple(case.split("-", 1)) for case in CASE_KINDS)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_agree_with_their_builders(self, family):
+        row = FAMILIES[family]
+        least = row.min_param
+        graph = row.graph(least, least)
+        row.partition(least, least).validate_for(graph.vertex_count)
+        for kind, form in row.closed_forms.items():
+            assert closed_form(family, kind) is form
+            assert form(least, least + 1).order == row.graph(least, least + 1).vertex_count
+            with pytest.raises(ValueError):
+                form(least - 1, least)
+        with pytest.raises(ValueError):
+            row.graph(least, least - 1)
+
+    def test_missing_case_is_an_unsupported_combination(self):
+        for family, kind in (("fan", "adjacency"), ("wheel", "laplacian")):
+            with pytest.raises(UnsupportedCombination, match="no closed form"):
+                closed_form(family, kind)
 
 
 class TestSweep:
