@@ -46,8 +46,10 @@ from .quotient import quotient_eigenvalues, quotient_matrix
 from .tables import reproduce_fan_table, reproduce_generalized_fan_table
 from .verify import (
     CASE_KINDS,
+    DEFAULT_CASE_TOL,
     FAMILIES,
     UnsupportedCombination,
+    _contained,
     closed_form,
     compare_spectra,
     reports_to_json,
@@ -149,7 +151,7 @@ def _cmd_quotient(args) -> int:
     quotient = quotient_matrix(matrix, partition)
     eigenvalues = quotient_eigenvalues(matrix, partition, grouping_tol=args.grouping_tol)
     raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol)
-    contained = all(float(np.min(np.abs(raw - v))) <= 1e-8 for v in eigenvalues.expanded())
+    contained = _contained(eigenvalues, raw)
     if args.format == "json":
         payload = {
             **_case(args),
@@ -166,7 +168,7 @@ def _cmd_quotient(args) -> int:
     print("eigenvalues:")
     for v, k in eigenvalues.pairs:
         print(f"{_fmt(v):>12}  {k:>4}")
-    print(f"contained in full spectrum (tol 1e-08): {'yes' if contained else 'NO'}")
+    print(f"contained in full spectrum (tol {DEFAULT_CASE_TOL:g}): {'yes' if contained else 'NO'}")
     return 0
 
 
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated subset of: " + ",".join(CASE_KINDS),
     )
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_CASE_TOL)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_verify)
 

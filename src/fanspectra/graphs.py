@@ -22,9 +22,10 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 UNREACHABLE = -1
 
@@ -122,41 +123,44 @@ def nc_graph(m: int, n: int) -> Graph:
     return make_graph(2 * (m + n), edges)
 
 
-def adjacency_lists(g: Graph) -> list[list[int]]:
-    """Sorted neighbor lists, one per vertex."""
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for neighbors in adj:
-        neighbors.sort()
-    return adj
+def _adjacency(g: Graph, dtype=bool) -> np.ndarray:
+    """The dense symmetric adjacency of g, one nonzero entry per edge end."""
+    a = np.zeros((g.vertex_count, g.vertex_count), dtype=dtype)
+    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    a[u, v] = a[v, u] = 1
+    return a
 
 
-def _bfs(adj: list[list[int]], source: int) -> list[int]:
-    dist = [UNREACHABLE] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def _hops(g: Graph, sources) -> np.ndarray:
+    """Hop distances, one float64 row per source; UNREACHABLE marks pairs not reached.
+
+    BFS from every source at once, one boolean product of the frontier
+    with the adjacency per level (Kepner & Gilbert, *Graph Algorithms in
+    the Language of Linear Algebra*, 2011); all V sources cost
+    O(diameter * V^3).
+    """
+    adjacency = _adjacency(g)
+    frontier = np.eye(g.vertex_count, dtype=bool)[sources]
+    hops = np.where(frontier, 0.0, float(UNREACHABLE))
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ adjacency) & (hops == UNREACHABLE)
+        hops[frontier] = level
+    return hops
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; UNREACHABLE (-1) marks disconnected pairs."""
     if not (0 <= source < g.vertex_count):
         raise ValueError(f"source {source} out of range for {g.vertex_count} vertices")
-    return _bfs(adjacency_lists(g), source)
+    return _hops(g, [source])[0].astype(int).tolist()
 
 
 def is_connected(g: Graph) -> bool:
     if g.vertex_count <= 1:
         return True
-    return UNREACHABLE not in bfs_distances(g, 0)
+    return UNREACHABLE not in _hops(g, [0])
 
 
 def degree_sequence(g: Graph) -> list[int]:

@@ -8,7 +8,9 @@ Tr + D, and the blend t*Tr + (1-t)*D for 0 < t < 1.
 Every builder returns a fresh float64 array that is symmetric by
 construction.  The distance family is defined only for connected graphs
 and raises DisconnectedGraphError otherwise.  Distances come from one
-BFS per source vertex, so building D costs O(V * (V + E)).
+level-synchronous BFS from all sources at once, one boolean V x V
+product per level, so building D costs O(diameter * V^3) boolean work:
+cheap on the diameter-3 families here, slow on long paths.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _bfs, adjacency_lists, degree_sequence
+from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hops, degree_sequence
 
 
 class MatrixKind(str, Enum):
@@ -31,29 +33,20 @@ class MatrixKind(str, Enum):
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+    return _adjacency(g, dtype=float)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
+    # the negated adjacency keeps its -0.0 off-diagonals; the matrix command prints them
     lap = -adjacency_matrix(g)
-    degrees = degree_sequence(g)
-    for v in range(g.vertex_count):
-        lap[v, v] = float(degrees[v])
+    np.fill_diagonal(lap, degree_sequence(g))
     return lap
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    d = np.zeros((g.vertex_count, g.vertex_count))
-    adj = adjacency_lists(g)
-    for source in range(g.vertex_count):
-        row = _bfs(adj, source)
-        if UNREACHABLE in row:
-            raise DisconnectedGraphError("distance matrix is undefined for a disconnected graph")
-        d[source] = row
+    d = _hops(g, range(g.vertex_count))
+    if UNREACHABLE in d:
+        raise DisconnectedGraphError("distance matrix is undefined for a disconnected graph")
     return d
 
 

@@ -81,36 +81,29 @@ def nc_partition(m: int, n: int) -> Partition:
     )
 
 
-def _block_sums(matrix: np.ndarray, partition: Partition) -> np.ndarray:
-    t = len(partition.blocks)
-    sums = np.zeros((t, t))
-    for i, bi in enumerate(partition.blocks):
-        rows = matrix[np.array(bi)]
-        for j, bj in enumerate(partition.blocks):
-            sums[i, j] = float(rows[:, np.array(bj)].sum())
-    return sums
+def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I,
+    whose entry (v, j) is the sum of row v over block j."""
+    matrix = np.asarray(matrix, dtype=float)
+    partition.validate_for(matrix.shape[0])
+    indicator = np.zeros((matrix.shape[0], len(partition.blocks)))
+    for j, block in enumerate(partition.blocks):
+        indicator[list(block), j] = 1.0
+    return indicator, matrix @ indicator
 
 
 def quotient_matrix(matrix: np.ndarray, partition: Partition) -> QuotientMatrix:
-    matrix = np.asarray(matrix, dtype=float)
-    partition.validate_for(matrix.shape[0])
-    sums = _block_sums(matrix, partition)
+    indicator, rows = _row_sums(matrix, partition)
     sizes = partition.block_sizes
-    b = sums / np.array(sizes, dtype=float)[:, None]
-    return QuotientMatrix(b, sizes)
+    return QuotientMatrix((indicator.T @ rows) / np.array(sizes, dtype=float)[:, None], sizes)
 
 
 def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_EQUITABLE_TOL) -> bool:
-    """True iff within every block pair all row sums agree to within tol."""
-    matrix = np.asarray(matrix, dtype=float)
-    partition.validate_for(matrix.shape[0])
-    for bi in partition.blocks:
-        rows = matrix[np.array(bi)]
-        for bj in partition.blocks:
-            row_sums = rows[:, np.array(bj)].sum(axis=1)
-            if float(row_sums.max() - row_sums.min()) > tol:
-                return False
-    return True
+    """True iff within every block pair all row sums agree to within tol (finite, >= 0)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"equitable tolerance {tol} must be finite and non-negative")
+    _, rows = _row_sums(matrix, partition)
+    return not any((np.ptp(rows[list(block)], axis=0) > tol).any() for block in partition.blocks)
 
 
 def quotient_eigenvalues(
@@ -128,16 +121,10 @@ def quotient_eigenvalues(
     upper triangle so it is exactly symmetric, then handed to the Jacobi
     solver.
     """
-    matrix = np.asarray(matrix, dtype=float)
     if not is_equitable(matrix, partition, tol=equitable_tol):
         raise NotEquitableError("partition is not equitable for this matrix")
-    sums = _block_sums(matrix, partition)
-    sizes = partition.block_sizes
-    t = len(sizes)
-    c = np.zeros((t, t))
-    for i in range(t):
-        for j in range(i, t):
-            value = sums[i, j] / math.sqrt(sizes[i] * sizes[j])
-            c[i, j] = value
-            c[j, i] = value
+    indicator, rows = _row_sums(matrix, partition)
+    sizes = np.array(partition.block_sizes, dtype=float)
+    upper = np.triu((indicator.T @ rows) / np.sqrt(np.outer(sizes, sizes)))
+    c = upper + np.triu(upper, 1).T
     return group_multiplicities(symmetric_eigenvalues(c), grouping_tol=grouping_tol)

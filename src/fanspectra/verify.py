@@ -117,6 +117,11 @@ def compare_spectra(a, b) -> float:
     return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
 
 
+def _contained(quotient: Spectrum, full: np.ndarray, tol: float = DEFAULT_CASE_TOL) -> bool:
+    """True iff every quotient eigenvalue lies within tol of some value of the full spectrum."""
+    return all(float(np.min(np.abs(full - value))) <= tol for value in quotient.expanded())
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     family: str
@@ -152,9 +157,7 @@ def verify_case(
     trace_residual = abs(closed.total() - float(np.trace(matrix)))
     psd_ok = bool(raw[0] >= -PSD_TOL)
     quotient = quotient_eigenvalues(matrix, row.partition(m, n))
-    containment_ok = all(
-        float(np.min(np.abs(raw - value))) <= tol for value in quotient.expanded()
-    )
+    containment_ok = _contained(quotient, raw, tol)
     passed = deviation < tol and trace_residual < tol and psd_ok and containment_ok
     return VerificationReport(
         family=family,
@@ -180,7 +183,8 @@ def sweep(
 ) -> list[VerificationReport]:
     """One report per grid cell per kind, ordered by (m, n, kind position).
 
-    Cases below their family's smallest m, n are skipped.  Failing
+    Cases below their family's smallest m, n are skipped; a request that
+    leaves no case at all is a ValueError, not an empty pass.  Failing
     reports are kept, never raised; callers decide what a failure means.
     """
     for lo, hi in (m_range, n_range):
@@ -191,14 +195,19 @@ def sweep(
         if case_kind not in CASES:
             raise ValueError(f"unknown case kind {case_kind!r}; expected one of {CASE_KINDS}")
     _require_tol(tol)
-    reports = []
-    for m in range(m_range[0], m_range[1] + 1):
-        for n in range(n_range[0], n_range[1] + 1):
-            for case_kind in kinds:
-                family, kind = CASES[case_kind]
-                if min(m, n) >= FAMILIES[family].min_param:
-                    reports.append(verify_case(family, m, n, kind, tol=tol))
-    return reports
+    requested = [CASES[case_kind] for case_kind in kinds]
+    cases = [
+        (family, m, n, kind)
+        for m in range(m_range[0], m_range[1] + 1)
+        for n in range(n_range[0], n_range[1] + 1)
+        for family, kind in requested
+        if min(m, n) >= FAMILIES[family].min_param
+    ]
+    if not cases:
+        families = dict.fromkeys(family for family, _ in requested)
+        domains = ", ".join(f"{f} needs m, n >= {FAMILIES[f].min_param}" for f in families)
+        raise ValueError(f"no requested case lies in its family's domain ({domains})")
+    return [verify_case(*case, tol=tol) for case in cases]
 
 
 # --- serialization ---------------------------------------------------------

@@ -197,6 +197,13 @@ class TestVerifyCommand:
         assert code == 3 and not out
         assert err == "error: tol must be finite and positive\n"
 
+    def test_grid_outside_the_family_domain_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--m-range", "1:1", "--n-range", "1:5", "--kinds", "nc-laplacian"
+        )
+        assert code == 3 and not out
+        assert err == "error: no requested case lies in its family's domain (nc needs m, n >= 2)\n"
+
     def test_bad_range_syntax_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--m-range", "2-5"])

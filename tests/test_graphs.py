@@ -1,5 +1,6 @@
 """Graph construction, ordering, and traversal tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from fanspectra.graphs import (
     to_dot,
     to_edge_list,
 )
+from fanspectra.verify import random_graph
 
 
 def reference_distances(graph, source):
@@ -177,11 +179,26 @@ class TestTraversal:
         with pytest.raises(ValueError):
             bfs_distances(path_graph(2), 5)
 
-    @given(m=st.integers(2, 6), n=st.integers(2, 6), source=st.integers(0, 3))
-    @settings(max_examples=30)
-    def test_against_reference_oracle(self, m, n, source):
-        g = nc_graph(m, n)
-        assert bfs_distances(g, source) == reference_distances(g, source)
+    @given(
+        g=st.one_of(
+            st.builds(nc_graph, st.integers(2, 6), st.integers(2, 6)),
+            st.builds(path_graph, st.integers(1, 40)),
+            # half of the pairs are edges, so small ones are often disconnected
+            st.builds(
+                lambda order, seed: random_graph(order, np.random.default_rng(seed)),
+                st.integers(1, 12),
+                st.integers(0, 10_000),
+            ),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference_oracle(self, g, data):
+        source = data.draw(st.integers(0, g.vertex_count - 1), label="source")
+        expected = reference_distances(g, source)
+        assert bfs_distances(g, source) == expected
+        # a graph is connected iff one source, any source, reaches every vertex
+        assert is_connected(g) == (UNREACHABLE not in expected)
 
     def test_connectivity(self):
         assert not is_connected(null_graph(2))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanspectra.eigen import symmetric_eigenvalues
-from fanspectra.graphs import generalized_fan, nc_graph, path_graph
+from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 from fanspectra.quotient import (
     NotEquitableError,
@@ -22,6 +22,10 @@ from fanspectra.quotient import (
 
 def singleton_partition(order):
     return make_partition([[v] for v in range(order)])
+
+
+CYCLE4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+ALTERNATE = make_partition([[0, 2], [1, 3]])  # interleaved, not contiguous, blocks
 
 
 class TestPartitionValidation:
@@ -61,10 +65,42 @@ class TestQuotientMatrix:
         expected = [[3, -3, 0, 0], [-4, 5, -1, 0], [0, -1, 5, -4], [0, 0, -3, 3]]
         assert np.array_equal(q.matrix, expected)
 
+    def test_interleaved_blocks_on_the_4_cycle(self):
+        # every vertex has both neighbors in the other block and its antipode in its own
+        q = quotient_matrix(laplacian_matrix(CYCLE4), ALTERNATE)
+        assert np.array_equal(q.matrix, [[2, -2], [-2, 2]])
+        assert q.block_sizes == (2, 2)
+        q = quotient_matrix(distance_laplacian(CYCLE4), ALTERNATE)
+        assert np.array_equal(q.matrix, [[2, -2], [-2, 2]])
+
     def test_nc_distance_laplacian_quotient_entries(self):
         q = quotient_matrix(distance_laplacian(nc_graph(2, 2)), nc_partition(2, 2))
         expected = [[12, -2, -4, -6], [-2, 10, -4, -4], [-4, -4, 10, -2], [-6, -4, -2, 12]]
         assert np.array_equal(q.matrix, expected)
+
+
+def block_sums_by_loops(matrix, partition):
+    """Reference: the sum of every block M_ij, slicing one block pair at a time."""
+    return np.array([[matrix[np.ix_(bi, bj)].sum() for bj in partition.blocks]
+                     for bi in partition.blocks])
+
+
+class TestAgainstBlockLoops:
+    @given(seed=st.integers(0, 10_000), order=st.integers(1, 9), t=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_products_match_the_block_loops(self, seed, order, t):
+        # integer entries, so both summation orders are exact; blocks are scattered
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-3, 4, size=(order, order)).astype(float)
+        a = a + a.T
+        owner = rng.permutation(np.arange(order) % min(t, order))
+        partition = make_partition([np.flatnonzero(owner == j) for j in range(min(t, order))])
+        sums = block_sums_by_loops(a, partition)
+        sizes = np.array(partition.block_sizes, dtype=float)
+        assert np.array_equal(quotient_matrix(a, partition).matrix, sums / sizes[:, None])
+        spreads = [np.ptp(a[np.ix_(bi, bj)].sum(axis=1)) for bi in partition.blocks
+                   for bj in partition.blocks]
+        assert is_equitable(a, partition, tol=0.0) == (max(spreads) == 0.0)
 
 
 class TestEquitability:
@@ -90,6 +126,26 @@ class TestEquitability:
         with pytest.raises(NotEquitableError):
             quotient_eigenvalues(lap, make_partition([[0], [1, 2]]))
 
+    def test_interleaved_blocks(self):
+        assert is_equitable(laplacian_matrix(CYCLE4), ALTERNATE)
+        assert is_equitable(distance_laplacian(CYCLE4), ALTERNATE)
+        # on the path 0-1-2-3 vertex 0 has one neighbor in {1, 3} and vertex 2 has two
+        assert not is_equitable(laplacian_matrix(path_graph(4)), ALTERNATE)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # P3 with blocks {0}, {1, 2} is not equitable; a NaN tolerance used to pass it
+        # and give the quotient spectrum {0, 1.5}, which is not in P3's {0, 1, 3}
+        lap = laplacian_matrix(path_graph(3))
+        partition = make_partition([[0], [1, 2]])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            is_equitable(lap, partition, tol=tol)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            quotient_eigenvalues(lap, partition, equitable_tol=tol)
+
+    def test_zero_tolerance_is_exact(self):
+        assert is_equitable(laplacian_matrix(CYCLE4), ALTERNATE, tol=0.0)
+
 
 class TestQuotientEigenvalues:
     def test_join_quotient_spectrum(self):
@@ -107,6 +163,14 @@ class TestQuotientEigenvalues:
         expected = sorted([0.0, 12.0, 16 - 2 * 2**0.5, 16 + 2 * 2**0.5])
         spectrum = quotient_eigenvalues(distance_laplacian(nc_graph(2, 2)), nc_partition(2, 2))
         np.testing.assert_allclose(spectrum.expanded(), expected, atol=1e-10)
+
+    def test_interleaved_quotient_of_the_4_cycle(self):
+        # Laplacian spectrum of C4 is {0, 2, 2, 4}, distance Laplacian {0, 4, 6, 6}
+        for matrix, full in ((laplacian_matrix(CYCLE4), [0, 2, 2, 4]),
+                             (distance_laplacian(CYCLE4), [0, 4, 6, 6])):
+            np.testing.assert_allclose(symmetric_eigenvalues(matrix), full, atol=1e-12)
+            spectrum = quotient_eigenvalues(matrix, ALTERNATE)
+            np.testing.assert_allclose(spectrum.expanded(), [0.0, 4.0], atol=1e-12)
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=20, deadline=None)

@@ -149,6 +149,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep((2, 3), (2, 3), kinds=("fan-adjacency",))
 
+    def test_a_grid_outside_every_requested_domain_is_rejected(self):
+        # m = 1 is below nc's domain, so the request holds no case at all
+        with pytest.raises(ValueError, match=r"no requested case .*nc needs m, n >= 2"):
+            sweep((1, 1), (1, 5), kinds=("nc-laplacian",))
+        with pytest.raises(ValueError, match="no requested case"):
+            sweep((1, 1), (1, 5), kinds=())
+
 
 class TestSerialization:
     def test_round_trip(self):
