@@ -23,6 +23,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -126,7 +127,7 @@ def nc_graph(m: int, n: int) -> Graph:
 def _adjacency(g: Graph, dtype=bool) -> np.ndarray:
     """The dense symmetric adjacency of g, one nonzero entry per edge end."""
     a = np.zeros((g.vertex_count, g.vertex_count), dtype=dtype)
-    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    u, v = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.edge_count).reshape(-1, 2).T
     a[u, v] = a[v, u] = 1
     return a
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hops, degree_sequence
+from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hops
 
 
 class MatrixKind(str, Enum):
@@ -37,9 +37,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    # the negated adjacency keeps its -0.0 off-diagonals; the matrix command prints them
-    lap = -adjacency_matrix(g)
-    np.fill_diagonal(lap, degree_sequence(g))
+    a = adjacency_matrix(g)
+    lap = -a  # keeps the -0.0 off-diagonals that the matrix command prints
+    np.fill_diagonal(lap, a.sum(axis=1))
     return lap
 
 
