@@ -13,7 +13,9 @@ fans with matched hubs).  Closed forms exist for the laplacian and
 distance-laplacian kinds; every other kind is numeric only.  The family
 choices, graph builders, canonical partitions and closed forms all come
 from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
-and positive.
+and positive.  Before any graph is built, m and n must be at most
+``verify.MAX_SWEEP_PARAM`` (64) and ``--t``, when given, must lie in
+(0, 1), whatever the kind.
 
 Exit codes: 0 success; 1 verify sweep found failing cases; 2 usage
 errors; 3 invalid parameter values; 4 unsupported family/kind/mode
@@ -41,13 +43,14 @@ from .eigen import (
     symmetric_eigenvalues,
 )
 from .graphs import DisconnectedGraphError, to_dot, to_edge_list
-from .matrices import MatrixKind, build_matrix
+from .matrices import MatrixKind, _check_blend, build_matrix
 from .quotient import quotient_eigenvalues, quotient_matrix
 from .tables import reproduce_fan_table, reproduce_generalized_fan_table
 from .verify import (
     CASE_KINDS,
     DEFAULT_CASE_TOL,
     FAMILIES,
+    MAX_SWEEP_PARAM,
     UnsupportedCombination,
     _contained,
     closed_form,
@@ -331,9 +334,21 @@ _EXIT_CODES = (
 )
 
 
+def _check_args(args) -> None:
+    """Reject sizes above the cap and a blend parameter outside (0, 1); the
+    lower size bounds stay with the graph builders."""
+    for name in ("m", "n"):
+        value = getattr(args, name, None)
+        if value is not None and value > MAX_SWEEP_PARAM:
+            raise ValueError(f"{name}={value} exceeds the maximum of {MAX_SWEEP_PARAM}")
+    if getattr(args, "t", None) is not None:
+        _check_blend(args.t)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except (ValueError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

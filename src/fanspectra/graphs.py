@@ -17,12 +17,16 @@ the canonical equitable partitions depend on them.
   canonical one.
 
 Graphs are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+values can be shared freely across threads.  Each graph computes its
+all-pairs hop distances at most once, on first use, and keeps them as a
+read-only integer array; two threads that race on first use each compute
+and store an equal value, so the memo needs no lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -57,6 +61,18 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """All-pairs hop distances, built once per graph and read-only.
+
+        cached_property writes straight into the instance __dict__, so it
+        works on the frozen dataclass and leaves __eq__ and __hash__, which
+        read only the fields, unchanged.
+        """
+        hops = _hops(self, range(self.vertex_count))
+        hops.flags.writeable = False
+        return hops
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -133,16 +149,19 @@ def _adjacency(g: Graph, dtype=bool) -> np.ndarray:
 
 
 def _hops(g: Graph, sources) -> np.ndarray:
-    """Hop distances, one float64 row per source; UNREACHABLE marks pairs not reached.
+    """Hop distances, one row per source; UNREACHABLE marks pairs not reached.
 
-    BFS from every source at once, one boolean product of the frontier
-    with the adjacency per level (Kepner & Gilbert, *Graph Algorithms in
-    the Language of Linear Algebra*, 2011); all V sources cost
-    O(diameter * V^3).
+    The rows hold the smallest signed integer type that holds -V (int8 up
+    to V = 128, and for the empty graph), which holds every distance and
+    UNREACHABLE.  BFS from every source at once, one boolean product of
+    the frontier with the adjacency per level (Kepner & Gilbert, *Graph
+    Algorithms in the Language of Linear Algebra*, 2011); all V sources
+    cost O(diameter * V^3).
     """
     adjacency = _adjacency(g)
     frontier = np.eye(g.vertex_count, dtype=bool)[sources]
-    hops = np.where(frontier, 0.0, float(UNREACHABLE))
+    hops = np.full(frontier.shape, UNREACHABLE, np.min_scalar_type(-max(g.vertex_count, 1)))
+    hops[frontier] = 0
     level = 0
     while frontier.any():
         level += 1
@@ -155,7 +174,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from source; UNREACHABLE (-1) marks disconnected pairs."""
     if not (0 <= source < g.vertex_count):
         raise ValueError(f"source {source} out of range for {g.vertex_count} vertices")
-    return _hops(g, [source])[0].astype(int).tolist()
+    return _hops(g, [source])[0].tolist()
 
 
 def is_connected(g: Graph) -> bool:

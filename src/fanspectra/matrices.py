@@ -10,7 +10,9 @@ construction.  The distance family is defined only for connected graphs
 and raises DisconnectedGraphError otherwise.  Distances come from one
 level-synchronous BFS from all sources at once, one boolean V x V
 product per level, so building D costs O(diameter * V^3) boolean work:
-cheap on the diameter-3 families here, slow on long paths.
+cheap on the diameter-3 families here, slow on long paths.  That BFS
+runs once per graph: the graph keeps its hop matrix, and every distance
+builder works in place on a fresh float64 copy of it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hops
+from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency
 
 
 class MatrixKind(str, Enum):
@@ -44,10 +46,10 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    d = _hops(g, range(g.vertex_count))
+    d = g._distances
     if UNREACHABLE in d:
         raise DisconnectedGraphError("distance matrix is undefined for a disconnected graph")
-    return d
+    return d.astype(float)
 
 
 def transmission_vector(g: Graph) -> np.ndarray:
@@ -59,22 +61,36 @@ def transmission_matrix(g: Graph) -> np.ndarray:
     return np.diag(transmission_vector(g))
 
 
+# The builders below overwrite the fresh copy that distance_matrix returns.
+
+
 def distance_laplacian(g: Graph) -> np.ndarray:
     d = distance_matrix(g)
-    return np.diag(d.sum(axis=1)) - d
+    sums = d.sum(axis=1)
+    np.negative(d, out=d)
+    np.fill_diagonal(d, sums)
+    return d
 
 
 def distance_signless_laplacian(g: Graph) -> np.ndarray:
     d = distance_matrix(g)
-    return np.diag(d.sum(axis=1)) + d
+    np.fill_diagonal(d, d.sum(axis=1))
+    return d
+
+
+def _check_blend(t: float) -> None:
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"blend parameter t={t} must satisfy 0 < t < 1")
 
 
 def generalized_distance(g: Graph, t: float) -> np.ndarray:
     """t*Tr + (1-t)*D; t must lie strictly between 0 and 1."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"blend parameter t={t} must satisfy 0 < t < 1")
+    _check_blend(t)
     d = distance_matrix(g)
-    return t * np.diag(d.sum(axis=1)) + (1.0 - t) * d
+    sums = d.sum(axis=1)
+    np.multiply(d, 1.0 - t, out=d)
+    np.fill_diagonal(d, t * sums)
+    return d
 
 
 def build_matrix(g: Graph, kind: MatrixKind | str, t: float | None = None) -> np.ndarray:

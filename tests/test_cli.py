@@ -227,3 +227,55 @@ class TestExportCommand:
         code, out, _ = run(capsys, "export", "fan", "2", "2", "-o", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == "0 1\n0 2\n0 3\n1 2\n1 3\n"
+
+
+class TestParameterGuards:
+    @pytest.fixture
+    def no_graph_builds(self, monkeypatch):
+        def unreachable(m, n):
+            raise AssertionError(f"graph ({m}, {n}) built despite the size cap")
+
+        monkeypatch.setattr("fanspectra.verify.generalized_fan", unreachable)
+        monkeypatch.setattr("fanspectra.verify.nc_graph", unreachable)
+
+    @pytest.mark.parametrize("m", [65, 10**9])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum", "fan", "{m}", "3", "laplacian"],
+            ["matrix", "nc", "{m}", "3", "distance"],
+            ["quotient", "fan", "{m}", "3", "distance-laplacian"],
+            ["export", "nc", "{m}", "3"],
+            ["export", "fan", "3", "{m}"],
+        ],
+    )
+    def test_sizes_above_the_cap_exit_3_before_any_graph(self, capsys, no_graph_builds, command, m):
+        code, out, err = run(capsys, *(arg.format(m=m) for arg in command))
+        name = "m" if command[2] == "{m}" else "n"
+        assert code == 3 and not out
+        assert err == f"error: {name}={m} exceeds the maximum of 64\n"
+
+    def test_the_cap_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "export", "fan", "64", "1")
+        assert code == 0 and len(out.splitlines()) == 64  # one edge per hub
+
+    def test_cap_comes_first_and_lower_bounds_keep_their_messages(self, capsys):
+        code, _, err = run(capsys, "spectrum", "fan", "0", "65", "laplacian")
+        assert code == 3 and err == "error: n=65 exceeds the maximum of 64\n"
+        code, _, err = run(capsys, "export", "nc", "1", "3")
+        assert code == 3 and err == "error: nc_graph requires m >= 2 and n >= 2\n"
+
+    @pytest.mark.parametrize("t", ["nan", "0", "5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum", "fan", "2", "3", "adjacency", "--mode", "numeric"],
+            ["spectrum", "nc", "2", "3", "laplacian", "--mode", "closed"],
+            ["matrix", "fan", "2", "3", "distance"],
+            ["matrix", "fan", "2", "3", "generalized-distance"],
+        ],
+    )
+    def test_blend_parameter_is_checked_for_every_kind(self, capsys, command, t):
+        code, out, err = run(capsys, *command, "--t", t)
+        assert code == 3 and not out
+        assert err == f"error: blend parameter t={float(t)} must satisfy 0 < t < 1\n"

@@ -200,6 +200,20 @@ class TestTraversal:
         # a graph is connected iff one source, any source, reaches every vertex
         assert is_connected(g) == (UNREACHABLE not in expected)
 
+    def test_large_order_distances_are_python_ints(self):
+        # order 130 does not fit int8, so the hop rows are int16
+        dist = bfs_distances(path_graph(130), 0)
+        assert dist == list(range(130))
+        assert all(type(d) is int for d in dist)
+
+    def test_distance_memo_leaves_equality_and_hash_alone(self):
+        g = generalized_fan(2, 3)
+        before = hash(g)
+        assert g._distances.dtype == np.int8
+        assert "_distances" in vars(g)
+        assert hash(g) == before
+        assert g == make_graph(5, g.edges) and hash(g) == hash(make_graph(5, g.edges))
+
     def test_connectivity(self):
         assert not is_connected(null_graph(2))
         assert is_connected(null_graph(1))

@@ -1,10 +1,14 @@
 """Matrix builder tests, including the distance-family structure checks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanspectra import graphs
 from fanspectra.graphs import (
     DisconnectedGraphError,
     degree_sequence,
@@ -174,3 +178,66 @@ class TestDispatch:
     def test_generalized_distance_requires_t(self):
         with pytest.raises(ValueError):
             build_matrix(path_graph(3), MatrixKind.GENERALIZED_DISTANCE)
+
+
+class TestDistanceMemo:
+    def test_one_bfs_serves_every_kind(self, monkeypatch):
+        calls = []
+        hops = graphs._hops
+
+        def counted(g, sources):
+            calls.append(g)
+            return hops(g, sources)
+
+        monkeypatch.setattr(graphs, "_hops", counted)
+        g = nc_graph(3, 4)
+        for kind in MatrixKind:
+            build_matrix(g, kind, t=0.5)
+        assert calls == [g]
+
+    @pytest.mark.parametrize(
+        "build", [distance_matrix, distance_laplacian, lambda g: generalized_distance(g, 0.3)]
+    )
+    def test_mutating_a_result_leaves_the_next_build_unchanged(self, build):
+        g = generalized_fan(2, 4)
+        first = build(g)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(build(g), expected)
+        assert np.array_equal(distance_matrix(g), floyd_warshall(g))
+
+    def test_memo_is_read_only(self):
+        g = path_graph(4)
+        distance_matrix(g)
+        assert not g._distances.flags.writeable
+        with pytest.raises(ValueError):
+            g._distances[0, 1] = 5
+
+    def test_disconnected_raises_on_every_call(self):
+        g = null_graph(3)
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraphError):
+                distance_matrix(g)
+
+    def test_threads_racing_on_first_use_agree(self):
+        g = nc_graph(9, 9)
+        expected = floyd_warshall(g)
+        results = []
+        workers = [
+            threading.Thread(target=lambda: results.append(distance_laplacian(g)))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == len(workers)
+        for result in results:
+            assert np.array_equal(result, np.diag(expected.sum(axis=1)) - expected)
+        assert np.array_equal(g._distances, expected) and not g._distances.flags.writeable
