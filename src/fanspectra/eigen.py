@@ -200,10 +200,12 @@ def _jacobi_diagonal(
 
 
 def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
-    """Merge ascending values whose consecutive gaps are within grouping_tol.
+    """Merge ascending values into groups no wider than grouping_tol.
 
-    The representative of each group is its arithmetic mean.  Raises
-    ValueError unless grouping_tol is finite and non-negative.
+    A value joins the current group while it lies within grouping_tol of
+    the group's first value, so a chain of small gaps cannot grow a group
+    past that width.  The representative of each group is its arithmetic
+    mean.  Raises ValueError unless grouping_tol is finite and non-negative.
     """
     if not (math.isfinite(grouping_tol) and grouping_tol >= 0.0):
         raise ValueError("grouping_tol must be finite and non-negative")
@@ -215,7 +217,7 @@ def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     pairs: list[tuple[float, int]] = []
     group: list[float] = []
     for v in vals:
-        if group and v - group[-1] > grouping_tol:
+        if group and v - group[0] > grouping_tol:
             pairs.append((sum(group) / len(group), len(group)))
             group = []
         group.append(v)

@@ -1,11 +1,15 @@
 """CLI behavior: rendering, determinism, exit codes, file export."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanspectra.cli import main
+from fanspectra.cli import KIND_CHOICES, main
 
 
 def run(capsys, *argv):
@@ -279,3 +283,86 @@ class TestParameterGuards:
         code, out, err = run(capsys, *command, "--t", t)
         assert code == 3 and not out
         assert err == f"error: blend parameter t={float(t)} must satisfy 0 < t < 1\n"
+
+
+# --- property test over the argument space, tiny sizes only -------------------
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}  # see the cli module docstring
+
+
+def _choice(*valid):
+    """One of the valid tokens, or now and then one that argparse rejects."""
+    return st.sampled_from([*valid] * 4 + ["bogus"])
+
+
+SIZE = st.integers(-1, 5).map(str)
+FAMILY = (_choice("fan", "nc"), SIZE, SIZE)
+FLOATS = st.sampled_from(["0.5", "0.25", "1e-9", "1e-300", "0", "1", "-1", "nan", "inf", "x"])
+TOLS = {"grouping-tol": FLOATS, "convergence-tol": FLOATS}
+RANGES = st.just("2") | st.tuples(SIZE, SIZE).map(":".join)
+CASE_LISTS = st.sampled_from(
+    ["all", "fan-laplacian", "nc-distance-laplacian,fan-laplacian", "fan-laplacian,nope"]
+)
+
+
+def _command(name, *positionals, **options):
+    """argv: the command, its positionals in order (strategies or fixed
+    strings), then any subset of the options."""
+    positionals = [st.just(p) if isinstance(p, str) else p for p in positionals]
+    drawn = st.tuples(st.tuples(*positionals), st.fixed_dictionaries({}, optional=options))
+    return drawn.map(
+        lambda d: [name, *d[0], *(token for key, value in d[1].items() for token in (f"--{key}", value))]
+    )
+
+
+ARGVS = st.one_of(
+    _command(
+        "spectrum",
+        *FAMILY,
+        _choice(*KIND_CHOICES),
+        mode=_choice("closed", "numeric", "both"),
+        format=_choice("text", "csv", "json"),
+        t=FLOATS,
+        **TOLS,
+    ),
+    _command("matrix", *FAMILY, _choice(*KIND_CHOICES), format=_choice("text", "csv", "json"), t=FLOATS),
+    _command(
+        "quotient",
+        *FAMILY,
+        _choice("laplacian", "distance-laplacian", "adjacency"),
+        format=_choice("text", "json"),
+        **TOLS,
+    ),
+    _command("export", *FAMILY, format=_choice("edgelist", "dot")),
+    _command("tables", _choice("1", "2"), format=_choice("text", "csv", "json")),
+    # both ranges always: the default grid runs up to 12
+    _command(
+        "verify",
+        "--m-range",
+        RANGES,
+        "--n-range",
+        RANGES,
+        kinds=CASE_LISTS,
+        tol=FLOATS,
+        format=_choice("text", "json"),
+    ),
+)
+
+
+def run_isolated(argv):
+    """Exit code, stdout and stderr of one in-process run, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(argv=ARGVS)
+@settings(max_examples=200, deadline=None)
+def test_every_argv_exits_with_a_documented_code_and_repeats_its_output(argv):
+    first = run_isolated(argv)
+    assert first[0] in DOCUMENTED_EXIT_CODES, (argv, first)
+    assert run_isolated(argv) == first, argv

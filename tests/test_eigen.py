@@ -226,6 +226,32 @@ class TestGrouping:
         spectrum = group_multiplicities([1.0, 1.0 + 4e-7, 1.0 + 8e-7], grouping_tol=1e-6)
         assert spectrum.pairs == ((1.0 + 4e-7, 3),)
 
+    def test_a_chain_of_small_gaps_does_not_merge_past_the_tolerance(self):
+        # 101 values 0.4e-6 apart span 40e-6; each gap is within 1e-6
+        values = [i * 4e-7 for i in range(101)]
+        spectrum = group_multiplicities(values, grouping_tol=1e-6)
+        assert [k for _, k in spectrum.pairs] == [3] * 33 + [2]
+        assert spectrum.order == 101
+
+    @given(
+        start=st.floats(-100.0, 100.0),
+        gaps=st.lists(st.floats(0.0, 1e-6), min_size=1, max_size=200),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=60)
+    def test_every_group_is_no_wider_than_the_tolerance(self, start, gaps, tol):
+        values = list(np.cumsum([start, *gaps]))
+        spectrum = group_multiplicities(values, grouping_tol=tol)
+        assert spectrum.order == len(values)
+        offset = 0
+        for _, count in spectrum.pairs:
+            group = values[offset : offset + count]
+            assert group[-1] - group[0] <= tol
+            offset += count
+        # greedy from the left: the next group starts more than tol above this one
+        starts = np.cumsum([0] + [count for _, count in spectrum.pairs])[:-1]
+        assert all(values[b] - values[a] > tol for a, b in zip(starts, starts[1:]))
+
     def test_fan_3_4_laplacian_multiplicities(self):
         vals = symmetric_eigenvalues(laplacian_matrix(generalized_fan(3, 4)))
         spectrum = group_multiplicities(vals)

@@ -113,6 +113,15 @@ class TestDistanceFamily:
         g = nc_graph(m, n)
         assert np.array_equal(distance_matrix(g), floyd_warshall(g))
 
+    @pytest.mark.parametrize("k", [127, 128, 129, 130])
+    def test_long_paths_around_the_int8_limit(self, k):
+        # a path of order 128 has diameter 127, the largest int8 distance
+        g = path_graph(k)
+        index = np.arange(k)
+        assert np.array_equal(distance_matrix(g), np.abs(index[:, None] - index))
+        assert graphs.bfs_distances(g, k - 1) == list(range(k - 1, -1, -1))
+        assert graphs.is_connected(g)
+
     def test_triangle_inequality_and_zero_diagonal(self):
         d = distance_matrix(nc_graph(2, 3))
         n = d.shape[0]
