@@ -13,9 +13,7 @@ from .closed_forms import (
     fan_laplacian_spectrum,
     join_distance_laplacian_spectrum,
     join_laplacian_spectrum,
-    nc_distance_laplacian_quotient,
     nc_distance_laplacian_spectrum,
-    nc_laplacian_quotient,
     nc_laplacian_spectrum,
     path_laplacian_spectrum,
 )

@@ -27,6 +27,10 @@ contributions are grouped by ``eigen.group_multiplicities`` at
 ``MERGE_TOL`` = 1e-9, the same rule that groups numeric spectra.
 Which family and kind each closed form belongs to is recorded once, in
 the case table ``verify.FAMILIES``.
+
+The paper's 4x4 quotients and quartics are not typed here:
+``quotient_matrix(laplacian_matrix(nc_graph(m, n)), nc_partition(m, n))``
+computes the quotient, and the tests check the stated ones against it.
 """
 
 from __future__ import annotations
@@ -34,10 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .eigen import Multiset, _expand, group_multiplicities
-from .quotient import QuotientMatrix
 
 MERGE_TOL = 1e-9
 
@@ -227,90 +228,3 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
         source="nc-distance-laplacian",
         errata=(NC_DISTANCE_LAPLACIAN_NOTE,),
     )
-
-
-def nc_laplacian_quotient(m: int, n: int) -> QuotientMatrix:
-    """The 4x4 quotient of the pair-class Laplacian under the canonical partition."""
-    if m < 2 or n < 2:
-        raise ValueError("pair-class quotient requires m >= 2 and n >= 2")
-    b = np.array(
-        [
-            [m, -m, 0, 0],
-            [-n, n + 1, -1, 0],
-            [0, -1, n + 1, -n],
-            [0, 0, -m, m],
-        ],
-        dtype=float,
-    )
-    return QuotientMatrix(b, (n, m, m, n))
-
-
-def nc_distance_laplacian_quotient(m: int, n: int) -> QuotientMatrix:
-    """The 4x4 quotient of the pair-class distance Laplacian, canonical partition."""
-    if m < 2 or n < 2:
-        raise ValueError("pair-class quotient requires m >= 2 and n >= 2")
-    s = 3 * (n + m)
-    b = np.array(
-        [
-            [s, -m, -2 * m, -3 * n],
-            [-n, s - 2, -(3 * m - 2), -2 * n],
-            [-2 * n, -(3 * m - 2), s - 2, -n],
-            [-3 * n, -2 * m, -m, s],
-        ],
-        dtype=float,
-    )
-    return QuotientMatrix(b, (n, m, m, n))
-
-
-def nc_laplacian_quotient_charpoly(m: int, n: int) -> tuple[int, int, int, int, int]:
-    """Coefficients (x^4 first) of the pair-class Laplacian quotient's char. poly."""
-    return (
-        1,
-        -2 * m - 2 * n - 2,
-        m * m + 2 * m * n + n * n + 4 * m + 2 * n,
-        -2 * m * m - 2 * m * n,
-        0,
-    )
-
-
-def nc_laplacian_quotient_charpoly_factored(m: int, n: int) -> tuple[int, int, int, int, int]:
-    """The same polynomial assembled from x (x - (m+n)) (x^2 - (m+n+2) x + 2m)."""
-    poly = _poly_multiply((1, 0), (1, -(m + n)))
-    poly = _poly_multiply(poly, (1, -(m + n + 2), 2 * m))
-    return tuple(poly)
-
-
-def nc_distance_laplacian_quotient_charpoly(m: int, n: int) -> tuple[int, int, int, int, int]:
-    """Coefficients (x^4 first) of the pair-class distance-Laplacian quotient's char. poly."""
-    return (
-        1,
-        -12 * m - 12 * n + 4,
-        45 * m * m + 98 * m * n + 45 * n * n - 24 * m - 36 * n,
-        (
-            -54 * m ** 3
-            - 186 * m * m * n
-            - 186 * m * n * n
-            - 54 * n ** 3
-            + 36 * m * m
-            + 108 * m * n
-            + 72 * n * n
-        ),
-        0,
-    )
-
-
-def _poly_multiply(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def evaluate_polynomial(coefficients, x: float) -> float:
-    """Horner evaluation; coefficients ordered highest degree first."""
-    acc = 0.0
-    for c in coefficients:
-        acc = acc * x + c
-    return acc
-

@@ -63,6 +63,12 @@ class Spectrum(Multiset):
     grouping_tol: float = DEFAULT_GROUPING_TOL
 
 
+def _check_tol(name: str, value: float, zero_ok: bool) -> None:
+    """ValueError unless value is finite and positive (or zero, when zero_ok)."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
+
+
 def _expand(spectrum_like) -> list[float]:
     """A multiset's values with repeats, or a plain sequence's values, as floats."""
     if hasattr(spectrum_like, "expanded"):
@@ -113,8 +119,7 @@ def symmetric_eigenvalues(
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if not (math.isfinite(convergence_tol) and convergence_tol > 0.0):
-        raise ValueError("convergence_tol must be finite and positive")
+    _check_tol("convergence_tol", convergence_tol, zero_ok=False)
     if sweep_cap < 1:
         raise ValueError("sweep_cap must be at least 1")
     n = a.shape[0]
@@ -207,8 +212,7 @@ def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     past that width.  The representative of each group is its arithmetic
     mean.  Raises ValueError unless grouping_tol is finite and non-negative.
     """
-    if not (math.isfinite(grouping_tol) and grouping_tol >= 0.0):
-        raise ValueError("grouping_tol must be finite and non-negative")
+    _check_tol("grouping_tol", grouping_tol, zero_ok=True)
     vals = [float(v) for v in values]
     if any(not math.isfinite(v) for v in vals):
         raise ValueError("values must be finite")

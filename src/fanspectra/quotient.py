@@ -9,12 +9,13 @@ of M's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DEFAULT_GROUPING_TOL, Spectrum, group_multiplicities, symmetric_eigenvalues
+from .eigen import (
+    DEFAULT_GROUPING_TOL, Spectrum, _check_tol, group_multiplicities, symmetric_eigenvalues
+)
 
 DEFAULT_EQUITABLE_TOL = 1e-9
 
@@ -55,10 +56,6 @@ class QuotientMatrix:
     matrix: np.ndarray
     block_sizes: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.block_sizes)
-
 
 def make_partition(blocks) -> Partition:
     return Partition(tuple(tuple(int(v) for v in block) for block in blocks))
@@ -83,13 +80,19 @@ def nc_partition(m: int, n: int) -> Partition:
 
 def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I,
-    whose entry (v, j) is the sum of row v over block j."""
+    whose entry (v, j) is the sum of row v over block j.  Each entry enters one
+    sum with weight 1, so a NaN or inf entry (or an overflow) makes a non-finite
+    sum, reported as a ValueError rather than as numpy's inf * 0 warning."""
     matrix = np.asarray(matrix, dtype=float)
     partition.validate_for(matrix.shape[0])
     indicator = np.zeros((matrix.shape[0], len(partition.blocks)))
     for j, block in enumerate(partition.blocks):
         indicator[list(block), j] = 1.0
-    return indicator, matrix @ indicator
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = matrix @ indicator
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix entries and their block row sums must be finite")
+    return indicator, rows
 
 
 def quotient_matrix(matrix: np.ndarray, partition: Partition) -> QuotientMatrix:
@@ -100,8 +103,7 @@ def quotient_matrix(matrix: np.ndarray, partition: Partition) -> QuotientMatrix:
 
 def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_EQUITABLE_TOL) -> bool:
     """True iff within every block pair all row sums agree to within tol (finite, >= 0)."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"equitable tolerance {tol} must be finite and non-negative")
+    _check_tol("equitable tolerance", tol, zero_ok=True)
     _, rows = _row_sums(matrix, partition)
     return not any((np.ptp(rows[list(block)], axis=0) > tol).any() for block in partition.blocks)
 

@@ -19,7 +19,6 @@ seeded random graph pairs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -34,7 +33,7 @@ from .closed_forms import (
     nc_distance_laplacian_spectrum,
     nc_laplacian_spectrum,
 )
-from .eigen import Spectrum, _expand, group_multiplicities, symmetric_eigenvalues
+from .eigen import Spectrum, _check_tol, _expand, group_multiplicities, symmetric_eigenvalues
 from .graphs import Graph, generalized_fan, join, make_graph, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
 from .quotient import Partition, fan_partition, nc_partition, quotient_eigenvalues
@@ -103,11 +102,6 @@ def closed_form(family: str, kind: str) -> Callable[[int, int], ClosedFormSpectr
     return row.closed_forms[kind]
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
-
-
 def compare_spectra(a, b) -> float:
     """Max elementwise gap between two multisets after ascending expansion."""
     xs = sorted(_expand(a))
@@ -146,7 +140,7 @@ def verify_case(
     family: str, m: int, n: int, kind: str, tol: float = DEFAULT_CASE_TOL
 ) -> VerificationReport:
     """Check one closed form against the numeric oracle and the quotient route."""
-    _require_tol(tol)
+    _check_tol("tol", tol, zero_ok=False)
     form = closed_form(family, kind)
     row = FAMILIES[family]
     matrix = build_matrix(row.graph(m, n), kind)
@@ -191,10 +185,12 @@ def sweep(
         if not (1 <= lo <= hi <= MAX_SWEEP_PARAM):
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")
     kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("no case kind requested")
     for case_kind in kinds:
         if case_kind not in CASES:
             raise ValueError(f"unknown case kind {case_kind!r}; expected one of {CASE_KINDS}")
-    _require_tol(tol)
+    _check_tol("tol", tol, zero_ok=False)
     requested = [CASES[case_kind] for case_kind in kinds]
     cases = [
         (family, m, n, kind)
@@ -275,7 +271,7 @@ def verify_random_joins(
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
-    _require_tol(tol)
+    _check_tol("tol", tol, zero_ok=False)
     checks = []
     for k in range(pair_count):
         pair_seed = seed + k

@@ -11,18 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from fanspectra.closed_forms import (
-    fan_distance_laplacian_as_stated,
-    nc_distance_laplacian_quotient,
-    nc_distance_laplacian_spectrum,
-    nc_laplacian_quotient,
-    nc_laplacian_quotient_charpoly,
-    nc_laplacian_quotient_charpoly_factored,
-)
+import stated
+from fanspectra.closed_forms import fan_distance_laplacian_as_stated, nc_distance_laplacian_spectrum
 from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
-from fanspectra.quotient import nc_partition, quotient_matrix
 from fanspectra.tables import reproduce_fan_table, reproduce_generalized_fan_table
 from fanspectra.verify import (
     SpectrumSizeMismatch,
@@ -110,35 +103,26 @@ def test_acceptance_4_join_maps_on_random_pairs(capsys):
 def test_acceptance_5_quotient_containment_and_exact_quotients(full_sweep, capsys):
     reports, _ = full_sweep
     ok = all(r.quotient_containment_ok for r in reports)
-    for m in range(SWEEP_RANGE[0], SWEEP_RANGE[1] + 1):
-        for n in range(SWEEP_RANGE[0], SWEEP_RANGE[1] + 1):
-            graph = nc_graph(m, n)
-            partition = nc_partition(m, n)
-            ok = ok and np.array_equal(
-                nc_laplacian_quotient(m, n).matrix,
-                quotient_matrix(laplacian_matrix(graph), partition).matrix,
-            )
-            ok = ok and np.array_equal(
-                nc_distance_laplacian_quotient(m, n).matrix,
-                quotient_matrix(distance_laplacian(graph), partition).matrix,
-            )
+    for m, n in stated.GRID:
+        laplacian, distance = stated.computed_quotients(m, n)
+        ok = ok and np.array_equal(laplacian, stated.laplacian_quotient(m, n))
+        ok = ok and np.array_equal(distance, stated.distance_laplacian_quotient(m, n))
     with capsys.disabled():
-        _record(5, "quotient eigenvalues contained in full spectra; 4x4 quotients exact", ok)
+        _record(5, "quotient eigenvalues contained in full spectra; stated 4x4 quotients exact", ok)
 
 
 def test_acceptance_6_errata_demonstrations(capsys):
-    # (a) the Laplacian quotient quartic factors exactly, so the stated
-    # root pair (whose sum is m+n) cannot solve it: the four roots must
-    # total 2m+2n+2.
+    # (a) the computed Laplacian quotient's characteristic polynomial is the
+    # stated quartic and factors exactly, so the stated root pair (whose sum
+    # is m+n) cannot solve it: the four roots must total 2m+2n+2.
     ok = True
-    for m in range(2, 13):
-        for n in range(2, 13):
-            direct = nc_laplacian_quotient_charpoly(m, n)
-            factored = nc_laplacian_quotient_charpoly_factored(m, n)
-            ok = ok and direct == factored
-            true_root_sum = -direct[1]
-            stated_root_sum = 0 + (m + n) + (m + n)
-            ok = ok and stated_root_sum != true_root_sum
+    for m, n in stated.GRID:
+        direct = stated.charpoly(stated.computed_quotients(m, n)[0])
+        factored = np.polymul(np.polymul([1, 0], [1, -(m + n)]), [1, -(m + n + 2), 2 * m])
+        ok = ok and direct == stated.laplacian_quartic(m, n) and np.array_equal(factored, direct)
+        true_root_sum = -direct[1]
+        stated_root_sum = 0 + (m + n) + (m + n)
+        ok = ok and stated_root_sum != true_root_sum
 
     # (b) the pair-class distance Laplacian at (2, 2): trace 100, and the
     # derived hub eigenvalue 3n+5m = 16 is present with multiplicity
@@ -157,11 +141,11 @@ def test_acceptance_6_errata_demonstrations(capsys):
     # (c) the stated fan distance-Laplacian multiset is oversized and is
     # rejected outright by the comparator.
     m, n = 3, 4
-    stated = fan_distance_laplacian_as_stated(m, n)
-    ok = ok and len(stated) == m + n + 1
+    oversized = fan_distance_laplacian_as_stated(m, n)
+    ok = ok and len(oversized) == m + n + 1
     oracle = symmetric_eigenvalues(distance_laplacian(generalized_fan(m, n)))
     try:
-        compare_spectra(stated, oracle)
+        compare_spectra(oversized, oracle)
         ok = False
     except SpectrumSizeMismatch:
         pass

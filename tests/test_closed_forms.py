@@ -7,26 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stated
 from fanspectra.closed_forms import (
-    evaluate_polynomial,
     fan_distance_laplacian_as_stated,
     fan_distance_laplacian_spectrum,
     fan_laplacian_spectrum,
     join_distance_laplacian_spectrum,
     join_laplacian_spectrum,
-    nc_distance_laplacian_quotient,
-    nc_distance_laplacian_quotient_charpoly,
     nc_distance_laplacian_spectrum,
-    nc_laplacian_quotient,
-    nc_laplacian_quotient_charpoly,
-    nc_laplacian_quotient_charpoly_factored,
     nc_laplacian_spectrum,
     path_laplacian_spectrum,
 )
 from fanspectra.eigen import symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, nc_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
-from fanspectra.quotient import nc_partition, quotient_matrix
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -196,56 +190,38 @@ class TestNcDistanceLaplacian:
         assert_multiset(nc_distance_laplacian_spectrum(m, n), vals, atol=1e-9)
 
     def test_quartic_roots_satisfy_stated_polynomial(self):
-        for m in range(2, 13):
-            for n in range(2, 13):
-                coeffs = nc_distance_laplacian_quotient_charpoly(m, n)
-                a = 9 * n * n + 9 * m * m - 14 * n * m + 24 * n - 24 * m + 16
-                half = math.sqrt(a) / 2.0
-                center = (9 * (n + m) - 4) / 2.0
-                for root in (0.0, 3.0 * (n + m), center - half, center + half):
-                    scale = sum(abs(c) * max(1.0, abs(root)) ** (4 - i) for i, c in enumerate(coeffs))
-                    assert abs(evaluate_polynomial(coeffs, root)) < 1e-6 * scale
+        # the stated quartic is x (x - 3(n+m)) (x^2 - b x + c), and the quadratic's
+        # roots are the closed form's b/2 +- sqrt(A)/2: b = 9(n+m) - 4 and b^2 - 4c = A
+        for m, n in stated.GRID:
+            a = 9 * n * n + 9 * m * m - 14 * n * m + 24 * n - 24 * m + 16
+            b = 9 * (n + m) - 4
+            c, remainder = divmod(b * b - a, 4)
+            assert remainder == 0
+            factored = np.polymul(np.polymul([1, 0], [1, -3 * (n + m)]), [1, -b, c])
+            assert np.array_equal(factored, stated.distance_laplacian_quartic(m, n))
 
 
 class TestQuotientForms:
-    def test_laplacian_quotient_3_4(self):
-        q = nc_laplacian_quotient(3, 4)
-        expected = [[3, -3, 0, 0], [-4, 5, -1, 0], [0, -1, 5, -4], [0, 0, -3, 3]]
-        assert np.array_equal(q.matrix, expected)
-        assert q.block_sizes == (4, 3, 3, 4)
+    """The paper's stated quotients and quartics against the computed quotients, exactly."""
 
-    def test_distance_laplacian_quotient_2_2(self):
-        q = nc_distance_laplacian_quotient(2, 2)
-        expected = [[12, -2, -4, -6], [-2, 10, -4, -4], [-4, -4, 10, -2], [-6, -4, -2, 12]]
-        assert np.array_equal(q.matrix, expected)
-
-    @given(m=st.integers(2, 8), n=st.integers(2, 8))
-    @settings(max_examples=20, deadline=None)
-    def test_quotients_agree_with_block_averaging(self, m, n):
-        graph = nc_graph(m, n)
-        partition = nc_partition(m, n)
-        assert np.array_equal(
-            nc_laplacian_quotient(m, n).matrix,
-            quotient_matrix(laplacian_matrix(graph), partition).matrix,
-        )
-        assert np.array_equal(
-            nc_distance_laplacian_quotient(m, n).matrix,
-            quotient_matrix(distance_laplacian(graph), partition).matrix,
-        )
+    def test_quotients_agree_with_block_averaging(self):
+        for m, n in stated.GRID:
+            laplacian, distance = stated.computed_quotients(m, n)
+            assert np.array_equal(laplacian, stated.laplacian_quotient(m, n))
+            assert np.array_equal(distance, stated.distance_laplacian_quotient(m, n))
 
     def test_laplacian_charpoly_factorization_is_exact(self):
-        for m in range(2, 13):
-            for n in range(2, 13):
-                assert nc_laplacian_quotient_charpoly(m, n) == (
-                    nc_laplacian_quotient_charpoly_factored(m, n)
-                )
+        for m, n in stated.GRID:
+            factored = np.polymul(np.polymul([1, 0], [1, -(m + n)]), [1, -(m + n + 2), 2 * m])
+            assert np.array_equal(factored, stated.laplacian_quartic(m, n))
 
-    def test_charpolys_vanish_on_quotient_eigenvalues(self):
-        m, n = 3, 5
-        for coeffs, quotient in (
-            (nc_laplacian_quotient_charpoly(m, n), nc_laplacian_quotient(m, n)),
-            (nc_distance_laplacian_quotient_charpoly(m, n), nc_distance_laplacian_quotient(m, n)),
-        ):
-            for root in np.linalg.eigvals(quotient.matrix):
-                scale = sum(abs(c) * max(1.0, abs(root)) ** (4 - i) for i, c in enumerate(coeffs))
-                assert abs(evaluate_polynomial(coeffs, float(root.real))) < 1e-8 * scale
+    def test_stated_quartics_are_the_quotient_charpolys(self):
+        for m, n in stated.GRID:
+            laplacian, distance = stated.computed_quotients(m, n)
+            assert stated.charpoly(laplacian) == stated.laplacian_quartic(m, n)
+            assert stated.charpoly(distance) == stated.distance_laplacian_quartic(m, n)
+
+    def test_charpoly_is_exact_on_small_matrices(self):
+        assert stated.charpoly([[2, 1], [1, 2]]) == (1, -4, 3)
+        assert stated.charpoly(2 * np.eye(3)) == (1, -6, 12, -8)
+        assert stated.charpoly([[0, 1, 0], [0, 0, 1], [6, -11, 6]]) == (1, -6, 11, -6)

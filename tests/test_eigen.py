@@ -126,9 +126,9 @@ class TestSymmetricEigenvalues:
         with pytest.raises(JacobiConvergenceError, match="off-diagonal norm"):
             symmetric_eigenvalues(a, sweep_cap=1)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12, 0.0, -0.0])
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="convergence_tol"):
+        with pytest.raises(ValueError, match="^convergence_tol must be finite and positive$"):
             symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
 
     def test_diagnostics_are_in_the_units_of_the_input(self):
@@ -265,9 +265,9 @@ class TestGrouping:
         with pytest.raises(ValueError):
             group_multiplicities([0.0, float("nan")])
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, -5e-324])
     def test_grouping_tol_must_be_finite_and_non_negative(self, tol):
-        with pytest.raises(ValueError, match="grouping_tol"):
+        with pytest.raises(ValueError, match="^grouping_tol must be finite and non-negative$"):
             group_multiplicities([1.0, 2.0], grouping_tol=tol)
 
     def test_zero_grouping_tol_merges_exact_duplicates_only(self):

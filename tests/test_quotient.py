@@ -138,13 +138,25 @@ class TestEquitability:
         # and give the quotient spectrum {0, 1.5}, which is not in P3's {0, 1, 3}
         lap = laplacian_matrix(path_graph(3))
         partition = make_partition([[0], [1, 2]])
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match="^equitable tolerance must be finite and non-negative$"):
             is_equitable(lap, partition, tol=tol)
         with pytest.raises(ValueError, match="finite and non-negative"):
             quotient_eigenvalues(lap, partition, equitable_tol=tol)
 
     def test_zero_tolerance_is_exact(self):
         assert is_equitable(laplacian_matrix(CYCLE4), ALTERNATE, tol=0.0)
+
+
+class TestNonFiniteInput:
+    # the spread np.ptp of a NaN row sum is NaN, and NaN > tol is False: it would pass as equitable
+    @pytest.mark.parametrize("first, second", [(np.nan, 0), (np.inf, 0), (-np.inf, 0), (1e308, 1e308)])
+    def test_non_finite_row_sums_are_rejected(self, first, second):
+        lap = laplacian_matrix(nc_graph(2, 3))
+        lap[1, 5], lap[1, 6] = first, second  # path vertex 1 to the second hub block {5, 6}
+        for partition in (nc_partition(2, 3), make_partition([range(10)])):
+            for call in (quotient_matrix, is_equitable, quotient_eigenvalues):
+                with pytest.raises(ValueError, match="must be finite"):
+                    call(lap, partition)
 
 
 class TestQuotientEigenvalues:

@@ -153,8 +153,11 @@ class TestSweep:
         # m = 1 is below nc's domain, so the request holds no case at all
         with pytest.raises(ValueError, match=r"no requested case .*nc needs m, n >= 2"):
             sweep((1, 1), (1, 5), kinds=("nc-laplacian",))
-        with pytest.raises(ValueError, match="no requested case"):
-            sweep((1, 1), (1, 5), kinds=())
+
+    def test_an_empty_kinds_request_is_rejected(self):
+        for m_range in ((2, 3), (1, 1)):
+            with pytest.raises(ValueError, match=r"^no case kind requested$"):
+                sweep(m_range, (2, 3), kinds=())
 
 
 class TestSerialization:
