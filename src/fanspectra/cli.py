@@ -22,7 +22,8 @@ errors; 3 invalid parameter values; 4 unsupported family/kind/mode
 combination; 5 disconnected graph; 6 eigensolver non-convergence.
 
 Output is deterministic: text uses 6 significant digits, JSON full
-precision.  Only ``export`` ever writes a file, and only when asked to.
+precision; verify's JSON comes from ``verify.reports_to_json``, and
+nothing reads it back.  Only ``export -o`` writes a file (exit 3 if it cannot).
 """
 
 from __future__ import annotations
@@ -253,8 +254,11 @@ def _cmd_export(args) -> int:
     else:
         text = to_edge_list(graph)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # an unwritable path is a bad parameter, exit 3
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -110,10 +110,12 @@ def symmetric_eigenvalues(
     Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
     Raises JacobiConvergenceError with diagnostics if sweep_cap sweeps
-    do not get there, and ValueError for non-finite input, for input
-    with max|a - a^T| above 1e-10 * max|a|, or for a convergence_tol
-    that is not finite and positive.
+    do not get there, and ValueError for complex or non-finite input,
+    for input with max|a - a^T| above 1e-10 * max|a|, or for a
+    convergence_tol that is not finite and positive.
     """
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix entries must be real")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -15,6 +15,8 @@ the canonical equitable partitions depend on them.
   hub i of the second copy.  Any perfect matching between the hub sets
   yields an isomorphic graph, so the identity matching is fixed as the
   canonical one.
+* ``make_graph(V, edges)``: a graph from outside edges, in either order;
+  the builders above hand ``Graph`` a set of u < v pairs directly.
 
 Graphs are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Each graph computes its
@@ -76,7 +78,7 @@ class Graph:
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an iterable of endpoint pairs, normalizing their order."""
+    """Build a Graph from outside edges: endpoint pairs in either order."""
     normalized = set()
     for u, v in edges:
         if u == v:
@@ -96,7 +98,7 @@ def path_graph(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
     if n < 1:
         raise ValueError("path_graph requires n >= 1")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, frozenset({(i, i + 1) for i in range(n - 1)}))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -104,10 +106,10 @@ def join(g1: Graph, g2: Graph) -> Graph:
     if g1.vertex_count == 0 or g2.vertex_count == 0:
         raise ValueError("join requires two nonempty graphs")
     shift = g1.vertex_count
-    edges = list(g1.edges)
-    edges += [(u + shift, v + shift) for u, v in g2.edges]
-    edges += [(u, v + shift) for u in range(g1.vertex_count) for v in range(g2.vertex_count)]
-    return make_graph(shift + g2.vertex_count, edges)
+    edges = set(g1.edges)
+    edges.update((u + shift, v + shift) for u, v in g2.edges)
+    edges.update((u, v + shift) for u in range(g1.vertex_count) for v in range(g2.vertex_count))
+    return Graph(shift + g2.vertex_count, frozenset(edges))
 
 
 def generalized_fan(m: int, n: int) -> Graph:
@@ -128,16 +130,16 @@ def nc_graph(m: int, n: int) -> Graph:
     hubs1 = n
     hubs2 = n + m
     path2 = n + 2 * m
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for i in range(n - 1):
-        edges.append((i, i + 1))
-        edges.append((path2 + i, path2 + i + 1))
+        edges.add((i, i + 1))
+        edges.add((path2 + i, path2 + i + 1))
     for h in range(m):
         for p in range(n):
-            edges.append((p, hubs1 + h))
-            edges.append((hubs2 + h, path2 + p))
-        edges.append((hubs1 + h, hubs2 + h))
-    return make_graph(2 * (m + n), edges)
+            edges.add((p, hubs1 + h))
+            edges.add((hubs2 + h, path2 + p))
+        edges.add((hubs1 + h, hubs2 + h))
+    return Graph(2 * (m + n), frozenset(edges))
 
 
 def _adjacency(g: Graph, dtype) -> np.ndarray:

@@ -82,7 +82,9 @@ def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.
     """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I,
     whose entry (v, j) is the sum of row v over block j.  Each entry enters one
     sum with weight 1, so a NaN or inf entry (or an overflow) makes a non-finite
-    sum, reported as a ValueError rather than as numpy's inf * 0 warning."""
+    sum, reported as a ValueError (as is complex input) rather than numpy's inf * 0 warning."""
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix entries must be real")
     matrix = np.asarray(matrix, dtype=float)
     partition.validate_for(matrix.shape[0])
     indicator = np.zeros((matrix.shape[0], len(partition.blocks)))

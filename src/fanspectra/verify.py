@@ -12,13 +12,15 @@ closed-form vs numeric deviation, trace residual, positive
 semidefiniteness of the matrix, and containment of the canonical
 equitable-quotient eigenvalues in the full spectrum.  ``sweep`` runs a
 deterministic grid of such cases.  Both require a finite, positive
-``tol``.  ``verify_random_joins`` stress-tests the two join formulas on
-seeded random graph pairs.
+``tol``.  ``reports_to_json`` writes reports; nothing reads them back.
+``verify_random_joins`` stress-tests the two join formulas on seeded
+random graph pairs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -34,7 +36,7 @@ from .closed_forms import (
     nc_laplacian_spectrum,
 )
 from .eigen import Spectrum, _check_tol, _expand, group_multiplicities, symmetric_eigenvalues
-from .graphs import Graph, generalized_fan, join, make_graph, nc_graph
+from .graphs import Graph, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
 from .quotient import Partition, fan_partition, nc_partition, quotient_eigenvalues
 
@@ -103,9 +105,12 @@ def closed_form(family: str, kind: str) -> Callable[[int, int], ClosedFormSpectr
 
 
 def compare_spectra(a, b) -> float:
-    """Max elementwise gap between two multisets after ascending expansion."""
-    xs = sorted(_expand(a))
-    ys = sorted(_expand(b))
+    """Max elementwise gap between two multisets after ascending expansion.
+
+    ValueError for a non-finite value: max() would skip a NaN that is not first."""
+    xs, ys = sorted(_expand(a)), sorted(_expand(b))
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("values must be finite")
     if len(xs) != len(ys):
         raise SpectrumSizeMismatch(f"multiset sizes differ: {len(xs)} vs {len(ys)}")
     return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
@@ -206,34 +211,8 @@ def sweep(
     return [verify_case(*case, tol=tol) for case in cases]
 
 
-# --- serialization ---------------------------------------------------------
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    return asdict(report)
-
-
-def _tuples(value):
-    """JSON's lists back to the tuples of the frozen records, at any depth."""
-    if isinstance(value, list):
-        return tuple(_tuples(v) for v in value)
-    if isinstance(value, dict):
-        return {key: _tuples(v) for key, v in value.items()}
-    return value
-
-
-def report_from_dict(d: dict) -> VerificationReport:
-    d = _tuples(d)
-    closed, numeric = ClosedFormSpectrum(**d.pop("closed_form")), Spectrum(**d.pop("numeric"))
-    return VerificationReport(closed_form=closed, numeric=numeric, **d)
-
-
 def reports_to_json(reports) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
-
-
-def reports_from_json(text: str) -> list[VerificationReport]:
-    return [report_from_dict(d) for d in json.loads(text)]
+    return json.dumps([asdict(r) for r in reports], indent=2)
 
 
 # --- randomized join checks ------------------------------------------------
@@ -251,13 +230,8 @@ class JoinCheck:
 
 def random_graph(order: int, rng: np.random.Generator) -> Graph:
     """Uniform random simple graph: each pair is an edge with probability 1/2."""
-    edges = [
-        (u, v)
-        for u in range(order)
-        for v in range(u + 1, order)
-        if rng.random() < 0.5
-    ]
-    return make_graph(order, edges)
+    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < 0.5}
+    return Graph(order, frozenset(edges))
 
 
 def verify_random_joins(

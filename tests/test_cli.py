@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanspectra.cli import KIND_CHOICES, main
+from fanspectra.eigen import JacobiConvergenceError
 
 
 def run(capsys, *argv):
@@ -231,6 +232,28 @@ class TestExportCommand:
         code, out, _ = run(capsys, "export", "fan", "2", "2", "-o", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == "0 1\n0 2\n0 3\n1 2\n1 3\n"
+
+    @pytest.mark.parametrize("target", ["missing/graph.dot", "."], ids=["no-parent", "directory"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "export", "nc", "2", "2", "-o", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
+class TestNonConvergence:
+    # no real input fails to converge, even at --convergence-tol 1e-300, so the solver is replaced
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "nc", "2", "2", "laplacian"], ["quotient", "fan", "2", "3", "laplacian"]]
+    )
+    def test_solver_failure_exits_6(self, capsys, monkeypatch, argv):
+        def no_convergence(matrix, convergence_tol):
+            raise JacobiConvergenceError("no convergence in 100 sweeps")
+
+        monkeypatch.setattr("fanspectra.cli.symmetric_eigenvalues", no_convergence)
+        code, out, err = run(capsys, *argv)
+        assert code == 6 and out == ""
+        assert err == "error: no convergence in 100 sweeps\n"
 
 
 class TestParameterGuards:

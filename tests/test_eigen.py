@@ -115,6 +115,14 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError, match="not symmetric"):
             symmetric_eigenvalues(np.array(matrix))
 
+    @pytest.mark.parametrize("matrix", [[[2, 1j], [-1j, 2]], np.eye(2, dtype=complex)])
+    def test_complex_input_is_rejected(self, matrix):
+        # a cast to float drops the imaginary parts: [[2, i], [-i, 2]] would give [2, 2], not [1, 3]
+        with pytest.raises(ValueError, match="^matrix entries must be real$"):
+            symmetric_eigenvalues(np.asarray(matrix))
+        with pytest.raises(ValueError, match="^matrix entries must be real$"):
+            symmetric_eigenvalues(matrix)
+
     def test_roundoff_asymmetry_is_accepted_at_any_scale(self):
         for scale in (1e-200, 1.0, 1e200):
             a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]]) * scale

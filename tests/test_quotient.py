@@ -159,6 +159,15 @@ class TestNonFiniteInput:
                     call(lap, partition)
 
 
+class TestComplexInput:
+    def test_complex_matrices_are_rejected(self):
+        lap = laplacian_matrix(nc_graph(2, 3)).astype(complex)
+        lap[1, 5], lap[5, 1] = -1 + 1j, -1 - 1j  # Hermitian; a cast to float would drop the i
+        for call in (quotient_matrix, is_equitable, quotient_eigenvalues):
+            with pytest.raises(ValueError, match="^matrix entries must be real$"):
+                call(lap, nc_partition(2, 3))
+
+
 class TestQuotientEigenvalues:
     def test_join_quotient_spectrum(self):
         g = generalized_fan(2, 3)
