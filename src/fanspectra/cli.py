@@ -20,6 +20,10 @@ and positive.  Before any graph is built, m and n must be at most
 Exit codes: 0 success; 1 verify sweep found failing cases; 2 usage
 errors; 3 invalid parameter values; 4 unsupported family/kind/mode
 combination; 5 disconnected graph; 6 eigensolver non-convergence.
+A reader that closes stdout early (``| head``) is not an error: the rest
+of the output is dropped, nothing goes to stderr, and the command exits
+with the status it would have had (0, or 1 for a failing verify),
+whatever the size of its output.
 
 Output is deterministic: text uses 6 significant digits, JSON full
 precision; verify's JSON comes from ``verify.reports_to_json``, and
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -69,6 +74,21 @@ EXIT_NO_CONVERGENCE = 6
 KIND_CHOICES = [k.value for k in MatrixKind]
 
 
+def _print(*values, end: str = "\n", flush: bool = False) -> None:
+    """print to stdout, the one way the commands write their output.
+
+    Once the reader has closed stdout, fd 1 is pointed at devnull: the rest
+    of the output and the flush at interpreter shutdown are dropped, and the
+    command runs on to the status it decides.
+    """
+    try:
+        print(*values, end=end, flush=flush)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -102,26 +122,26 @@ def _cmd_spectrum(args) -> int:
     if both:
         payload["max_abs_deviation"] = compare_spectra(closed, numeric)
     if args.format == "json":
-        print(json.dumps(payload))
+        _print(json.dumps(payload))
         return 0
 
     # one row per closed-form group when there is a closed form
     pairs = (numeric if closed is None else closed).pairs
     deviations = _group_deviations(closed, numeric) if both else [None] * len(pairs)
     if args.format == "csv":
-        print("value,multiplicity" + (",deviation" if both else ""))
+        _print("value,multiplicity" + (",deviation" if both else ""))
         for (v, k), d in zip(pairs, deviations):
-            print(f"{v!r},{k}" + (f",{d!r}" if both else ""))
+            _print(f"{v!r},{k}" + (f",{d!r}" if both else ""))
         return 0
 
-    print(f"{args.family} m={args.m} n={args.n} {args.kind} [{args.mode}]")
-    print(f"{'value':>12}  {'mult':>4}" + (f"  {'deviation':>10}" if both else ""))
+    _print(f"{args.family} m={args.m} n={args.n} {args.kind} [{args.mode}]")
+    _print(f"{'value':>12}  {'mult':>4}" + (f"  {'deviation':>10}" if both else ""))
     for (v, k), d in zip(pairs, deviations):
-        print(f"{_fmt(v):>12}  {k:>4}" + (f"  {_fmt(d):>10}" if both else ""))
+        _print(f"{_fmt(v):>12}  {k:>4}" + (f"  {_fmt(d):>10}" if both else ""))
     if both:
-        print(f"max |closed - numeric| = {_fmt(payload['max_abs_deviation'])}")
+        _print(f"max |closed - numeric| = {_fmt(payload['max_abs_deviation'])}")
     for note in closed.errata_notes if closed is not None else ():
-        print(f"note: {note}")
+        _print(f"note: {note}")
     return 0
 
 
@@ -131,17 +151,17 @@ def _words(values, spec: str = ".2f") -> str:
 
 def _print_matrix_text(matrix: np.ndarray) -> None:
     for row in matrix:
-        print(" ".join(_fmt(v) for v in row))
+        _print(" ".join(_fmt(v) for v in row))
 
 
 def _cmd_matrix(args) -> int:
     graph = FAMILIES[args.family].graph(args.m, args.n)
     matrix = build_matrix(graph, args.kind, t=args.t)
     if args.format == "json":
-        print(json.dumps({"order": matrix.shape[0], "entries": matrix.ravel().tolist()}))
+        _print(json.dumps({"order": matrix.shape[0], "entries": matrix.ravel().tolist()}))
     elif args.format == "csv":
         for row in matrix:
-            print(",".join(repr(float(v)) for v in row))
+            _print(",".join(repr(float(v)) for v in row))
     else:
         _print_matrix_text(matrix)
     return 0
@@ -164,15 +184,15 @@ def _cmd_quotient(args) -> int:
             "eigenvalues": eigenvalues.pairs,
             "contained_in_full_spectrum": contained,
         }
-        print(json.dumps(payload))
+        _print(json.dumps(payload))
         return 0
-    print(f"{args.family} m={args.m} n={args.n} {args.kind} quotient")
-    print(f"block sizes: {' '.join(str(s) for s in quotient.block_sizes)}")
+    _print(f"{args.family} m={args.m} n={args.n} {args.kind} quotient")
+    _print(f"block sizes: {' '.join(str(s) for s in quotient.block_sizes)}")
     _print_matrix_text(quotient.matrix)
-    print("eigenvalues:")
+    _print("eigenvalues:")
     for v, k in eigenvalues.pairs:
-        print(f"{_fmt(v):>12}  {k:>4}")
-    print(f"contained in full spectrum (tol {DEFAULT_CASE_TOL:g}): {'yes' if contained else 'NO'}")
+        _print(f"{_fmt(v):>12}  {k:>4}")
+    _print(f"contained in full spectrum (tol {DEFAULT_CASE_TOL:g}): {'yes' if contained else 'NO'}")
     return 0
 
 
@@ -189,20 +209,20 @@ def _cmd_tables(args) -> int:
             "note: reference column headers are swapped; keys shown are the true (m, n)",
         ]
     if args.format == "json":
-        print(json.dumps([asdict(row) for row in rows]))
+        _print(json.dumps([asdict(row) for row in rows]))
         return 0
     if args.format == "csv":
-        print("key,column,ok,computed,reference")
+        _print("key,column,ok,computed,reference")
         for row in rows:
             for column, cell in (("adjacency", row.adjacency), ("laplacian", row.laplacian)):
-                print(
+                _print(
                     f"{_words(row.key, '')},{column},{'yes' if cell.ok else 'no'},"
                     f"{_words(cell.computed)},{_words(cell.reference)}"
                 )
         return 0
     for title in titles:
-        print(title)
-    print(f"{key_header} | adjacency (computed) | laplacian (computed)")
+        _print(title)
+    _print(f"{key_header} | adjacency (computed) | laplacian (computed)")
     for row in rows:
         cells = []
         for cell in (row.adjacency, row.laplacian):
@@ -210,11 +230,11 @@ def _cmd_tables(args) -> int:
             if not cell.ok:
                 text += f" [ERRATUM vs reference {_words(cell.reference)}]"
             cells.append(text)
-        print(f"{_words(row.key, '')} | {cells[0]} | {cells[1]}")
+        _print(f"{_words(row.key, '')} | {cells[0]} | {cells[1]}")
     for row in rows:
         for cell in (row.adjacency, row.laplacian):
             if cell.note:
-                print(f"note ({_words(row.key, '')}): {cell.note}")
+                _print(f"note ({_words(row.key, '')}): {cell.note}")
     return 0
 
 
@@ -233,17 +253,17 @@ def _cmd_verify(args) -> int:
     reports = sweep(args.m_range, args.n_range, kinds=kinds, tol=args.tol)
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
-        print(reports_to_json(reports))
+        _print(reports_to_json(reports))
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
-            print(
+            _print(
                 f"{r.family}-{r.kind} m={r.m} n={r.n} "
                 f"dev={r.max_abs_deviation:.3e} trace={r.trace_residual:.3e} "
                 f"psd={'ok' if r.psd_ok else 'NO'} "
                 f"quotient={'ok' if r.quotient_containment_ok else 'NO'} {status}"
             )
-        print(f"{len(reports) - len(failed)}/{len(reports)} cases passed")
+        _print(f"{len(reports) - len(failed)}/{len(reports)} cases passed")
     return EXIT_VERIFY_FAILED if failed else 0
 
 
@@ -260,7 +280,7 @@ def _cmd_export(args) -> int:
         except OSError as exc:  # an unwritable path is a bad parameter, exit 3
             raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        _print(text, end="")
     return 0
 
 
@@ -353,10 +373,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        status = args.func(args)
     except (ValueError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
+    _print(end="", flush=True)  # a closed pipe is met here, not at shutdown
+    return status
 
 
 if __name__ == "__main__":

@@ -4,7 +4,11 @@ This is the numeric oracle the closed-form spectra are checked against,
 so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
-of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.
+of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
+is a fixed sequence of 20 array calls into buffers made once per solve, with
+constants cached once per order, so it allocates nothing.  At the orders
+verified here its cost is those calls, not their arithmetic, so each call
+passes its output positionally and takes array operands, never Python floats.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -77,25 +81,30 @@ def _expand(spectrum_like) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _next_round(m: int) -> np.ndarray:
-    """Flat gather index that moves an m x m matrix to the next round's slots.
+def _round_plan(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every round at order m reads: the flat gather index that moves an
+    m x m matrix to the next round's slots, then length-m/2 arrays of
+    _GAP_FLOOR and of 1.0 (a Python-float operand doubles a ufunc call's cost).
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
-    and after m - 1 rounds every index is home.  The index stays writable
-    because numpy.take copies a read-only index on every call.
+    and after m - 1 rounds every index is home.  The two constant arrays are
+    read-only; the index stays writable because take copies a read-only
+    index on every call.
     """
     position = [k // 2 if k % 2 == 0 else m - 1 - k // 2 for k in range(m)]
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
-    return (source[:, None] * m + source).ravel()
+    gap_floor, one = np.full(m // 2, _GAP_FLOOR), np.ones(m // 2)
+    gap_floor.flags.writeable = one.flags.writeable = False
+    return (source[:, None] * m + source).ravel(), gap_floor, one
 
 
 def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
     # squares the off-diagonal entries alone (spare is scratch): subtracting the
     # diagonal from the full Frobenius norm cancels catastrophically near convergence
-    np.copyto(spare, work)
+    spare[...] = work
     spare.reshape(-1)[:: spare.shape[0] + 1] = 0.0
     return math.sqrt(float(np.vdot(spare, spare)))
 
@@ -119,16 +128,17 @@ def symmetric_eigenvalues(
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    n = a.shape[0]
+    # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
+    scale = float(np.abs(a).max()) if n else 0.0
+    if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     _check_tol("convergence_tol", convergence_tol, zero_ok=False)
     if sweep_cap < 1:
         raise ValueError("sweep_cap must be at least 1")
-    n = a.shape[0]
     if n == 0:
         return np.empty(0)
-    scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     if n == 1:
         return a.diagonal().copy()
@@ -148,10 +158,11 @@ def _jacobi_diagonal(
     m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
     h = m // 2
     work, spare = np.zeros((m, m)), np.empty((m, m))
+    spare_t = spare.T
     work[:n, :n] = a
     np.ldexp(work, -1 - exponent, out=work)
-    np.copyto(spare, work.T)
-    np.add(work, spare, out=work)  # the exact symmetric part
+    spare[...] = work.T
+    np.add(work, spare, work)  # the exact symmetric part
     flat_work, flat_spare = work.reshape(-1), spare.reshape(-1)
     pairs_work, pairs_spare = work.reshape(h, 2, m), spare.reshape(h, 2, m)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
@@ -162,7 +173,7 @@ def _jacobi_diagonal(
     rotation = np.empty((h, 2, 2))  # J^T: [[c, -s], [s, c]] per pair
     cos, minus_sin, sin, cos_again = (rotation[:, i, j] for i in (0, 1) for j in (0, 1))
     gap, t, norm = np.empty(h), np.empty(h), np.empty(h)
-    gather = _next_round(m)
+    gather, gap_floor, one = _round_plan(m)
 
     initial = _off_norm(work, spare)
     target = convergence_tol * initial
@@ -171,28 +182,28 @@ def _jacobi_diagonal(
             for _ in range(m - 1):
                 # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp:
                 # 2 a_pq / (d + sign(d) (hypot(d, 2 a_pq) + _GAP_FLOOR))
-                np.subtract(aqq, app, out=gap)
-                np.add(apq, apq, out=t)
-                np.hypot(gap, t, out=norm)
-                np.add(norm, _GAP_FLOOR, out=norm)
-                np.copysign(norm, gap, out=norm)
-                np.add(norm, gap, out=norm)
-                np.divide(t, norm, out=t)
-                np.hypot(t, 1.0, out=norm)
-                np.reciprocal(norm, out=cos)
-                np.copyto(cos_again, cos)
-                np.multiply(t, cos, out=sin)
-                np.negative(sin, out=minus_sin)
-                np.multiply(t, apq, out=gap)
-                np.subtract(app, gap, out=new_p)
-                np.add(aqq, gap, out=new_q)
-                np.matmul(rotation, pairs_work, out=pairs_spare)  # J^T A
-                np.copyto(work, spare.T)
-                np.matmul(rotation, pairs_work, out=pairs_spare)  # J^T A J
+                np.subtract(aqq, app, gap)
+                np.add(apq, apq, t)
+                np.hypot(gap, t, norm)
+                np.add(norm, gap_floor, norm)
+                np.copysign(norm, gap, norm)
+                np.add(norm, gap, norm)
+                np.divide(t, norm, t)
+                np.hypot(t, one, norm)
+                np.reciprocal(norm, cos)
+                cos_again[...] = cos
+                np.multiply(t, cos, sin)
+                np.negative(sin, minus_sin)
+                np.multiply(t, apq, gap)
+                np.subtract(app, gap, new_p)
+                np.add(aqq, gap, new_q)
+                np.matmul(rotation, pairs_work, pairs_spare)  # J^T A
+                work[...] = spare_t
+                np.matmul(rotation, pairs_work, pairs_spare)  # J^T A J
                 # the pair blocks from the update formulas: the products
                 # leave roundoff of the diagonal's size in them
-                np.copyto(blocks_spare, new_blocks)
-                np.take(flat_spare, gather, out=flat_work, mode="clip")
+                blocks_spare[...] = new_blocks
+                flat_spare.take(gather, None, flat_work, "clip")
             remaining = _off_norm(work, spare)
             if remaining <= target:
                 break

@@ -9,6 +9,7 @@ of M's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,13 @@ def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_
     """True iff within every block pair all row sums agree to within tol (finite, >= 0)."""
     _check_tol("equitable tolerance", tol, zero_ok=True)
     _, rows = _row_sums(matrix, partition)
-    return not any((np.ptp(rows[list(block)], axis=0) > tol).any() for block in partition.blocks)
+    # the rows block by block, then one max - min per block and column (every
+    # block is nonempty, so each reduceat segment is exactly one block)
+    grouped = rows[np.fromiter(itertools.chain.from_iterable(partition.blocks), np.intp, len(rows))]
+    sizes = np.array(partition.block_sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    spread = np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts)
+    return not (spread > tol).any()
 
 
 def quotient_eigenvalues(

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanspectra
 from fanspectra.cli import KIND_CHOICES, main
 from fanspectra.eigen import JacobiConvergenceError
 
@@ -254,6 +259,30 @@ class TestNonConvergence:
         code, out, err = run(capsys, *argv)
         assert code == 6 and out == ""
         assert err == "error: no convergence in 100 sweeps\n"
+
+
+class TestClosedStdout:
+    @staticmethod
+    def _close_after_10_bytes(*args):
+        """Run the CLI, read 10 bytes of its stdout, close it; (status, stderr)."""
+        src = str(Path(fanspectra.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "fanspectra", *args]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        return child.wait(timeout=60), err
+
+    def test_a_reader_that_stops_early_is_not_an_error(self):
+        # 262,144 bytes of CSV: more than a pipe holds, so writes go on after the close
+        assert self._close_after_10_bytes("matrix", "nc", "64", "64", "distance", "--format", "csv") == (0, b"")
+
+    def test_a_failing_verify_still_exits_1(self):
+        # every case fails at this tol, and the 147,830 bytes of JSON outgrow the pipe
+        args = ("verify", "--m-range", "2:6", "--n-range", "2:6", "--tol", "1e-300", "--format", "json")
+        assert self._close_after_10_bytes(*args) == (1, b"")
 
 
 class TestParameterGuards:

@@ -7,6 +7,7 @@ the Jacobi solver alone.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fanspectra.eigen import (
     JacobiConvergenceError,
     Multiset,
     Spectrum,
-    _next_round,
+    _round_plan,
     group_multiplicities,
     symmetric_eigenvalues,
 )
@@ -97,12 +98,27 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             symmetric_eigenvalues(np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.eye(2), convergence_tol=0.0)
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.eye(2), sweep_cap=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, "x"]],  # a Python max skips a NaN here
+            [[2.0, "x", 0.0], ["x", 2.0, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, "x"]],  # and not symmetric
+        ],
+    )
+    def test_non_finite_entries_are_rejected_before_the_symmetry_check(self, matrix, bad):
+        a = np.array([[bad if v == "x" else v for v in row] for row in matrix])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            symmetric_eigenvalues(a)
+        assert np.array_equal(symmetric_eigenvalues(np.empty((0, 0))), [])
 
     @pytest.mark.parametrize(
         "matrix",
@@ -159,7 +175,7 @@ class TestSymmetricEigenvalues:
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_each_sweep_rotates_every_pair_once_and_restores_the_order(self, m):
-        source = _next_round(m).reshape(m, m)[:, 0] // m
+        source = _round_plan(m)[0].reshape(m, m)[:, 0] // m
         slots = np.arange(m)  # slots[k] = the index held in slot k
         met = []
         for _ in range(m - 1):
@@ -220,6 +236,36 @@ class TestRoundRobinSchedule:
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         np.testing.assert_allclose(symmetric_eigenvalues(a), expected, atol=1e-9)
+
+
+class TestRoundLoop:
+    @staticmethod
+    def _peak_bytes(matrix):
+        symmetric_eigenvalues(matrix)  # warm-up: builds and caches the order's round plan
+        tracemalloc.start()
+        try:
+            symmetric_eigenvalues(matrix)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
+    def test_rounds_allocate_nothing(self, m, n):
+        # a diagonal matrix of the same order runs no round at all
+        lap = laplacian_matrix(nc_graph(m, n))
+        assert self._peak_bytes(lap) - self._peak_bytes(np.diag(np.diag(lap))) <= 512
+
+    def test_the_cached_plans_are_read_only_and_shared_safely(self):
+        _, gap_floor, one = _round_plan(16)
+        assert not gap_floor.flags.writeable and not one.flags.writeable
+        assert np.array_equal(gap_floor, np.full(8, 2.0**-52)) and np.array_equal(one, np.ones(8))
+        matrices = [
+            random_symmetric(3, seed=1), laplacian_matrix(nc_graph(4, 4)), random_symmetric(3, seed=2)
+        ]
+        interleaved = [symmetric_eigenvalues(a) for a in matrices]
+        for a, values in zip(matrices, interleaved):
+            _round_plan.cache_clear()
+            assert np.array_equal(symmetric_eigenvalues(a), values)
 
 
 class TestGrouping:
