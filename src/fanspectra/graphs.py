@@ -19,17 +19,20 @@ the canonical equitable partitions depend on them.
   the builders above hand ``Graph`` a set of u < v pairs directly.
 
 Graphs are immutable after construction and all operations are pure, so
-values can be shared freely across threads.  Each graph computes its
-all-pairs hop distances at most once, on first use, and keeps them as a
-read-only integer array; two threads that race on first use each compute
-and store an equal value, so the memo needs no lock.
+values can be shared freely across threads.  Each graph walks its edges
+once, on the first matrix or BFS request, into a read-only 0/1 int8
+adjacency memo, and computes its all-pairs hop distances at most once,
+into a read-only integer memo.  The hop matrix answers adjacency
+requests from then on (``hops == 1``), so the edge memo is dropped and a
+graph keeps at most one V x V memo.  Two threads that race on first use
+each compute and store an equal value, so neither memo needs a lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable
 
 import numpy as np
@@ -49,13 +52,17 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        vertex_count = self.vertex_count
+        if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(
-                    f"edge ({u}, {v}) is invalid for a graph on {self.vertex_count} vertices"
-                )
+            # u | v is a TypeError for a float or any other non-integer endpoint
+            try:
+                if 0 <= u | v and u < v < vertex_count:
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"edge ({u}, {v}) is invalid for a graph on {vertex_count} vertices")
 
     @property
     def edge_count(self) -> int:
@@ -64,16 +71,31 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    def __getstate__(self) -> dict:
+        # a pickled or deep-copied graph leaves its memos behind: numpy
+        # would restore them writeable, and a write would alter every later matrix
+        return {"vertex_count": self.vertex_count, "edges": self.edges}
+
     @cached_property
-    def _distances(self) -> np.ndarray:
-        """All-pairs hop distances, built once per graph and read-only.
+    def _edge_adjacency(self) -> np.ndarray:
+        """The read-only 0/1 int8 adjacency from the one pass over the edges; read via _adjacency.
 
         cached_property writes straight into the instance __dict__, so it
         works on the frozen dataclass and leaves __eq__ and __hash__, which
         read only the fields, unchanged.
         """
+        a = np.zeros((self.vertex_count, self.vertex_count), np.int8)
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.edge_count)
+        u, v = ends.reshape(-1, 2).T
+        a[u, v] = a[v, u] = 1
+        a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object
+        return a
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """All-pairs hop distances, built once per graph and read-only; read via _hop_matrix."""
         hops = _hops(self, range(self.vertex_count))
-        hops.flags.writeable = False
+        hops.setflags(write=False)
         return hops
 
 
@@ -106,10 +128,10 @@ def join(g1: Graph, g2: Graph) -> Graph:
     if g1.vertex_count == 0 or g2.vertex_count == 0:
         raise ValueError("join requires two nonempty graphs")
     shift = g1.vertex_count
-    edges = set(g1.edges)
-    edges.update((u + shift, v + shift) for u, v in g2.edges)
-    edges.update((u, v + shift) for u in range(g1.vertex_count) for v in range(g2.vertex_count))
-    return Graph(shift + g2.vertex_count, frozenset(edges))
+    order = shift + g2.vertex_count
+    edges = {(u + shift, v + shift) for u, v in g2.edges}
+    edges.update(g1.edges, product(range(shift), range(shift, order)))
+    return Graph(order, frozenset(edges))
 
 
 def generalized_fan(m: int, n: int) -> Graph:
@@ -127,27 +149,35 @@ def nc_graph(m: int, n: int) -> Graph:
     """
     if m < 2 or n < 2:
         raise ValueError("nc_graph requires m >= 2 and n >= 2")
-    hubs1 = n
-    hubs2 = n + m
-    path2 = n + 2 * m
-    edges: set[tuple[int, int]] = set()
-    for i in range(n - 1):
-        edges.add((i, i + 1))
-        edges.add((path2 + i, path2 + i + 1))
-    for h in range(m):
-        for p in range(n):
-            edges.add((p, hubs1 + h))
-            edges.add((hubs2 + h, path2 + p))
-        edges.add((hubs1 + h, hubs2 + h))
+    hubs1 = range(n, n + m)
+    hubs2 = range(n + m, n + 2 * m)
+    path2 = range(n + 2 * m, 2 * (n + m))
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges.update(zip(path2, path2[1:]), zip(hubs1, hubs2))
+    edges.update(product(range(n), hubs1), product(hubs2, path2))
     return Graph(2 * (m + n), frozenset(edges))
 
 
-def _adjacency(g: Graph, dtype) -> np.ndarray:
-    """The dense symmetric adjacency of g, one nonzero entry per edge end."""
-    a = np.zeros((g.vertex_count, g.vertex_count), dtype=dtype)
-    u, v = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.edge_count).reshape(-1, 2).T
-    a[u, v] = a[v, u] = 1
-    return a
+def _adjacency(g: Graph) -> np.ndarray:
+    """The read-only 0/1 adjacency of g: the edge memo, or hops == 1 once the hop matrix exists.
+
+    The second look at ``_distances`` covers a thread that stored the hop
+    matrix while this one stored the edge memo: ``_hop_matrix`` then drops
+    the memo.
+    """
+    memo = vars(g)
+    if "_distances" not in memo:
+        adjacency = g._edge_adjacency
+        if "_distances" not in memo:
+            return adjacency
+    return _hop_matrix(g) == 1
+
+
+def _hop_matrix(g: Graph) -> np.ndarray:
+    """The hop-distance memo of g; the edge memo, which it now answers for, is dropped."""
+    hops = g._distances
+    vars(g).pop("_edge_adjacency", None)
+    return hops
 
 
 def _hops(g: Graph, sources) -> np.ndarray:
@@ -165,7 +195,7 @@ def _hops(g: Graph, sources) -> np.ndarray:
     flops: about 0.6 ms for the 136-vertex nc(34, 34) and 7 ms for
     path_graph(128) with one BLAS thread on a 2-vCPU x86-64 machine.
     """
-    adjacency = _adjacency(g, np.float32)
+    adjacency = _adjacency(g).astype(np.float32)
     frontier = np.eye(g.vertex_count, dtype=np.float32)[sources]
     hops = np.full(frontier.shape, UNREACHABLE, np.min_scalar_type(-max(g.vertex_count, 1)))
     hops[frontier > 0] = 0

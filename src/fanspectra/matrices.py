@@ -11,9 +11,12 @@ and raises DisconnectedGraphError otherwise.  Distances come from one
 level-synchronous BFS from all sources at once, one float32 V x V BLAS
 product per level, so building D costs O(diameter * V^3) flops: well
 under a millisecond on the diameter-3 families here, about 7 ms on
-path_graph(128), whose diameter is 127.  That BFS runs once per graph:
-the graph keeps its hop matrix, and every distance builder works in
-place on a fresh float64 copy of it.
+path_graph(128), whose diameter is 127.  Every builder starts from one
+of the graph's two read-only memos: A and L from a fresh float64 copy of
+its 0/1 adjacency, which the graph fills by its one pass over the edges,
+and the distance kinds from a fresh float64 copy of its hop matrix,
+which that BFS fills once per graph.  Each builder then works in place
+on its copy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency
+from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hop_matrix
 
 
 class MatrixKind(str, Enum):
@@ -36,18 +39,19 @@ class MatrixKind(str, Enum):
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency(g, dtype=float)
+    return _adjacency(g).astype(float)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    lap = -a  # keeps the -0.0 off-diagonals that the matrix command prints
-    np.fill_diagonal(lap, a.sum(axis=1))
+    lap = adjacency_matrix(g)
+    degrees = lap.sum(axis=1)
+    np.negative(lap, out=lap)  # keeps the -0.0 off-diagonals that the matrix command prints
+    np.fill_diagonal(lap, degrees)
     return lap
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    d = g._distances
+    d = _hop_matrix(g)
     if UNREACHABLE in d:
         raise DisconnectedGraphError("distance matrix is undefined for a disconnected graph")
     return d.astype(float)

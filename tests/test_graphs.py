@@ -1,5 +1,8 @@
 """Graph construction, ordering, and traversal tests."""
 
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,35 @@ from fanspectra.graphs import (
     to_dot,
     to_edge_list,
 )
+from fanspectra.matrices import adjacency_matrix
 from fanspectra.verify import random_graph
+
+
+def reference_nc_edges(m, n):
+    """nc(m, n) edge by edge, from the index layout in the graphs module docstring."""
+    hubs1, hubs2, path2 = n, n + m, n + 2 * m
+    edges = set()
+    for i in range(n - 1):
+        edges.add((i, i + 1))
+        edges.add((path2 + i, path2 + i + 1))
+    for h in range(m):
+        for p in range(n):
+            edges.add((p, hubs1 + h))
+            edges.add((hubs2 + h, path2 + p))
+        edges.add((hubs1 + h, hubs2 + h))
+    return edges
+
+
+def reference_join_edges(g1, g2):
+    """The join's edges one by one: g1's, g2's shifted past g1, and every cross pair."""
+    shift = g1.vertex_count
+    edges = set(g1.edges)
+    for u, v in g2.edges:
+        edges.add((u + shift, v + shift))
+    for u in range(g1.vertex_count):
+        for v in range(g2.vertex_count):
+            edges.add((u, v + shift))
+    return edges
 
 
 def reference_distances(graph, source):
@@ -158,6 +189,46 @@ class TestNcGraph:
             nc_graph(m, n)
 
 
+class TestBuildersAgainstReferences:
+    """The set-at-once builders against edge-by-edge references.
+
+    Each edge set is frozen from a set, so its hash table is sized for its
+    count, exactly as the reference's is.
+    """
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_nc_graph(self, m):
+        for n in range(2, 13):
+            g = nc_graph(m, n)
+            reference = frozenset(reference_nc_edges(m, n))
+            assert g.vertex_count == 2 * (m + n) and g.edges == reference
+            assert sys.getsizeof(g.edges) == sys.getsizeof(reference)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_fan_joins(self, m):
+        for n in range(2, 13):
+            path, hubs = path_graph(n), null_graph(m)
+            builds = [
+                (join(path, hubs), path, hubs),
+                (join(hubs, path), hubs, path),
+                (generalized_fan(m, n), path, hubs),
+            ]
+            for g, first, second in builds:
+                reference = frozenset(reference_join_edges(first, second))
+                assert g.vertex_count == m + n and g.edges == reference
+                assert sys.getsizeof(g.edges) == sys.getsizeof(reference)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_joins_of_random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        g1 = random_graph(int(rng.integers(1, 13)), rng)
+        g2 = random_graph(int(rng.integers(1, 13)), rng)
+        g = join(g1, g2)
+        reference = frozenset(reference_join_edges(g1, g2))
+        assert g.vertex_count == g1.vertex_count + g2.vertex_count and g.edges == reference
+        assert sys.getsizeof(g.edges) == sys.getsizeof(reference)
+
+
 class TestTraversal:
     def test_path_distances(self):
         assert bfs_distances(path_graph(3), 0) == [0, 1, 2]
@@ -229,6 +300,23 @@ class TestValidationAndExport:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
             Graph(2, frozenset({(0, 5)}))
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1")]
+    )
+    def test_rejects_non_integer_endpoints(self, edge):
+        message = rf"edge \({edge[0]}, {edge[1]}\) is invalid for a graph on 3 vertices"
+        with pytest.raises(ValueError, match=message):
+            Graph(3, frozenset({edge}))
+        with pytest.raises(ValueError, match=message):
+            make_graph(3, [edge])
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, np.intp])
+    def test_accepts_numpy_integer_endpoints(self, integer):
+        g = make_graph(3, [(integer(2), integer(0)), (integer(1), integer(2))])
+        assert g == make_graph(3, [(0, 2), (1, 2)])
+        expected = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+        assert np.array_equal(adjacency_matrix(g), expected)
 
     def test_normalizes_duplicate_and_reversed_edges(self):
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])

@@ -1,5 +1,7 @@
 """Matrix builder tests, including the distance-family structure checks."""
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -46,6 +48,11 @@ def floyd_warshall(graph):
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return d
+
+
+def one_memo_left(g):
+    """The names of the memo arrays a graph keeps."""
+    return [name for name, value in vars(g).items() if isinstance(value, np.ndarray)]
 
 
 class TestAdjacencyAndLaplacian:
@@ -229,24 +236,93 @@ class TestDistanceMemo:
                 distance_matrix(g)
 
     def test_threads_racing_on_first_use_agree(self):
-        g = nc_graph(9, 9)
-        expected = floyd_warshall(g)
-        results = []
-        workers = [
-            threading.Thread(target=lambda: results.append(distance_laplacian(g)))
-            for _ in range(8)
-        ]
+        template = nc_graph(9, 9)
+        builders = [adjacency_matrix, laplacian_matrix, distance_laplacian]
+        expected = [build(template).tobytes() for build in builders]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
+            for _ in range(10):
+                g = graphs.Graph(template.vertex_count, template.edges)
+                results = []
+
+                def work(shift):
+                    order = builders[shift:] + builders[:shift]
+                    results.append({build: build(g).tobytes() for build in order})
+
+                workers = [threading.Thread(target=work, args=(k % 3,)) for k in range(6)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                assert len(results) == len(workers)
+                for result in results:
+                    assert [result[build] for build in builders] == expected
+                assert one_memo_left(g) == ["_distances"] and not g._distances.flags.writeable
+                assert np.array_equal(g._distances, floyd_warshall(template))
         finally:
             sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert len(results) == len(workers)
-        for result in results:
-            assert np.array_equal(result, np.diag(expected.sum(axis=1)) - expected)
-        assert np.array_equal(g._distances, expected) and not g._distances.flags.writeable
+
+
+class TestAdjacencyMemo:
+    def test_one_edge_walk_serves_every_kind(self):
+        walks = []
+
+        class CountedEdges(frozenset):
+            def __iter__(self):
+                walks.append(self)
+                return super().__iter__()
+
+        g = graphs.Graph(14, CountedEdges(nc_graph(3, 4).edges))
+        del walks[:]  # the constructor's validation pass
+        for kind in MatrixKind:
+            build_matrix(g, kind, t=0.5)
+        assert len(walks) == 1
+
+    def test_memo_is_read_only_and_builds_are_fresh(self):
+        g = nc_graph(3, 4)
+        first = adjacency_matrix(g)
+        assert not g._edge_adjacency.flags.writeable
+        with pytest.raises(ValueError):
+            g._edge_adjacency[0, 1] = 0
+        assert not graphs._adjacency(g).flags.writeable
+        first[...] = 7.0
+        assert np.array_equal(adjacency_matrix(g), floyd_warshall(g) == 1)
+
+    @pytest.mark.parametrize("graph", [nc_graph(3, 4), generalized_fan(5, 2), path_graph(130)])
+    def test_hop_matrix_takes_over_from_the_edge_memo(self, graph):
+        g = graphs.Graph(graph.vertex_count, graph.edges)  # fresh, no memos yet
+        a, lap = adjacency_matrix(g), laplacian_matrix(g)
+        assert one_memo_left(g) == ["_edge_adjacency"]
+        distance_matrix(g)
+        assert one_memo_left(g) == ["_distances"]
+        for before, after in ((a, adjacency_matrix(g)), (lap, laplacian_matrix(g))):
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
+        assert one_memo_left(g) == ["_distances"]
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+    def test_a_copy_builds_its_own_read_only_memos(self, duplicate):
+        g = nc_graph(3, 4)
+        adjacency_matrix(g)
+        h = duplicate(g)
+        distance_matrix(g)
+        assert h == g and one_memo_left(h) == []
+        assert duplicate(g) == g and one_memo_left(duplicate(g)) == []
+        assert np.array_equal(distance_matrix(h), floyd_warshall(g))
+        assert not h._distances.flags.writeable
+
+    def test_a_hop_matrix_built_during_the_edge_walk_takes_over(self):
+        """Replays a race: another thread builds the hop matrix while this one walks the edges."""
+        walks = []
+
+        class Interleaved(frozenset):
+            def __iter__(self):
+                walks.append(self)
+                if len(walks) == 2:  # the first walk into the memo, after validation
+                    distance_matrix(g)
+                return super().__iter__()
+
+        g = graphs.Graph(14, Interleaved(nc_graph(3, 4).edges))
+        assert adjacency_matrix(g).tobytes() == adjacency_matrix(nc_graph(3, 4)).tobytes()
+        assert len(walks) == 3 and one_memo_left(g) == ["_distances"]
