@@ -5,10 +5,14 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 20 array calls into buffers made once per solve, with
+is a fixed sequence of 15 array calls into buffers made once per solve, with
 constants cached once per order, so it allocates nothing.  At the orders
 verified here its cost is those calls, not their arithmetic, so each call
 passes its output positionally and takes array operands, never Python floats.
+Each pair gets the symmetric reflection H = [[c, -s], [-s, -c]] (a rotation
+then a sign flip), so H A H is two products with one view over [c, -s, -c]
+and sets the new diagonal; the gather to the next round's slots zeroes the
+pivots a_pq and a_qp, copying them from a zero entry past the spare matrix.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -88,17 +92,20 @@ def _round_plan(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
-    and after m - 1 rounds every index is home.  The two constant arrays are
-    read-only; the index stays writable because take copies a read-only
-    index on every call.
+    and after m - 1 rounds every index is home.  The pivots' destinations
+    gather index m*m, the zero entry past the spare matrix.  The two constant
+    arrays are read-only; the index stays writable because take copies a
+    read-only index on every call.
     """
     position = [k // 2 if k % 2 == 0 else m - 1 - k // 2 for k in range(m)]
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
+    gather = source[:, None] * m + source
+    gather[(source[:, None] // 2 == source // 2) & (source[:, None] != source)] = m * m
     gap_floor, one = np.full(m // 2, _GAP_FLOOR), np.ones(m // 2)
     gap_floor.flags.writeable = one.flags.writeable = False
-    return (source[:, None] * m + source).ravel(), gap_floor, one
+    return gather.ravel(), gap_floor, one
 
 
 def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
@@ -157,21 +164,20 @@ def _jacobi_diagonal(
     n = a.shape[0]
     m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
     h = m // 2
-    work, spare = np.zeros((m, m)), np.empty((m, m))
+    work, spare_buffer = np.zeros((m, m)), np.zeros(m * m + 1)  # spare, then a zero
+    spare = spare_buffer[: m * m].reshape(m, m)
     spare_t = spare.T
     work[:n, :n] = a
     np.ldexp(work, -1 - exponent, out=work)
     spare[...] = work.T
     np.add(work, spare, work)  # the exact symmetric part
-    flat_work, flat_spare = work.reshape(-1), spare.reshape(-1)
+    flat_work = work.reshape(-1)
     pairs_work, pairs_spare = work.reshape(h, 2, m), spare.reshape(h, 2, m)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
     app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
-    blocks_spare = np.ndarray((h, 2, 2), float, spare, 0, (8 * step, 8 * m, 8))
-    new_blocks = np.zeros((h, 2, 2))  # the rotated pair blocks are diagonal
-    new_p, new_q = new_blocks[:, 0, 0], new_blocks[:, 1, 1]
-    rotation = np.empty((h, 2, 2))  # J^T: [[c, -s], [s, c]] per pair
-    cos, minus_sin, sin, cos_again = (rotation[:, i, j] for i in (0, 1) for j in (0, 1))
+    reflection_buffer = np.empty((h, 3))  # [c, -s, -c], read as H per pair
+    cos, minus_sin, minus_cos = reflection_buffer.T
+    reflection = np.ndarray((h, 2, 2), float, reflection_buffer, 0, (24, 8, 8))
     gap, t, norm = np.empty(h), np.empty(h), np.empty(h)
     gather, gap_floor, one = _round_plan(m)
 
@@ -191,19 +197,13 @@ def _jacobi_diagonal(
                 np.divide(t, norm, t)
                 np.hypot(t, one, norm)
                 np.reciprocal(norm, cos)
-                cos_again[...] = cos
-                np.multiply(t, cos, sin)
-                np.negative(sin, minus_sin)
-                np.multiply(t, apq, gap)
-                np.subtract(app, gap, new_p)
-                np.add(aqq, gap, new_q)
-                np.matmul(rotation, pairs_work, pairs_spare)  # J^T A
+                np.negative(cos, minus_cos)
+                np.multiply(t, minus_cos, minus_sin)
+                np.matmul(reflection, pairs_work, pairs_spare)  # H A
                 work[...] = spare_t
-                np.matmul(rotation, pairs_work, pairs_spare)  # J^T A J
-                # the pair blocks from the update formulas: the products
-                # leave roundoff of the diagonal's size in them
-                blocks_spare[...] = new_blocks
-                flat_spare.take(gather, None, flat_work, "clip")
+                np.matmul(reflection, pairs_work, pairs_spare)  # H A H
+                # to the next round's slots; the pivots, at roundoff level, become 0
+                spare_buffer.take(gather, None, flat_work, "clip")
             remaining = _off_norm(work, spare)
             if remaining <= target:
                 break

@@ -269,11 +269,12 @@ class TestClosedStdout:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
         argv = [sys.executable, "-m", "fanspectra", *args]
-        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert len(child.stdout.read(10)) == 10
-        child.stdout.close()
-        err = child.stderr.read()
-        return child.wait(timeout=60), err
+        # the with block closes both pipes, even when an assertion fails
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read()
+            return child.wait(timeout=60), err
 
     def test_a_reader_that_stops_early_is_not_an_error(self):
         # 262,144 bytes of CSV: more than a pipe holds, so writes go on after the close

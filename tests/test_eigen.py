@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanspectra import eigen
 from fanspectra.closed_forms import (
     ClosedFormSpectrum,
     fan_distance_laplacian_spectrum,
@@ -31,12 +32,60 @@ from fanspectra.eigen import (
 )
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
+from fanspectra.verify import sweep
 
 
 def random_symmetric(order, seed, scale=5.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(order, order)) * scale
     return (a + a.T) / 2.0
+
+
+ADVERSARIAL_KINDS = ["near-diagonal", "graded", "graded-reversed", "exact-multiples", "ones"]
+
+
+def adversarial(kind, order):
+    """A matrix that is hard on Jacobi's accuracy, named by kind."""
+    rng = np.random.default_rng(order)
+    coupling = random_symmetric(order, seed=order, scale=1.0)
+    grade = np.logspace(0, -6, order)  # entries from 1 down to 1e-12
+    return {
+        "near-diagonal": lambda: np.diag(rng.choice([-1.0, 1.0], order) * 10.0 ** rng.uniform(-6, 6, order))
+        + 1e-9 * coupling,
+        "graded": lambda: coupling * np.outer(grade, grade),
+        "graded-reversed": lambda: (coupling * np.outer(grade, grade))[::-1, ::-1],
+        "exact-multiples": lambda: np.kron(np.eye(order // 2 + 1), random_symmetric(3, seed=order)),
+        "ones": lambda: np.ones((order, order)),
+    }[kind]()
+
+
+def pivot_destinations(m):
+    """An m x m mask of where a round's pivots land in the next round's slots."""
+    source = _round_plan(m)[0][:: m + 1] // m  # diagonal entries come from the diagonal
+    return (source[:, None] ^ source) == 1  # slots 2i and 2i+1 differ in the last bit alone
+
+
+@pytest.fixture(scope="module")
+def grid_sweep():
+    """The reports of the 2..12 verify grid and the Jacobi rounds it ran."""
+    rounds = 0
+    off_norm, jacobi_diagonal = eigen._off_norm, eigen._jacobi_diagonal
+
+    def counting(work, spare):  # called once per sweep of m - 1 rounds ...
+        nonlocal rounds
+        rounds += work.shape[0] - 1
+        return off_norm(work, spare)
+
+    def uncounting_the_input(a, *args):  # ... and once on the input
+        nonlocal rounds
+        rounds -= a.shape[0] + a.shape[0] % 2 - 1
+        return jacobi_diagonal(a, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigen, "_off_norm", counting)
+        patch.setattr(eigen, "_jacobi_diagonal", uncounting_the_input)
+        reports = sweep((2, 12), (2, 12))
+    return reports, rounds
 
 
 class TestSymmetricEigenvalues:
@@ -166,16 +215,17 @@ class TestSymmetricEigenvalues:
     @pytest.mark.parametrize("factor", [1e200, 1e-200])
     def test_entries_far_from_one(self, factor):
         # squares of these entries overflow or underflow in double precision
-        base = random_symmetric(6, seed=11)
-        expected = np.linalg.eigvalsh(base) * factor
-        values = symmetric_eigenvalues(base * factor)
-        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for order in (6, 5, 16, 33):
+            base = random_symmetric(order, seed=11)
+            expected = np.linalg.eigvalsh(base) * factor
+            values = symmetric_eigenvalues(base * factor)
+            assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(base * factor))
 
 
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_each_sweep_rotates_every_pair_once_and_restores_the_order(self, m):
-        source = _round_plan(m)[0].reshape(m, m)[:, 0] // m
+        source = _round_plan(m)[0][:: m + 1] // m
         slots = np.arange(m)  # slots[k] = the index held in slot k
         met = []
         for _ in range(m - 1):
@@ -183,6 +233,27 @@ class TestRoundRobinSchedule:
             slots = slots[source]
         assert len(met) == len(set(met)) == m * (m - 1) // 2
         assert np.array_equal(slots, np.arange(m))
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
+    def test_the_zero_entry_is_gathered_onto_the_pivots_alone(self, m):
+        gather = _round_plan(m)[0].reshape(m, m)
+        source, pivots = gather.diagonal() // m, pivot_destinations(m)
+        assert np.array_equal(gather == m * m, pivots) and pivots.sum() == m
+        assert np.array_equal(gather[~pivots], (source[:, None] * m + source)[~pivots])
+
+    @pytest.mark.parametrize("order", [2, 7, 16])
+    def test_every_pivot_is_exactly_zero_after_a_round(self, monkeypatch, order):
+        m = order + order % 2
+        pivots = pivot_destinations(m).reshape(-1)
+        seen, off_norm = [], eigen._off_norm
+
+        def recording(work, spare):  # after each sweep's last round, and once before any
+            seen.append(work.reshape(-1)[pivots])
+            return off_norm(work, spare)
+
+        monkeypatch.setattr(eigen, "_off_norm", recording)
+        symmetric_eigenvalues(random_symmetric(order, seed=order))
+        assert len(seen) > 1 and all(np.all(entries == 0.0) for entries in seen[1:])
 
     @pytest.mark.parametrize("order", [2, 3, *range(5, 50, 2)])
     def test_small_and_odd_orders(self, order):
@@ -266,6 +337,25 @@ class TestRoundLoop:
         for a, values in zip(matrices, interleaved):
             _round_plan.cache_clear()
             assert np.array_equal(symmetric_eigenvalues(a), values)
+
+
+class TestOracleRegressionGuards:
+    def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
+        # 84,069: the grid's count when each round applied J^T A J and set
+        # the pair blocks from the update formulas
+        assert grid_sweep[1] <= 84_069
+
+    def test_every_grid_case_passes_far_inside_the_case_tolerance(self, grid_sweep):
+        reports = grid_sweep[0]
+        assert len(reports) == 484 and all(report.passed for report in reports)
+        assert max(report.max_abs_deviation for report in reports) <= 1e-11
+
+    @pytest.mark.parametrize("order", [5, 8, 16, 33])
+    @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+    def test_adversarial_matrices_match_lapack(self, kind, order):
+        a = adversarial(kind, order)
+        error = np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a)))
+        assert error <= 1e-12 * np.max(np.abs(a))
 
 
 class TestGrouping:
