@@ -1,6 +1,7 @@
 """Closed-form spectrum tests with hand-frozen expected multisets."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from fanspectra.closed_forms import (
     nc_laplacian_spectrum,
     path_laplacian_spectrum,
 )
-from fanspectra.eigen import symmetric_eigenvalues
+from fanspectra.closed_forms import (
+    FAN_DISTANCE_LAPLACIAN_NOTE,
+    MERGE_TOL,
+    NC_DISTANCE_LAPLACIAN_NOTE,
+    NC_LAPLACIAN_NOTE,
+)
+from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, nc_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 
@@ -225,3 +232,134 @@ class TestQuotientForms:
         assert stated.charpoly([[2, 1], [1, 2]]) == (1, -4, 3)
         assert stated.charpoly(2 * np.eye(3)) == (1, -6, 12, -8)
         assert stated.charpoly([[0, 1, 0], [0, 0, 1], [6, -11, 6]]) == (1, -6, 11, -6)
+
+
+# --- bit-for-bit pins ----------------------------------------------------------
+# Each closed form written out term by term, with the arithmetic in the order the
+# formulas state it, and grouped the package's way; the package must produce the
+# same pairs with ==, not merely within a tolerance.
+
+
+def _grouped(contributions):
+    values = sorted(float(v) for v, k in contributions for _ in range(k))
+    return group_multiplicities(values, MERGE_TOL).pairs
+
+
+def _path_value(n, j):
+    return 2.0 - 2.0 * math.cos(math.pi * j / n)
+
+
+def _roots(b, c):
+    root = math.sqrt(b * b - 4.0 * c)
+    return (b - root) / 2.0, (b + root) / 2.0
+
+
+def _fan_laplacian(m, n):
+    terms = [(0.0, 1), (float(m + n), 1), (float(n), m - 1)]
+    return _grouped(terms + [(m + _path_value(n, j), 1) for j in range(1, n)])
+
+
+def _fan_distance_laplacian(m, n):
+    terms = [(0.0, 1), (float(m + n), 1), (float(n + 2 * m), m - 1)]
+    return _grouped(terms + [(m + 2 * n - 2 + 2 * math.cos(math.pi * j / n), 1) for j in range(1, n)])
+
+
+def _nc_laplacian(m, n):
+    lo, hi = _roots(float(m + n + 2), 2.0 * m)
+    terms = [(0.0, 1), (float(m + n), 1), (float(n), m - 1), (float(n + 2), m - 1), (lo, 1), (hi, 1)]
+    return _grouped(terms + [(m + _path_value(n, j), 2) for j in range(1, n)])
+
+
+def _nc_distance_laplacian(m, n):
+    lo, hi = _roots(
+        float(9 * (n + m) - 4), float(18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m)
+    )
+    terms = [(0.0, 1), (float(3 * (n + m)), 1), (float(3 * n + 5 * m), m - 1)]
+    terms += [(float(3 * n + 5 * m - 4), m - 1), (lo, 1), (hi, 1)]
+    return _grouped(terms + [(5 * n + 3 * m - _path_value(n, j), 2) for j in range(1, n)])
+
+
+def _rest(spectrum):
+    values = spectrum.expanded() if hasattr(spectrum, "expanded") else [float(v) for v in spectrum]
+    return sorted(values)[1:]
+
+
+def _join_laplacian(spec1, n1, spec2, n2):
+    terms = [(0.0, 1), (float(n1 + n2), 1)]
+    terms += [(v + n2, 1) for v in _rest(spec1)] + [(v + n1, 1) for v in _rest(spec2)]
+    return _grouped(terms)
+
+
+def _join_distance_laplacian(spec1, n1, spec2, n2):
+    terms = [(0.0, 1), (float(n1 + n2), 1)]
+    terms += [(n2 + 2 * n1 - v, 1) for v in _rest(spec1)]
+    terms += [(n1 + 2 * n2 - v, 1) for v in _rest(spec2)]
+    return _grouped(terms)
+
+
+def _random_laplacian_spectrum(rng, order):
+    """A seeded stand-in for a Laplacian spectrum: a zero (or a value within the
+    join maps' zero tolerance) and order - 1 values, exact quarters half of the
+    time so that values collide within and across the two parts."""
+    values = [rng.choice([0.0, -1e-9, 3e-10])]
+    for _ in range(order - 1):
+        values.append(rng.randint(0, 4 * order) / 4 if rng.random() < 0.5 else rng.uniform(0, 2 * order))
+    rng.shuffle(values)
+    if rng.random() < 0.5:
+        return group_multiplicities(sorted(values), rng.choice([0.0, 1e-6]))
+    return values
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "form, reference, low, source, errata",
+        [
+            (fan_laplacian_spectrum, _fan_laplacian, 1, "fan-laplacian", ()),
+            (
+                fan_distance_laplacian_spectrum,
+                _fan_distance_laplacian,
+                1,
+                "fan-distance-laplacian",
+                (FAN_DISTANCE_LAPLACIAN_NOTE,),
+            ),
+            (nc_laplacian_spectrum, _nc_laplacian, 2, "nc-laplacian", (NC_LAPLACIAN_NOTE,)),
+            (
+                nc_distance_laplacian_spectrum,
+                _nc_distance_laplacian,
+                2,
+                "nc-distance-laplacian",
+                (NC_DISTANCE_LAPLACIAN_NOTE,),
+            ),
+        ],
+        ids=["fan-laplacian", "fan-distance-laplacian", "nc-laplacian", "nc-distance-laplacian"],
+    )
+    def test_family_forms(self, form, reference, low, source, errata):
+        for m in range(low, 41):
+            for n in range(low, 41):
+                spectrum = form(m, n)
+                assert spectrum.pairs == reference(m, n), (m, n)
+                assert (spectrum.source, spectrum.errata_notes) == (source, errata)
+
+    @pytest.mark.parametrize(
+        "form, reference, source",
+        [
+            (join_laplacian_spectrum, _join_laplacian, "join-laplacian"),
+            (join_distance_laplacian_spectrum, _join_distance_laplacian, "join-distance-laplacian"),
+        ],
+        ids=["join-laplacian", "join-distance-laplacian"],
+    )
+    def test_join_maps(self, form, reference, source):
+        rng = random.Random(20241)
+        for _ in range(300):
+            n1, n2 = rng.randint(1, 9), rng.randint(1, 9)
+            spec1 = _random_laplacian_spectrum(rng, n1)
+            spec2 = _random_laplacian_spectrum(rng, n2)
+            spectrum = form(spec1, n1, spec2, n2)
+            assert spectrum.pairs == reference(spec1, n1, spec2, n2), (spec1, spec2)
+            assert (spectrum.source, spectrum.errata_notes) == (source, ())
+
+    def test_path_spectrum(self):
+        for n in range(1, 41):
+            spectrum = path_laplacian_spectrum(n)
+            assert spectrum.pairs == _grouped([(_path_value(n, j), 1) for j in range(n)])
+            assert (spectrum.source, spectrum.errata_notes) == ("path-laplacian", ())
