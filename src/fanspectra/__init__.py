@@ -27,10 +27,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     UNREACHABLE,
-    bfs_distances,
-    degree_sequence,
     generalized_fan,
-    is_connected,
     join,
     make_graph,
     nc_graph,
@@ -54,7 +51,6 @@ from .matrices import (
 from .quotient import (
     NotEquitableError,
     Partition,
-    QuotientMatrix,
     fan_partition,
     is_equitable,
     make_partition,

@@ -179,16 +179,16 @@ def _cmd_quotient(args) -> int:
     if args.format == "json":
         payload = {
             **_case(args),
-            "block_sizes": quotient.block_sizes,
-            "matrix": quotient.matrix.tolist(),
+            "block_sizes": partition.block_sizes,
+            "matrix": quotient.tolist(),
             "eigenvalues": eigenvalues.pairs,
             "contained_in_full_spectrum": contained,
         }
         _print(json.dumps(payload))
         return 0
     _print(f"{args.family} m={args.m} n={args.n} {args.kind} quotient")
-    _print(f"block sizes: {' '.join(str(s) for s in quotient.block_sizes)}")
-    _print_matrix_text(quotient.matrix)
+    _print(f"block sizes: {' '.join(str(s) for s in partition.block_sizes)}")
+    _print_matrix_text(quotient)
     _print("eigenvalues:")
     for v, k in eigenvalues.pairs:
         _print(f"{_fmt(v):>12}  {k:>4}")

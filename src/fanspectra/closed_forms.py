@@ -21,6 +21,11 @@ is returned and the discrepancy recorded in ``errata_notes``:
   which yields {3n+5m, 3n+5m-4}.  The derived pair passes the trace
   identity and is returned.
 
+Every closed form is one call to the skeleton ``_spectrum``: the
+eigenvalue 0, fixed (value, multiplicity) terms, and offset + scale * v
+for every base value v of each part.  The bases are a join part's
+nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
+2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).
 Values are plain double-precision reals (no symbolic layer).  When a
 formula produces the same eigenvalue through two routes, the
 contributions are grouped by ``eigen.group_multiplicities`` at
@@ -64,25 +69,29 @@ class ClosedFormSpectrum(Multiset):
     errata_notes: tuple[str, ...] = field(default=())
 
 
-def _spectrum(contributions, source: str, errata: tuple[str, ...] = ()) -> ClosedFormSpectrum:
-    """Group (value, multiplicity) contributions with group_multiplicities at MERGE_TOL."""
-    values = sorted(float(v) for v, k in contributions for _ in range(k))
+def _spectrum(source: str, terms, parts=(), errata: tuple[str, ...] = ()) -> ClosedFormSpectrum:
+    """The one skeleton of every closed form: 0, each (value, multiplicity) term,
+    and offset + scale * v with multiplicity k for each base value v of each
+    (base, offset, scale, k) part, grouped by group_multiplicities at MERGE_TOL."""
+    values = [0.0]
+    for value, k in terms:
+        values += [float(value)] * k
+    for base, offset, scale, k in parts:
+        values += [offset + scale * v for v in base for _ in range(k)]
+    values.sort()
     return ClosedFormSpectrum(group_multiplicities(values, MERGE_TOL).pairs, source, errata)
 
 
-def path_laplacian_eigenvalue(n: int, j: int) -> float:
-    """2 - 2 cos(pi j / n), the j-th Laplacian eigenvalue of the n-path."""
-    return 2.0 - 2.0 * math.cos(math.pi * j / n)
+def _path_values(n: int) -> list[float]:
+    """The n-path's nonzero Laplacian eigenvalues 2 - 2 cos(pi j / n), j = 1..n-1."""
+    return [2.0 - 2.0 * math.cos(math.pi * j / n) for j in range(1, n)]
 
 
 def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
     if n < 1:
         raise ValueError("path spectrum requires n >= 1")
-    return _spectrum(
-        [(path_laplacian_eigenvalue(n, j), 1) for j in range(n)],
-        source="path-laplacian",
-    )
+    return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
 
 
 def _consume_zero(spectrum_like, order: int, what: str, zero_tol: float = 1e-6) -> list[float]:
@@ -103,10 +112,7 @@ def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectru
     """
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
-    contributions = [(0.0, 1), (float(n1 + n2), 1)]
-    contributions += [(v + n2, 1) for v in rest1]
-    contributions += [(v + n1, 1) for v in rest2]
-    return _spectrum(contributions, source="join-laplacian")
+    return _spectrum("join-laplacian", [(n1 + n2, 1)], [(rest1, n2, 1, 1), (rest2, n1, 1, 1)])
 
 
 def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectrum:
@@ -118,41 +124,40 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     """
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
-    contributions = [(0.0, 1), (float(n1 + n2), 1)]
-    contributions += [(n2 + 2 * n1 - v, 1) for v in rest1]
-    contributions += [(n1 + 2 * n2 - v, 1) for v in rest2]
-    return _spectrum(contributions, source="join-distance-laplacian")
+    parts = [(rest1, n2 + 2 * n1, -1, 1), (rest2, n1 + 2 * n2, -1, 1)]
+    return _spectrum("join-distance-laplacian", [(n1 + n2, 1)], parts)
+
+
+def _check_fan(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("fan spectrum requires m >= 1 and n >= 1")
 
 
 def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
-    """Laplacian spectrum of the (m, n) fan.
+    """Laplacian spectrum of the (m, n) fan, the join of P_n and m K_1.
 
     {0, m+n}, n with multiplicity m-1, and m + 2 - 2 cos(pi j / n) for
     j = 1..n-1.
     """
-    if m < 1 or n < 1:
-        raise ValueError("fan spectrum requires m >= 1 and n >= 1")
-    contributions = [(0.0, 1), (float(m + n), 1), (float(n), m - 1)]
-    contributions += [(m + path_laplacian_eigenvalue(n, j), 1) for j in range(1, n)]
-    return _spectrum(contributions, source="fan-laplacian")
+    _check_fan(m, n)
+    return _spectrum("fan-laplacian", [(m + n, 1), (n, m - 1)], [(_path_values(n), m, 1, 1)])
 
 
 def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     """Distance Laplacian spectrum of the (m, n) fan (corrected form).
 
     {0, m+n}, n+2m with multiplicity m-1, and m + 2n - 2 + 2 cos(pi j / n)
-    for j = 1..n-1.
+    for j = 1..n-1.  The join map's m + 2n - lambda_j is the same value, but
+    its rounding differs in the last bits for some (m, n), so the cosines
+    are scaled here instead.
     """
-    if m < 1 or n < 1:
-        raise ValueError("fan spectrum requires m >= 1 and n >= 1")
-    contributions = [(0.0, 1), (float(m + n), 1), (float(n + 2 * m), m - 1)]
-    contributions += [
-        (m + 2 * n - 2 + 2 * math.cos(math.pi * j / n), 1) for j in range(1, n)
-    ]
+    _check_fan(m, n)
+    cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
     return _spectrum(
-        contributions,
-        source="fan-distance-laplacian",
-        errata=(FAN_DISTANCE_LAPLACIAN_NOTE,),
+        "fan-distance-laplacian",
+        [(m + n, 1), (n + 2 * m, m - 1)],
+        [(cosines, m + 2 * n - 2, 2, 1)],
+        (FAN_DISTANCE_LAPLACIAN_NOTE,),
     )
 
 
@@ -162,6 +167,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     Kept only so the cardinality defect can be demonstrated; it is not a
     valid spectrum for the (m+n)-vertex fan.
     """
+    _check_fan(m, n)
     values = [0.0, float(m + n)] + [float(m + n)] * (m - 1)
     values += [m + 2 * n - 2 + 2 * math.cos(math.pi * j / n) for j in range(n)]
     return sorted(values)
@@ -176,6 +182,17 @@ def _quadratic_roots(b: float, c: float) -> tuple[float, float]:
     return ((b - root) / 2.0, (b + root) / 2.0)
 
 
+def _pair_class(m: int, n: int, source: str, note: str, top, hubs, quadratic, offset, scale):
+    """{0, top}, both hub values with multiplicity m-1, the roots of x^2 - b x + c
+    for quadratic = (b, c), and offset + scale * lambda twice over the path's
+    nonzero Laplacian eigenvalues lambda."""
+    if m < 2 or n < 2:
+        raise ValueError("pair-class spectrum requires m >= 2 and n >= 2")
+    lo, hi = _quadratic_roots(*quadratic)
+    terms = [(top, 1), (hubs[0], m - 1), (hubs[1], m - 1), (lo, 1), (hi, 1)]
+    return _spectrum(source, terms, [(_path_values(n), offset, scale, 2)], (note,))
+
+
 def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     """Laplacian spectrum of the hub-matched fan pair (corrected form).
 
@@ -183,19 +200,10 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     multiplicity m-1, {0, m+n}, and the two roots of
     x^2 - (m+n+2) x + 2m.
     """
-    if m < 2 or n < 2:
-        raise ValueError("pair-class spectrum requires m >= 2 and n >= 2")
-    lo, hi = _quadratic_roots(float(m + n + 2), 2.0 * m)
-    contributions = [
-        (0.0, 1),
-        (float(m + n), 1),
-        (float(n), m - 1),
-        (float(n + 2), m - 1),
-        (lo, 1),
-        (hi, 1),
-    ]
-    contributions += [(m + path_laplacian_eigenvalue(n, j), 2) for j in range(1, n)]
-    return _spectrum(contributions, source="nc-laplacian", errata=(NC_LAPLACIAN_NOTE,))
+    return _pair_class(
+        m, n, "nc-laplacian", NC_LAPLACIAN_NOTE,
+        top=m + n, hubs=(n, n + 2), quadratic=(float(m + n + 2), 2.0 * m), offset=m, scale=1,
+    )
 
 
 def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
@@ -206,25 +214,9 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     (9(n+m) - 4)/2 +- sqrt(A)/2 with
     A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
     """
-    if m < 2 or n < 2:
-        raise ValueError("pair-class spectrum requires m >= 2 and n >= 2")
-    lo, hi = _quadratic_roots(
-        float(9 * (n + m) - 4),
-        float(18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m),
-    )
-    contributions = [
-        (0.0, 1),
-        (float(3 * (n + m)), 1),
-        (float(3 * n + 5 * m), m - 1),
-        (float(3 * n + 5 * m - 4), m - 1),
-        (lo, 1),
-        (hi, 1),
-    ]
-    contributions += [
-        (5 * n + 3 * m - path_laplacian_eigenvalue(n, j), 2) for j in range(1, n)
-    ]
-    return _spectrum(
-        contributions,
-        source="nc-distance-laplacian",
-        errata=(NC_DISTANCE_LAPLACIAN_NOTE,),
+    c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
+    return _pair_class(
+        m, n, "nc-distance-laplacian", NC_DISTANCE_LAPLACIAN_NOTE,
+        top=3 * (n + m), hubs=(3 * n + 5 * m, 3 * n + 5 * m - 4),
+        quadratic=(float(9 * (n + m) - 4), float(c)), offset=5 * n + 3 * m, scale=-1,
     )

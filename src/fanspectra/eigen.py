@@ -57,9 +57,6 @@ class Multiset:
     def expanded(self) -> list[float]:
         return [v for v, k in self.pairs for _ in range(k)]
 
-    def values(self) -> list[float]:
-        return [v for v, _ in self.pairs]
-
     def total(self) -> float:
         return float(sum(v * k for v, k in self.pairs))
 

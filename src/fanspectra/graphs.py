@@ -20,7 +20,7 @@ the canonical equitable partitions depend on them.
 
 Graphs are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Each graph walks its edges
-once, on the first matrix or BFS request, into a read-only 0/1 int8
+once, on the first matrix request, into a read-only 0/1 int8
 adjacency memo, and computes its all-pairs hop distances at most once,
 into a read-only integer memo.  The hop matrix answers adjacency
 requests from then on (``hops == 1``), so the edge memo is dropped and a
@@ -94,7 +94,7 @@ class Graph:
     @cached_property
     def _distances(self) -> np.ndarray:
         """All-pairs hop distances, built once per graph and read-only; read via _hop_matrix."""
-        hops = _hops(self, range(self.vertex_count))
+        hops = _hops(self)
         hops.setflags(write=False)
         return hops
 
@@ -180,8 +180,8 @@ def _hop_matrix(g: Graph) -> np.ndarray:
     return hops
 
 
-def _hops(g: Graph, sources) -> np.ndarray:
-    """Hop distances, one row per source; UNREACHABLE marks pairs not reached.
+def _hops(g: Graph) -> np.ndarray:
+    """All-pairs hop distances, one row per source; UNREACHABLE marks pairs not reached.
 
     The rows hold the smallest signed integer type that holds -V (int8 up
     to V = 128, and for the empty graph), which holds every distance and
@@ -196,9 +196,9 @@ def _hops(g: Graph, sources) -> np.ndarray:
     path_graph(128) with one BLAS thread on a 2-vCPU x86-64 machine.
     """
     adjacency = _adjacency(g).astype(np.float32)
-    frontier = np.eye(g.vertex_count, dtype=np.float32)[sources]
+    frontier = np.eye(g.vertex_count, dtype=np.float32)
     hops = np.full(frontier.shape, UNREACHABLE, np.min_scalar_type(-max(g.vertex_count, 1)))
-    hops[frontier > 0] = 0
+    np.fill_diagonal(hops, 0)
     paths, reached = np.empty_like(frontier), np.empty(frontier.shape, bool)
     for level in range(1, g.vertex_count):
         np.matmul(frontier, adjacency, out=paths)
@@ -209,27 +209,6 @@ def _hops(g: Graph, sources) -> np.ndarray:
         hops[reached] = level
         np.copyto(frontier, reached)
     return hops
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from source; UNREACHABLE (-1) marks disconnected pairs."""
-    if not (0 <= source < g.vertex_count):
-        raise ValueError(f"source {source} out of range for {g.vertex_count} vertices")
-    return _hops(g, [source])[0].tolist()
-
-
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    return UNREACHABLE not in _hops(g, [0])
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    degrees = [0] * g.vertex_count
-    for u, v in g.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return degrees
 
 
 def to_edge_list(g: Graph) -> str:

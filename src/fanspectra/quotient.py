@@ -50,14 +50,6 @@ class Partition:
             raise ValueError("partition must cover every vertex exactly once")
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Block-averaged matrix together with the sizes of the blocks it came from."""
-
-    matrix: np.ndarray
-    block_sizes: tuple[int, ...]
-
-
 def make_partition(blocks) -> Partition:
     return Partition(tuple(tuple(int(v) for v in block) for block in blocks))
 
@@ -98,10 +90,10 @@ def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.
     return indicator, rows
 
 
-def quotient_matrix(matrix: np.ndarray, partition: Partition) -> QuotientMatrix:
+def quotient_matrix(matrix: np.ndarray, partition: Partition) -> np.ndarray:
+    """The block-averaged matrix; its blocks' sizes are ``partition.block_sizes``."""
     indicator, rows = _row_sums(matrix, partition)
-    sizes = partition.block_sizes
-    return QuotientMatrix((indicator.T @ rows) / np.array(sizes, dtype=float)[:, None], sizes)
+    return (indicator.T @ rows) / np.array(partition.block_sizes, dtype=float)[:, None]
 
 
 def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_EQUITABLE_TOL) -> bool:

@@ -37,7 +37,7 @@ def distance_laplacian_quartic(m, n):
 def computed_quotients(m, n):
     """The Laplacian and distance-Laplacian quotient matrices from quotient_matrix."""
     graph, partition = nc_graph(m, n), nc_partition(m, n)
-    return [quotient_matrix(f(graph), partition).matrix for f in (laplacian_matrix, distance_laplacian)]
+    return [quotient_matrix(f(graph), partition) for f in (laplacian_matrix, distance_laplacian)]
 
 
 def charpoly(matrix):

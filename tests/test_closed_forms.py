@@ -175,6 +175,16 @@ class TestFanDistanceLaplacian:
     def test_erratum_is_recorded(self):
         assert fan_distance_laplacian_spectrum(2, 2).errata_notes
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (2, 0), (-2, 3)])
+    @pytest.mark.parametrize(
+        "form",
+        [fan_laplacian_spectrum, fan_distance_laplacian_spectrum, fan_distance_laplacian_as_stated],
+    )
+    def test_fan_forms_share_one_domain(self, form, m, n):
+        # the stated multiset once came back as [0.0, 0.0], [0.0, 2.0, 2.0] and five values
+        with pytest.raises(ValueError, match=r"fan spectrum requires m >= 1 and n >= 1"):
+            form(m, n)
+
 
 class TestNcDistanceLaplacian:
     def test_two_two(self):

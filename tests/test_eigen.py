@@ -431,7 +431,7 @@ class TestSpectrumType:
     def test_expansion_round_trip(self):
         s = Spectrum(((0.0, 2), (1.5, 1)), 1e-6)
         assert s.expanded() == [0.0, 0.0, 1.5]
-        assert s.values() == [0.0, 1.5]
+        assert s.pairs == ((0.0, 2), (1.5, 1))
         assert s.order == 3
         assert s.total() == 1.5
 
@@ -440,4 +440,5 @@ class TestSpectrumType:
         numeric = Spectrum(((0.0, 1), (2.0, 2)))
         for s in (closed, numeric):
             assert isinstance(s, Multiset)
-            assert (s.order, s.expanded(), s.values(), s.total()) == (3, [0.0, 2.0, 2.0], [0.0, 2.0], 4.0)
+            assert (s.order, s.expanded(), s.total()) == (3, [0.0, 2.0, 2.0], 4.0)
+            assert [v for v, _ in s.pairs] == [0.0, 2.0]

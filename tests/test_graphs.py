@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanspectra.graphs import (
+    DisconnectedGraphError,
     Graph,
     UNREACHABLE,
-    bfs_distances,
-    degree_sequence,
+    _hop_matrix,
     generalized_fan,
-    is_connected,
     join,
     make_graph,
     nc_graph,
@@ -23,7 +22,7 @@ from fanspectra.graphs import (
     to_dot,
     to_edge_list,
 )
-from fanspectra.matrices import adjacency_matrix
+from fanspectra.matrices import adjacency_matrix, distance_matrix
 from fanspectra.verify import random_graph
 
 
@@ -54,6 +53,11 @@ def reference_join_edges(g1, g2):
     return edges
 
 
+def row_sum_degrees(graph):
+    """Vertex degrees as the adjacency's row sums."""
+    return adjacency_matrix(graph).sum(axis=1).astype(int).tolist()
+
+
 def reference_distances(graph, source):
     """Independent oracle: frontier-expansion shortest paths on a dict adjacency."""
     neighbors = {v: set() for v in range(graph.vertex_count)}
@@ -76,7 +80,7 @@ class TestBasicFamilies:
         g = null_graph(3)
         assert g.vertex_count == 3
         assert g.edge_count == 0
-        assert degree_sequence(null_graph(5)) == [0, 0, 0, 0, 0]
+        assert row_sum_degrees(null_graph(5)) == [0, 0, 0, 0, 0]
 
     def test_null_graph_single_vertex(self):
         assert null_graph(1).vertex_count == 1
@@ -85,7 +89,7 @@ class TestBasicFamilies:
         assert path_graph(4).edges == frozenset({(0, 1), (1, 2), (2, 3)})
         assert path_graph(1).edge_count == 0
         assert path_graph(2).edges == frozenset({(0, 1)})
-        assert degree_sequence(path_graph(3)) == [1, 2, 1]
+        assert row_sum_degrees(path_graph(3)) == [1, 2, 1]
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_empty_parameters(self, bad):
@@ -111,14 +115,14 @@ class TestBasicFamilies:
 class TestFan:
     def test_degrees_3_4(self):
         g = generalized_fan(3, 4)
-        degrees = degree_sequence(g)
+        degrees = row_sum_degrees(g)
         # path vertices first: ends have 1+3 neighbors, middles 2+3, hubs 4
         assert degrees == [4, 5, 5, 4, 4, 4, 4]
 
     def test_single_hub_degree(self):
         for n in (1, 2, 5):
             g = generalized_fan(1, n)
-            assert degree_sequence(g)[n] == n
+            assert row_sum_degrees(g)[n] == n
 
     def test_2_2_is_complete_minus_hub_edge(self):
         # hand enumeration: path edge, plus both hubs joined to both path vertices
@@ -154,7 +158,7 @@ class TestNcGraph:
 
     @given(m=st.integers(2, 8), n=st.integers(2, 8))
     def test_hub_degrees(self, m, n):
-        degrees = degree_sequence(nc_graph(m, n))
+        degrees = row_sum_degrees(nc_graph(m, n))
         for h in range(n, n + 2 * m):
             assert degrees[h] == n + 1
 
@@ -230,25 +234,21 @@ class TestBuildersAgainstReferences:
 
 
 class TestTraversal:
+    """The hop matrix, one row per source, and disconnection through the distance builder."""
+
     def test_path_distances(self):
-        assert bfs_distances(path_graph(3), 0) == [0, 1, 2]
+        assert _hop_matrix(path_graph(3)).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     def test_fan_path_ends_two_apart(self):
         g = generalized_fan(3, 4)
-        assert bfs_distances(g, 0)[3] == 2
+        assert _hop_matrix(g)[0, 3] == 2
 
     def test_nc_opposite_paths_three_apart(self):
-        g = nc_graph(3, 4)
-        dist = bfs_distances(g, 0)
-        for v in range(10, 14):
-            assert dist[v] == 3
+        hops = _hop_matrix(nc_graph(3, 4))
+        assert (hops[:4, 10:14] == 3).all() and (hops[10:14, :4] == 3).all()
 
     def test_unreachable_marker(self):
-        assert bfs_distances(null_graph(2), 0) == [0, UNREACHABLE]
-
-    def test_source_validation(self):
-        with pytest.raises(ValueError):
-            bfs_distances(path_graph(2), 5)
+        assert _hop_matrix(null_graph(2)).tolist() == [[0, UNREACHABLE], [UNREACHABLE, 0]]
 
     @given(
         g=st.one_of(
@@ -261,21 +261,24 @@ class TestTraversal:
                 st.integers(0, 10_000),
             ),
         ),
-        data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_against_reference_oracle(self, g, data):
-        source = data.draw(st.integers(0, g.vertex_count - 1), label="source")
-        expected = reference_distances(g, source)
-        assert bfs_distances(g, source) == expected
+    def test_against_reference_oracle(self, g):
+        expected = [reference_distances(g, source) for source in range(g.vertex_count)]
+        assert _hop_matrix(g).tolist() == expected
         # a graph is connected iff one source, any source, reaches every vertex
-        assert is_connected(g) == (UNREACHABLE not in expected)
+        if UNREACHABLE in expected[0]:
+            with pytest.raises(DisconnectedGraphError):
+                distance_matrix(g)
+        else:
+            assert distance_matrix(g).tolist() == expected
 
-    def test_large_order_distances_are_python_ints(self):
+    def test_large_order_rows_are_int16(self):
         # order 130 does not fit int8, so the hop rows are int16
-        dist = bfs_distances(path_graph(130), 0)
-        assert dist == list(range(130))
-        assert all(type(d) is int for d in dist)
+        hops = _hop_matrix(path_graph(130))
+        assert hops.dtype == np.int16
+        assert hops[0].tolist() == list(range(130))
+        assert hops[129].tolist() == list(range(129, -1, -1))
 
     def test_distance_memo_leaves_equality_and_hash_alone(self):
         g = generalized_fan(2, 3)
@@ -286,10 +289,10 @@ class TestTraversal:
         assert g == make_graph(5, g.edges) and hash(g) == hash(make_graph(5, g.edges))
 
     def test_connectivity(self):
-        assert not is_connected(null_graph(2))
-        assert is_connected(null_graph(1))
-        assert is_connected(nc_graph(2, 2))
-        assert is_connected(generalized_fan(1, 1))
+        with pytest.raises(DisconnectedGraphError):
+            distance_matrix(null_graph(2))
+        for g in (null_graph(1), nc_graph(2, 2), generalized_fan(1, 1)):
+            assert UNREACHABLE not in distance_matrix(g)
 
 
 class TestValidationAndExport:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fanspectra import graphs
 from fanspectra.graphs import (
     DisconnectedGraphError,
-    degree_sequence,
     generalized_fan,
     join,
     nc_graph,
@@ -68,8 +67,11 @@ class TestAdjacencyAndLaplacian:
         assert np.array_equal(adjacency_matrix(generalized_fan(2, 2)), expected)
 
     def test_adjacency_row_sums_are_degrees(self):
-        g = nc_graph(3, 4)
-        assert np.array_equal(adjacency_matrix(g).sum(axis=1), degree_sequence(g))
+        m, n = 3, 4
+        degrees = np.zeros(2 * (m + n))
+        for u, v in nc_graph(m, n).edges:
+            degrees[[u, v]] += 1
+        assert np.array_equal(adjacency_matrix(nc_graph(m, n)).sum(axis=1), degrees)
 
     def test_laplacian_trace_is_degree_sum(self):
         g = generalized_fan(3, 4)
@@ -126,8 +128,7 @@ class TestDistanceFamily:
         g = path_graph(k)
         index = np.arange(k)
         assert np.array_equal(distance_matrix(g), np.abs(index[:, None] - index))
-        assert graphs.bfs_distances(g, k - 1) == list(range(k - 1, -1, -1))
-        assert graphs.is_connected(g)
+        assert graphs._hop_matrix(g)[k - 1].tolist() == list(range(k - 1, -1, -1))
 
     def test_triangle_inequality_and_zero_diagonal(self):
         d = distance_matrix(nc_graph(2, 3))
@@ -201,9 +202,9 @@ class TestDistanceMemo:
         calls = []
         hops = graphs._hops
 
-        def counted(g, sources):
+        def counted(g):
             calls.append(g)
-            return hops(g, sources)
+            return hops(g)
 
         monkeypatch.setattr(graphs, "_hops", counted)
         g = nc_graph(3, 4)
