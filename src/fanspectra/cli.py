@@ -11,8 +11,8 @@ Commands:
 Families are ``fan`` (m hubs joined to an n-path) and ``nc`` (two such
 fans with matched hubs).  Closed forms exist for the laplacian and
 distance-laplacian kinds; every other kind is numeric only.  The family
-choices, graph builders, canonical partitions and closed forms all come
-from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
+and ``quotient`` kind choices, graph builders, canonical partitions and
+closed forms all come from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
 and positive.  Before any graph is built, m and n must be at most
 ``verify.MAX_SWEEP_PARAM`` (64) and ``--t``, when given, must lie in
 (0, 1), whatever the kind.
@@ -53,6 +53,7 @@ from .matrices import MatrixKind, _check_blend, build_matrix
 from .quotient import quotient_eigenvalues, quotient_matrix
 from .tables import reproduce_fan_table, reproduce_generalized_fan_table
 from .verify import (
+    CASES,
     CASE_KINDS,
     DEFAULT_CASE_TOL,
     FAMILIES,
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotient", help="canonical equitable quotient and its eigenvalues")
     add_family_args(p)
-    p.add_argument("kind", choices=["laplacian", "distance-laplacian"])
+    p.add_argument("kind", choices=list(dict.fromkeys(kind for _, kind in CASES.values())))
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_tols(p)
     p.set_defaults(func=_cmd_quotient)

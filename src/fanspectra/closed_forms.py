@@ -94,12 +94,12 @@ def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
 
 
-def _consume_zero(spectrum_like, order: int, what: str, zero_tol: float = 1e-6) -> list[float]:
-    """Expand a full Laplacian spectrum, check it contains 0, and drop one copy."""
+def _consume_zero(spectrum_like, order: int, what: str) -> list[float]:
+    """Expand a full Laplacian spectrum, check it contains 0 (to 1e-6), and drop one copy."""
     values = sorted(_expand(spectrum_like))
     if len(values) != order:
         raise ValueError(f"{what} has {len(values)} eigenvalues, expected {order}")
-    if abs(values[0]) > zero_tol:
+    if abs(values[0]) > 1e-6:
         raise ValueError(f"{what} lacks the eigenvalue 0 required of a Laplacian spectrum")
     return values[1:]
 

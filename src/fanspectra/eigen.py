@@ -113,16 +113,20 @@ def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(spare, spare)))
 
 
+def _check_symmetric(a: np.ndarray, scale: float) -> None:
+    """ValueError if max|a - a^T| exceeds 1e-10 * scale, where scale = max|a|."""
+    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric")
+
+
 def symmetric_eigenvalues(
-    matrix: np.ndarray,
-    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-    sweep_cap: int = SWEEP_CAP,
+    matrix: np.ndarray, convergence_tol: float = DEFAULT_CONVERGENCE_TOL
 ) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending.
 
     Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
-    Raises JacobiConvergenceError with diagnostics if sweep_cap sweeps
+    Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
     convergence_tol that is not finite and positive.
@@ -132,31 +136,21 @@ def symmetric_eigenvalues(
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
-    scale = float(np.abs(a).max()) if n else 0.0
+    scale = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     _check_tol("convergence_tol", convergence_tol, zero_ok=False)
-    if sweep_cap < 1:
-        raise ValueError("sweep_cap must be at least 1")
-    if n == 0:
-        return np.empty(0)
-    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    if n == 1:
-        return a.diagonal().copy()
+    _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
     exponent = math.frexp(scale)[1]
-    values = _jacobi_diagonal(a, exponent, convergence_tol, sweep_cap)
+    values = _jacobi_diagonal(a, exponent, convergence_tol)
     values.sort()  # after the solver's buffers are freed: sorting allocates
     return np.ldexp(values, exponent, out=values)
 
 
-def _jacobi_diagonal(
-    a: np.ndarray, exponent: int, convergence_tol: float, sweep_cap: int
-) -> np.ndarray:
+def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
     """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to."""
     n = a.shape[0]
     m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
@@ -181,7 +175,7 @@ def _jacobi_diagonal(
     initial = _off_norm(work, spare)
     target = convergence_tol * initial
     if initial > 0.0:
-        for _ in range(sweep_cap):
+        for _ in range(SWEEP_CAP):
             for _ in range(m - 1):
                 # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp:
                 # 2 a_pq / (d + sign(d) (hypot(d, 2 a_pq) + _GAP_FLOOR))
@@ -206,7 +200,7 @@ def _jacobi_diagonal(
                 break
         else:
             raise JacobiConvergenceError(
-                f"no convergence after {sweep_cap} sweeps: "
+                f"no convergence after {SWEEP_CAP} sweeps: "
                 f"off-diagonal norm {math.ldexp(remaining, exponent):.3e}, "
                 f"target {math.ldexp(target, exponent):.3e} "
                 f"(initial {math.ldexp(initial, exponent):.3e})"

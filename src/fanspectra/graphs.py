@@ -53,8 +53,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         vertex_count = self.vertex_count
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
+        if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
+            raise ValueError("vertex_count must be a non-negative integer")
         for u, v in self.edges:
             # u | v is a TypeError for a float or any other non-integer endpoint
             try:

@@ -10,15 +10,16 @@ of M's.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import (
-    DEFAULT_GROUPING_TOL, Spectrum, _check_tol, group_multiplicities, symmetric_eigenvalues
+    DEFAULT_GROUPING_TOL, Spectrum, _check_symmetric, group_multiplicities, symmetric_eigenvalues
 )
 
-DEFAULT_EQUITABLE_TOL = 1e-9
+EQUITABLE_TOL = 1e-9
 
 
 class NotEquitableError(ValueError):
@@ -51,7 +52,11 @@ class Partition:
 
 
 def make_partition(blocks) -> Partition:
-    return Partition(tuple(tuple(int(v) for v in block) for block in blocks))
+    """Blocks of integer vertices (numpy integers too); ValueError for any other vertex."""
+    try:
+        return Partition(tuple(tuple(map(operator.index, block)) for block in blocks))
+    except TypeError:
+        raise ValueError("partition blocks must hold integer vertices") from None
 
 
 def side_partition(n1: int, n2: int) -> Partition:
@@ -96,9 +101,8 @@ def quotient_matrix(matrix: np.ndarray, partition: Partition) -> np.ndarray:
     return (indicator.T @ rows) / np.array(partition.block_sizes, dtype=float)[:, None]
 
 
-def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_EQUITABLE_TOL) -> bool:
-    """True iff within every block pair all row sums agree to within tol (finite, >= 0)."""
-    _check_tol("equitable tolerance", tol, zero_ok=True)
+def is_equitable(matrix: np.ndarray, partition: Partition) -> bool:
+    """True iff within every block pair all row sums agree to within EQUITABLE_TOL."""
     _, rows = _row_sums(matrix, partition)
     # the rows block by block, then one max - min per block and column (every
     # block is nonempty, so each reduceat segment is exactly one block)
@@ -106,14 +110,11 @@ def is_equitable(matrix: np.ndarray, partition: Partition, tol: float = DEFAULT_
     sizes = np.array(partition.block_sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     spread = np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts)
-    return not (spread > tol).any()
+    return not (spread > EQUITABLE_TOL).any()
 
 
 def quotient_eigenvalues(
-    matrix: np.ndarray,
-    partition: Partition,
-    equitable_tol: float = DEFAULT_EQUITABLE_TOL,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
+    matrix: np.ndarray, partition: Partition, grouping_tol: float = DEFAULT_GROUPING_TOL
 ) -> Spectrum:
     """Eigenvalues of the quotient of a symmetric matrix under an equitable partition.
 
@@ -122,11 +123,13 @@ def quotient_eigenvalues(
     symmetric matrix C with c[i][j] = blocksum(i, j) / sqrt(|b_i| |b_j|)
     (conjugate by diag(sqrt(|b_i|))).  C is built directly from the
     upper triangle so it is exactly symmetric, then handed to the Jacobi
-    solver.
+    solver.  The matrix itself must pass the solver's symmetry check.
     """
-    if not is_equitable(matrix, partition, tol=equitable_tol):
+    if not is_equitable(matrix, partition):
         raise NotEquitableError("partition is not equitable for this matrix")
-    indicator, rows = _row_sums(matrix, partition)
+    a = np.asarray(matrix, dtype=float)  # is_equitable has rejected complex and non-finite entries
+    _check_symmetric(a, float(np.abs(a).max(initial=0.0)))
+    indicator, rows = _row_sums(a, partition)
     sizes = np.array(partition.block_sizes, dtype=float)
     upper = np.triu((indicator.T @ rows) / np.sqrt(np.outer(sizes, sizes)))
     c = upper + np.triu(upper, 1).T

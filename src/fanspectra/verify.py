@@ -234,24 +234,21 @@ def random_graph(order: int, rng: np.random.Generator) -> Graph:
     return Graph(order, frozenset(edges))
 
 
-def verify_random_joins(
-    pair_count: int = 100,
-    seed: int = 20260809,
-    max_order: int = 8,
-    tol: float = DEFAULT_CASE_TOL,
-) -> list[JoinCheck]:
-    """Check both join spectrum maps on seeded random pairs of graphs.
+def verify_random_joins(pair_count: int = 100, seed: int = 20260809) -> list[JoinCheck]:
+    """Check both join spectrum maps on pair_count (an integer >= 1) seeded
+    random pairs of graphs of order 1..8, each map to within DEFAULT_CASE_TOL.
 
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
-    _check_tol("tol", tol, zero_ok=False)
+    if not isinstance(pair_count, (int, np.integer)) or pair_count < 1:
+        raise ValueError("pair_count must be an integer >= 1")
     checks = []
     for k in range(pair_count):
         pair_seed = seed + k
         rng = np.random.default_rng(pair_seed)
-        n1 = int(rng.integers(1, max_order + 1))
-        n2 = int(rng.integers(1, max_order + 1))
+        n1 = int(rng.integers(1, 9))
+        n2 = int(rng.integers(1, 9))
         g1 = random_graph(n1, rng)
         g2 = random_graph(n2, rng)
         spec1 = symmetric_eigenvalues(laplacian_matrix(g1))
@@ -272,7 +269,7 @@ def verify_random_joins(
                 n2=n2,
                 laplacian_deviation=lap_dev,
                 distance_laplacian_deviation=dl_dev,
-                ok=lap_dev <= tol and dl_dev <= tol,
+                ok=lap_dev <= DEFAULT_CASE_TOL and dl_dev <= DEFAULT_CASE_TOL,
             )
         )
     return checks

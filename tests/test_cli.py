@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanspectra
-from fanspectra.cli import KIND_CHOICES, main
+from fanspectra.cli import KIND_CHOICES, build_parser, main
 from fanspectra.eigen import JacobiConvergenceError
+from fanspectra.verify import CASES
 
 
 def run(capsys, *argv):
@@ -146,6 +147,12 @@ class TestQuotientCommand:
         with pytest.raises(SystemExit) as exc:
             main(["quotient", "fan", "2", "3", "adjacency"])
         assert exc.value.code == 2  # argparse rejects the choice
+
+    def test_kinds_come_from_the_case_table_in_order(self, monkeypatch):
+        monkeypatch.setattr("fanspectra.cli.CASES", {**CASES, "fan-distance": ("fan", "distance")})
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        kind = next(a for a in commands.choices["quotient"]._actions if a.dest == "kind")
+        assert kind.choices == ["laplacian", "distance-laplacian", "distance"]
 
 
 class TestTablesCommand:

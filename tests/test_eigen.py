@@ -105,8 +105,13 @@ class TestSymmetricEigenvalues:
         assert np.array_equal(vals, [-1.0, 2.0, 3.0])
 
     def test_empty_and_single(self):
-        assert symmetric_eigenvalues(np.empty((0, 0))).size == 0
-        assert np.array_equal(symmetric_eigenvalues(np.array([[7.0]])), [7.0])
+        empty = symmetric_eigenvalues(np.empty((0, 0)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        # orders 0 and 1 take the general path; a 1 x 1 input comes back bit for bit
+        for value in (7.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308):
+            result = symmetric_eigenvalues(np.array([[value]]))
+            assert result.tobytes() == np.array([value]).tobytes()
+        assert symmetric_eigenvalues([[3]]).tobytes() == np.array([3.0]).tobytes()
 
     @given(order=st.integers(2, 48), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -151,8 +156,6 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.eye(2), convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            symmetric_eigenvalues(np.eye(2), sweep_cap=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -194,20 +197,22 @@ class TestSymmetricEigenvalues:
             np.testing.assert_allclose(symmetric_eigenvalues(a), [scale, 3 * scale], rtol=1e-9)
         np.testing.assert_array_equal(symmetric_eigenvalues(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
-    def test_sweep_cap_failure_carries_diagnostics(self):
+    def test_sweep_cap_failure_carries_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(eigen, "SWEEP_CAP", 1)  # read when the solve runs
         a = random_symmetric(8, seed=3)
-        with pytest.raises(JacobiConvergenceError, match="off-diagonal norm"):
-            symmetric_eigenvalues(a, sweep_cap=1)
+        with pytest.raises(JacobiConvergenceError, match="^no convergence after 1 sweeps: off-diagonal norm"):
+            symmetric_eigenvalues(a)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12, 0.0, -0.0])
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="^convergence_tol must be finite and positive$"):
             symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
 
-    def test_diagnostics_are_in_the_units_of_the_input(self):
+    def test_diagnostics_are_in_the_units_of_the_input(self, monkeypatch):
+        monkeypatch.setattr(eigen, "SWEEP_CAP", 1)
         a = random_symmetric(8, seed=3) * 1e100
         with pytest.raises(JacobiConvergenceError) as caught:
-            symmetric_eigenvalues(a, sweep_cap=1)
+            symmetric_eigenvalues(a)
         initial = float(re.search(r"initial ([-+.e0-9]+)", str(caught.value)).group(1))
         off_diagonal = a - np.diag(np.diag(a))
         assert initial == pytest.approx(np.sqrt(np.sum(off_diagonal**2)), rel=1e-3)

@@ -304,6 +304,18 @@ class TestValidationAndExport:
         with pytest.raises(ValueError):
             Graph(2, frozenset({(0, 5)}))
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None, -1])
+    def test_rejects_a_vertex_count_that_is_not_a_non_negative_integer(self, count):
+        # rejected at construction, not later as a TypeError from the first matrix
+        with pytest.raises(ValueError, match="^vertex_count must be a non-negative integer$"):
+            Graph(count, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="non-negative"):
+            make_graph(count, [(0, 1)])
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_accepts_a_numpy_integer_vertex_count(self, integer):
+        assert np.array_equal(adjacency_matrix(Graph(integer(2), frozenset({(0, 1)}))), [[0, 1], [1, 0]])
+
     @pytest.mark.parametrize(
         "edge", [(0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1")]
     )

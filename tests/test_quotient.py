@@ -9,6 +9,7 @@ from fanspectra.eigen import symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 from fanspectra.quotient import (
+    EQUITABLE_TOL,
     NotEquitableError,
     fan_partition,
     is_equitable,
@@ -44,6 +45,19 @@ class TestPartitionValidation:
     def test_vertices_in_range(self):
         with pytest.raises(ValueError):
             make_partition([[0, 7]]).validate_for(2)
+
+    @pytest.mark.parametrize(
+        "blocks", [[[0, 2.9], [1]], [[0, 2.0], [1]], [["1"], [0]], [[np.float64(0)], [1]], [[0], 1]]
+    )
+    def test_vertices_must_be_integers(self, blocks):
+        # truncation would silently make [[0, 2.9], [1]] the partition {0, 2}, {1}
+        with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
+            make_partition(blocks)
+
+    def test_numpy_integer_vertices_are_accepted(self):
+        partition = make_partition([np.array([0, 2]), [np.int32(1)]])
+        assert partition.blocks == ((0, 2), (1,))
+        assert all(type(v) is int for block in partition.blocks for v in block)
 
 
 class TestQuotientMatrix:
@@ -100,7 +114,7 @@ class TestAgainstBlockLoops:
         assert np.array_equal(quotient_matrix(a, partition), sums / sizes[:, None])
         spreads = [np.ptp(a[np.ix_(bi, bj)].sum(axis=1)) for bi in partition.blocks
                    for bj in partition.blocks]
-        assert is_equitable(a, partition, tol=0.0) == (max(spreads) == 0.0)
+        assert is_equitable(a, partition) == (max(spreads) == 0.0)  # integer spreads: 0 or >= 1
 
 
 class TestEquitability:
@@ -132,19 +146,11 @@ class TestEquitability:
         # on the path 0-1-2-3 vertex 0 has one neighbor in {1, 3} and vertex 2 has two
         assert not is_equitable(laplacian_matrix(path_graph(4)), ALTERNATE)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
-    def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        # P3 with blocks {0}, {1, 2} is not equitable; a NaN tolerance used to pass it
-        # and give the quotient spectrum {0, 1.5}, which is not in P3's {0, 1, 3}
-        lap = laplacian_matrix(path_graph(3))
-        partition = make_partition([[0], [1, 2]])
-        with pytest.raises(ValueError, match="^equitable tolerance must be finite and non-negative$"):
-            is_equitable(lap, partition, tol=tol)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            quotient_eigenvalues(lap, partition, equitable_tol=tol)
-
-    def test_zero_tolerance_is_exact(self):
-        assert is_equitable(laplacian_matrix(CYCLE4), ALTERNATE, tol=0.0)
+    def test_a_spread_of_exactly_the_tolerance_is_equitable(self):
+        # vertices 0 and 1 share a block; their row sums toward block {2} are 0 and d
+        for d, equitable in ((EQUITABLE_TOL, True), (2 * EQUITABLE_TOL, False)):
+            a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, d], [0.0, d, 0.0]])
+            assert is_equitable(a, make_partition([[0, 1], [2]])) == equitable
 
 
 class TestNonFiniteInput:
@@ -192,6 +198,20 @@ class TestQuotientEigenvalues:
             np.testing.assert_allclose(symmetric_eigenvalues(matrix), full, atol=1e-12)
             spectrum = quotient_eigenvalues(matrix, ALTERNATE)
             np.testing.assert_allclose(spectrum.expanded(), [0.0, 4.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.0, 1.0], [0.0, 0.0]],  # eigenvalues 0, 0; its upper triangle's are -1, 1
+            [[2.0, 1.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # 3, -1, 1; its upper triangle's are 1 -+ sqrt 2, 1
+        ],
+    )
+    def test_a_non_symmetric_matrix_is_rejected(self, matrix):
+        partition = singleton_partition(len(matrix))
+        assert is_equitable(matrix, partition)  # singletons are equitable for any matrix
+        for call in (symmetric_eigenvalues, lambda a: quotient_eigenvalues(a, partition)):
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                call(matrix)
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=20, deadline=None)

@@ -88,8 +88,6 @@ class TestVerifyCase:
             verify_case("fan", 2, 2, "laplacian", tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             sweep((2, 3), (2, 3), tol=tol)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            verify_random_joins(pair_count=1, tol=tol)
 
 
 class TestCaseTable:
@@ -198,3 +196,12 @@ class TestRandomJoins:
     def test_checks_record_their_seeds(self):
         checks = verify_random_joins(pair_count=3, seed=999)
         assert [c.seed for c in checks] == [999, 1000, 1001]
+
+    @pytest.mark.parametrize("pair_count", [0, -3, 2.0, "2", None])
+    def test_pair_count_must_be_an_integer_of_at_least_one(self, pair_count):
+        # zero pairs would make all(c.ok ...) pass vacuously
+        with pytest.raises(ValueError, match="^pair_count must be an integer >= 1$"):
+            verify_random_joins(pair_count=pair_count)
+
+    def test_numpy_integer_pair_count(self):
+        assert [c.seed for c in verify_random_joins(pair_count=np.int64(2), seed=5)] == [5, 6]
