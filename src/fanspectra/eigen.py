@@ -5,14 +5,17 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 15 array calls into buffers made once per solve, with
+is a fixed sequence of 16 array calls into buffers made once per solve, with
 constants cached once per order, so it allocates nothing.  At the orders
 verified here its cost is those calls, not their arithmetic, so each call
 passes its output positionally and takes array operands, never Python floats.
-Each pair gets the symmetric reflection H = [[c, -s], [-s, -c]] (a rotation
-then a sign flip), so H A H is two products with one view over [c, -s, -c]
-and sets the new diagonal; the gather to the next round's slots zeroes the
-pivots a_pq and a_qp, copying them from a zero entry past the spare matrix.
+Each pair (2i, 2i+1) gets the rotation J = [[c, s], [-s, c]] (Golub & Van
+Loan, symSchur2).  Read as complex128, row r of a matrix holds the numbers
+A[r, 2i] + i A[r, 2i+1], so A J is that view times c_i + i s_i: the round
+writes the phases into every row of whichever buffer is free, multiplies
+(A J), copies the transpose (J^T A) and multiplies again (J^T A J).  The
+gather to the next round's slots zeroes the pivots a_pq and a_qp, copying
+them from a zero entry past the spare matrix.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -157,18 +160,17 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
     h = m // 2
     work, spare_buffer = np.zeros((m, m)), np.zeros(m * m + 1)  # spare, then a zero
     spare = spare_buffer[: m * m].reshape(m, m)
-    spare_t = spare.T
+    work_t = work.T
     work[:n, :n] = a
     np.ldexp(work, -1 - exponent, out=work)
-    spare[...] = work.T
+    spare[...] = work_t
     np.add(work, spare, work)  # the exact symmetric part
     flat_work = work.reshape(-1)
-    pairs_work, pairs_spare = work.reshape(h, 2, m), spare.reshape(h, 2, m)
+    pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
     app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
-    reflection_buffer = np.empty((h, 3))  # [c, -s, -c], read as H per pair
-    cos, minus_sin, minus_cos = reflection_buffer.T
-    reflection = np.ndarray((h, 2, 2), float, reflection_buffer, 0, (24, 8, 8))
+    phase = np.empty(m)  # c_0, s_0, c_1, s_1, ...: one row of the phase table
+    cos, sin = phase[0::2], phase[1::2]
     gap, t, norm = np.empty(h), np.empty(h), np.empty(h)
     gather, gap_floor, one = _round_plan(m)
 
@@ -188,11 +190,12 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
                 np.divide(t, norm, t)
                 np.hypot(t, one, norm)
                 np.reciprocal(norm, cos)
-                np.negative(cos, minus_cos)
-                np.multiply(t, minus_cos, minus_sin)
-                np.matmul(reflection, pairs_work, pairs_spare)  # H A
-                work[...] = spare_t
-                np.matmul(reflection, pairs_work, pairs_spare)  # H A H
+                np.multiply(t, cos, sin)
+                spare[...] = phase  # the phase table, in the free buffer
+                np.multiply(pairs_work, pairs_spare, pairs_work)  # A J
+                spare[...] = work_t  # J^T A
+                work[...] = phase
+                np.multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
                 # to the next round's slots; the pivots, at roundoff level, become 0
                 spare_buffer.take(gather, None, flat_work, "clip")
             remaining = _off_norm(work, spare)

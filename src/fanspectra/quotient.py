@@ -32,6 +32,15 @@ class Partition:
 
     blocks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # integer vertices (numpy integers too), stored as Python ints: truncation
+        # would silently make ((0, 2.9), (1,)) the partition {0, 2}, {1}
+        try:
+            blocks = tuple(tuple(map(operator.index, block)) for block in self.blocks)
+        except TypeError:
+            raise ValueError("partition blocks must hold integer vertices") from None
+        object.__setattr__(self, "blocks", blocks)
+
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -53,10 +62,7 @@ class Partition:
 
 def make_partition(blocks) -> Partition:
     """Blocks of integer vertices (numpy integers too); ValueError for any other vertex."""
-    try:
-        return Partition(tuple(tuple(map(operator.index, block)) for block in blocks))
-    except TypeError:
-        raise ValueError("partition blocks must hold integer vertices") from None
+    return Partition(blocks)
 
 
 def side_partition(n1: int, n2: int) -> Partition:

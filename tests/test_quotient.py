@@ -11,6 +11,7 @@ from fanspectra.matrices import distance_laplacian, laplacian_matrix
 from fanspectra.quotient import (
     EQUITABLE_TOL,
     NotEquitableError,
+    Partition,
     fan_partition,
     is_equitable,
     make_partition,
@@ -46,18 +47,27 @@ class TestPartitionValidation:
         with pytest.raises(ValueError):
             make_partition([[0, 7]]).validate_for(2)
 
+    @pytest.mark.parametrize("construct", [make_partition, Partition])
     @pytest.mark.parametrize(
         "blocks", [[[0, 2.9], [1]], [[0, 2.0], [1]], [["1"], [0]], [[np.float64(0)], [1]], [[0], 1]]
     )
-    def test_vertices_must_be_integers(self, blocks):
+    def test_vertices_must_be_integers(self, construct, blocks):
         # truncation would silently make [[0, 2.9], [1]] the partition {0, 2}, {1}
         with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
-            make_partition(blocks)
+            construct(blocks)
 
-    def test_numpy_integer_vertices_are_accepted(self):
-        partition = make_partition([np.array([0, 2]), [np.int32(1)]])
+    @pytest.mark.parametrize("construct", [make_partition, Partition])
+    def test_numpy_integer_vertices_are_accepted(self, construct):
+        partition = construct([np.array([0, 2]), [np.int32(1)]])
         assert partition.blocks == ((0, 2), (1,))
         assert all(type(v) is int for block in partition.blocks for v in block)
+
+    @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
+    def test_direct_construction_is_checked_before_any_quotient(self, call):
+        # once an IndexError from inside numpy, which the CLI does not map to exit 3
+        lap = laplacian_matrix(path_graph(3))
+        with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
+            call(lap, Partition(((0, 2.9), (1,))))
 
 
 class TestQuotientMatrix:
