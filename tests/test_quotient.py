@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanspectra.eigen import symmetric_eigenvalues
+from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 from fanspectra.quotient import (
@@ -125,6 +125,38 @@ class TestAgainstBlockLoops:
         spreads = [np.ptp(a[np.ix_(bi, bj)].sum(axis=1)) for bi in partition.blocks
                    for bj in partition.blocks]
         assert is_equitable(a, partition) == (max(spreads) == 0.0)  # integer spreads: 0 or >= 1
+
+
+def symmetrised_quotient_pairs(matrix, partition):
+    """Reference: c[i][j] = blocksum(i, j) / sqrt(|b_i| |b_j|) from the upper
+    triangle, mirrored, then solved and grouped."""
+    sizes = np.array(partition.block_sizes, dtype=float)
+    upper = np.triu(block_sums_by_loops(matrix, partition) / np.sqrt(np.outer(sizes, sizes)))
+    return group_multiplicities(symmetric_eigenvalues(upper + np.triu(upper, 1).T)).pairs
+
+
+FAMILY_GRIDS = {
+    "fan": (generalized_fan, fan_partition, range(1, 13)),
+    "nc": (nc_graph, nc_partition, range(2, 13)),
+}
+
+
+class TestBitIdentityOnTheFamilies:
+    # Laplacian and distance Laplacian entries are integers, so every block sum
+    # is exact in any summation order and the references pin the outputs bit for bit
+    @pytest.mark.parametrize("build", [laplacian_matrix, distance_laplacian])
+    @pytest.mark.parametrize("family", sorted(FAMILY_GRIDS))
+    def test_quotient_layer_matches_the_block_loops(self, family, build):
+        graph, canonical, params = FAMILY_GRIDS[family]
+        for m in params:
+            for n in params:
+                matrix, partition = build(graph(m, n)), canonical(m, n)
+                sizes = np.array(partition.block_sizes, dtype=float)
+                expected = block_sums_by_loops(matrix, partition) / sizes[:, None]
+                assert np.array_equal(quotient_matrix(matrix, partition), expected), (m, n)
+                assert is_equitable(matrix, partition) is True, (m, n)
+                pairs = quotient_eigenvalues(matrix, partition).pairs
+                assert pairs == symmetrised_quotient_pairs(matrix, partition), (m, n)
 
 
 class TestEquitability:
