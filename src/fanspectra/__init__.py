@@ -53,7 +53,6 @@ from .quotient import (
     Partition,
     fan_partition,
     is_equitable,
-    make_partition,
     nc_partition,
     quotient_eigenvalues,
     quotient_matrix,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .eigen import Multiset, _expand, group_multiplicities
+from .eigen import Multiset, _check_integers, _expand, group_multiplicities
 
 MERGE_TOL = 1e-9
 
@@ -89,6 +89,7 @@ def _path_values(n: int) -> list[float]:
 
 def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("path spectrum requires n >= 1")
     return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
@@ -110,6 +111,7 @@ def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectru
     The result is {0, n1+n2} together with every nonzero-slot eigenvalue
     of the first part shifted by n2 and of the second part shifted by n1.
     """
+    _check_integers(n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     return _spectrum("join-laplacian", [(n1 + n2, 1)], [(rest1, n2, 1, 1), (rest2, n1, 1, 1)])
@@ -122,15 +124,17 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     {0, n1+n2} plus n2+2n1-lambda_i and n1+2n2-mu_j over the nonzero-slot
     eigenvalues of the two parts.
     """
+    _check_integers(n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     parts = [(rest1, n2 + 2 * n1, -1, 1), (rest2, n1 + 2 * n2, -1, 1)]
     return _spectrum("join-distance-laplacian", [(n1 + n2, 1)], parts)
 
 
-def _check_fan(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("fan spectrum requires m >= 1 and n >= 1")
+def _check_domain(what: str, m: int, n: int, least: int) -> None:
+    _check_integers(m=m, n=n)
+    if m < least or n < least:
+        raise ValueError(f"{what} spectrum requires m >= {least} and n >= {least}")
 
 
 def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
@@ -139,7 +143,7 @@ def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     {0, m+n}, n with multiplicity m-1, and m + 2 - 2 cos(pi j / n) for
     j = 1..n-1.
     """
-    _check_fan(m, n)
+    _check_domain("fan", m, n, 1)
     return _spectrum("fan-laplacian", [(m + n, 1), (n, m - 1)], [(_path_values(n), m, 1, 1)])
 
 
@@ -151,7 +155,7 @@ def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     its rounding differs in the last bits for some (m, n), so the cosines
     are scaled here instead.
     """
-    _check_fan(m, n)
+    _check_domain("fan", m, n, 1)
     cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
     return _spectrum(
         "fan-distance-laplacian",
@@ -167,7 +171,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     Kept only so the cardinality defect can be demonstrated; it is not a
     valid spectrum for the (m+n)-vertex fan.
     """
-    _check_fan(m, n)
+    _check_domain("fan", m, n, 1)
     values = [0.0, float(m + n)] + [float(m + n)] * (m - 1)
     values += [m + 2 * n - 2 + 2 * math.cos(math.pi * j / n) for j in range(n)]
     return sorted(values)
@@ -186,8 +190,6 @@ def _pair_class(m: int, n: int, source: str, note: str, top, hubs, quadratic, of
     """{0, top}, both hub values with multiplicity m-1, the roots of x^2 - b x + c
     for quadratic = (b, c), and offset + scale * lambda twice over the path's
     nonzero Laplacian eigenvalues lambda."""
-    if m < 2 or n < 2:
-        raise ValueError("pair-class spectrum requires m >= 2 and n >= 2")
     lo, hi = _quadratic_roots(*quadratic)
     terms = [(top, 1), (hubs[0], m - 1), (hubs[1], m - 1), (lo, 1), (hi, 1)]
     return _spectrum(source, terms, [(_path_values(n), offset, scale, 2)], (note,))
@@ -200,6 +202,7 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     multiplicity m-1, {0, m+n}, and the two roots of
     x^2 - (m+n+2) x + 2m.
     """
+    _check_domain("pair-class", m, n, 2)
     return _pair_class(
         m, n, "nc-laplacian", NC_LAPLACIAN_NOTE,
         top=m + n, hubs=(n, n + 2), quadratic=(float(m + n + 2), 2.0 * m), offset=m, scale=1,
@@ -214,6 +217,7 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     (9(n+m) - 4)/2 +- sqrt(A)/2 with
     A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
     """
+    _check_domain("pair-class", m, n, 2)
     c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
     return _pair_class(
         m, n, "nc-distance-laplacian", NC_DISTANCE_LAPLACIAN_NOTE,

@@ -77,6 +77,25 @@ def _check_tol(name: str, value: float, zero_ok: bool) -> None:
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
 
 
+def _check_integers(**values) -> None:
+    """ValueError naming the first value that is not an integer (a numpy integer
+    is one): a float or string size would otherwise pass, or fail later with a
+    TypeError about something else."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real_square(matrix) -> np.ndarray:
+    """matrix as a float array; ValueError for complex entries or any shape but n x n."""
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix entries must be real")
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def _expand(spectrum_like) -> list[float]:
     """A multiset's values with repeats, or a plain sequence's values, as floats."""
     if hasattr(spectrum_like, "expanded"):
@@ -134,11 +153,7 @@ def symmetric_eigenvalues(
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
     convergence_tol that is not finite and positive.
     """
-    if np.iscomplexobj(matrix):
-        raise ValueError("matrix entries must be real")
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _real_square(matrix)
     # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
     scale = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(scale):

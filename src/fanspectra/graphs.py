@@ -32,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from typing import Iterable
 
 import numpy as np
+
+from .eigen import _check_integers
 
 UNREACHABLE = -1
 
@@ -111,6 +113,7 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def null_graph(m: int) -> Graph:
     """Graph on m >= 1 vertices with no edges."""
+    _check_integers(m=m)
     if m < 1:
         raise ValueError("null_graph requires m >= 1")
     return Graph(m, frozenset())
@@ -118,6 +121,7 @@ def null_graph(m: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("path_graph requires n >= 1")
     return Graph(n, frozenset({(i, i + 1) for i in range(n - 1)}))
@@ -136,6 +140,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 def generalized_fan(m: int, n: int) -> Graph:
     """Fan with m hubs over an n-vertex path: path vertices 0..n-1, hubs n..n+m-1."""
+    _check_integers(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("generalized_fan requires m >= 1 and n >= 1")
     return join(path_graph(n), null_graph(m))
@@ -147,15 +152,20 @@ def nc_graph(m: int, n: int) -> Graph:
     Defined for m >= 2 and n >= 2 only; has 2(m+n) vertices and
     2(n-1+mn) + m edges.
     """
+    _check_integers(m=m, n=n)
     if m < 2 or n < 2:
         raise ValueError("nc_graph requires m >= 2 and n >= 2")
-    hubs1 = range(n, n + m)
-    hubs2 = range(n + m, n + 2 * m)
-    path2 = range(n + 2 * m, 2 * (n + m))
+    _, hubs1, hubs2, path2 = _consecutive(n, m, m, n)
     edges = {(i, i + 1) for i in range(n - 1)}
     edges.update(zip(path2, path2[1:]), zip(hubs1, hubs2))
     edges.update(product(range(n), hubs1), product(hubs2, path2))
     return Graph(2 * (m + n), frozenset(edges))
+
+
+def _consecutive(*sizes: int) -> list[range]:
+    """Runs of the given sizes over the vertices 0, 1, 2, ... in order."""
+    ends = list(accumulate(sizes))
+    return list(map(range, [0, *ends], ends))
 
 
 def _adjacency(g: Graph) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Vertex partitions, quotient matrices, and equitable-partition spectra.
 
-The quotient of a matrix M under an ordered partition averages each
-block row: b[i][j] = (sum of the entries of block M_ij) / |block i|.
-A partition is equitable when every row inside a block has the same sum
-toward every other block; then the quotient's eigenvalues are a subset
-of M's.
+A ``Partition`` is checked once, when it is built: its nonempty blocks
+hold each of the vertices 0..N-1 exactly once.  The quotient of a real
+square matrix M of order N averages each block row: b[i][j] = (sum of
+the entries of block M_ij) / |block i|.  The partition is equitable when
+every row inside a block has the same sum toward every other block; then
+the quotient's eigenvalues are a subset of M's.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (
-    DEFAULT_GROUPING_TOL, Spectrum, _check_symmetric, group_multiplicities, symmetric_eigenvalues
+    DEFAULT_GROUPING_TOL, Spectrum, _check_integers, _check_symmetric, _real_square,
+    group_multiplicities, symmetric_eigenvalues,
 )
+from .graphs import _consecutive
 
 EQUITABLE_TOL = 1e-9
 
@@ -28,7 +31,7 @@ class NotEquitableError(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered list of disjoint vertex blocks covering 0..order-1."""
+    """Ordered nonempty blocks that hold each of the vertices 0..N-1 exactly once."""
 
     blocks: tuple[tuple[int, ...], ...]
 
@@ -39,61 +42,52 @@ class Partition:
             blocks = tuple(tuple(map(operator.index, block)) for block in self.blocks)
         except TypeError:
             raise ValueError("partition blocks must hold integer vertices") from None
+        if not all(blocks):
+            raise ValueError("partition blocks must be nonempty")
+        vertices = sorted(itertools.chain.from_iterable(blocks))
+        if vertices != list(range(len(vertices))):
+            raise ValueError(f"partition must cover vertices 0..{len(vertices) - 1} exactly once")
         object.__setattr__(self, "blocks", blocks)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    def validate_for(self, order: int) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("partition blocks must be nonempty")
-            for v in block:
-                if not 0 <= v < order:
-                    raise ValueError(f"vertex {v} out of range for order {order}")
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in more than one block")
-                seen.add(v)
-        if len(seen) != order:
-            raise ValueError("partition must cover every vertex exactly once")
-
-
-def make_partition(blocks) -> Partition:
-    """Blocks of integer vertices (numpy integers too); ValueError for any other vertex."""
-    return Partition(blocks)
-
 
 def side_partition(n1: int, n2: int) -> Partition:
     """Two blocks: the first n1 indices, then the next n2."""
-    return make_partition([range(n1), range(n1, n1 + n2)])
+    _check_integers(n1=n1, n2=n2)
+    return Partition(_consecutive(n1, n2))
 
 
 def fan_partition(m: int, n: int) -> Partition:
     """Path block then hub block, matching the fan's vertex ordering."""
-    return side_partition(n, m)
+    _check_integers(m=m, n=n)
+    return Partition(_consecutive(n, m))
 
 
 def nc_partition(m: int, n: int) -> Partition:
     """Four blocks: first path, first hubs, second hubs, second path."""
-    return make_partition(
-        [range(n), range(n, n + m), range(n + m, n + 2 * m), range(n + 2 * m, 2 * n + 2 * m)]
-    )
+    _check_integers(m=m, n=n)
+    return Partition(_consecutive(n, m, m, n))
+
+
+def _layout(partition: Partition) -> np.ndarray:
+    """The vertices block by block: block 0's in its order, then block 1's, and so on."""
+    return np.fromiter(itertools.chain.from_iterable(partition.blocks), np.intp)
 
 
 def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I,
-    whose entry (v, j) is the sum of row v over block j.  Each entry enters one
-    sum with weight 1, so a NaN or inf entry (or an overflow) makes a non-finite
-    sum, reported as a ValueError (as is complex input) rather than numpy's inf * 0 warning."""
-    if np.iscomplexobj(matrix):
-        raise ValueError("matrix entries must be real")
-    matrix = np.asarray(matrix, dtype=float)
-    partition.validate_for(matrix.shape[0])
-    indicator = np.zeros((matrix.shape[0], len(partition.blocks)))
-    for j, block in enumerate(partition.blocks):
-        indicator[list(block), j] = 1.0
+    """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I, whose
+    entry (v, j) is row v's sum over block j.  Each entry enters one sum with weight 1,
+    so a NaN or inf entry (or an overflow) makes a non-finite sum: a ValueError, as is
+    a complex, non-square or wrongly sized matrix, rather than numpy's inf * 0 warning."""
+    matrix = _real_square(matrix)
+    vertices, sizes = _layout(partition), partition.block_sizes
+    if len(vertices) != matrix.shape[0]:
+        raise ValueError(f"partition of order {len(vertices)} for a matrix of order {len(matrix)}")
+    indicator = np.zeros((len(vertices), len(sizes)))
+    indicator[vertices, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         rows = matrix @ indicator
     if not np.isfinite(rows).all():
@@ -112,9 +106,8 @@ def is_equitable(matrix: np.ndarray, partition: Partition) -> bool:
     _, rows = _row_sums(matrix, partition)
     # the rows block by block, then one max - min per block and column (every
     # block is nonempty, so each reduceat segment is exactly one block)
-    grouped = rows[np.fromiter(itertools.chain.from_iterable(partition.blocks), np.intp, len(rows))]
-    sizes = np.array(partition.block_sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    grouped = rows[_layout(partition)]
+    starts = np.cumsum((0, *partition.block_sizes))[:-1]
     spread = np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts)
     return not (spread > EQUITABLE_TOL).any()
 

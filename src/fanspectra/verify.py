@@ -35,7 +35,9 @@ from .closed_forms import (
     nc_distance_laplacian_spectrum,
     nc_laplacian_spectrum,
 )
-from .eigen import Spectrum, _check_tol, _expand, group_multiplicities, symmetric_eigenvalues
+from .eigen import (
+    Spectrum, _check_integers, _check_tol, _expand, group_multiplicities, symmetric_eigenvalues
+)
 from .graphs import Graph, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
 from .quotient import Partition, fan_partition, nc_partition, quotient_eigenvalues
@@ -186,6 +188,8 @@ def sweep(
     leaves no case at all is a ValueError, not an empty pass.  Failing
     reports are kept, never raised; callers decide what a failure means.
     """
+    (m_low, m_high), (n_low, n_high) = m_range, n_range
+    _check_integers(m_low=m_low, m_high=m_high, n_low=n_low, n_high=n_high)
     for lo, hi in (m_range, n_range):
         if not (1 <= lo <= hi <= MAX_SWEEP_PARAM):
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")

@@ -107,6 +107,45 @@ class TestJoinMaps:
             join_laplacian_spectrum([0.0, 1.0], 3, [0.0], 1)
 
 
+class TestSizesMustBeIntegers:
+    # each was once a TypeError (or, for the join maps, silently accepted n1 = 2.0)
+    @pytest.mark.parametrize("size", [2.5, "3"])
+    @pytest.mark.parametrize(
+        "form, name",
+        [
+            (lambda s: path_laplacian_spectrum(s), "n"),
+            (lambda s: fan_laplacian_spectrum(s, 3), "m"),
+            (lambda s: fan_distance_laplacian_spectrum(3, s), "n"),
+            (lambda s: fan_distance_laplacian_as_stated(2, s), "n"),
+            (lambda s: nc_laplacian_spectrum(s, 3), "m"),
+            (lambda s: nc_distance_laplacian_spectrum(2, s), "n"),
+            (lambda s: join_laplacian_spectrum([0, 1.0], s, [0.0], 1), "n1"),
+            (lambda s: join_distance_laplacian_spectrum([0.0], 1, [0, 1.0], s), "n2"),
+        ],
+    )
+    def test_a_size_that_is_not_an_integer_is_rejected(self, form, name, size):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {size!r}$"):
+            form(size)
+
+    def test_a_whole_float_order_is_rejected_by_the_join_maps(self):
+        for join_map in (join_laplacian_spectrum, join_distance_laplacian_spectrum):
+            with pytest.raises(ValueError, match="^n1 must be an integer, got 2.0$"):
+                join_map([0, 1.0], 2.0, [0.0], 1)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        m, n = np.int64(3), np.int32(4)
+        assert nc_laplacian_spectrum(m, n) == nc_laplacian_spectrum(3, 4)
+        assert fan_distance_laplacian_spectrum(m, n) == fan_distance_laplacian_spectrum(3, 4)
+        assert join_laplacian_spectrum([0.0], np.int64(1), [0.0], 1).pairs == ((0.0, 1), (2.0, 1))
+
+    def test_the_domain_messages_are_unchanged(self):
+        with pytest.raises(ValueError, match=r"^fan spectrum requires m >= 1 and n >= 1$"):
+            fan_laplacian_spectrum(0, 3)
+        for form in (nc_laplacian_spectrum, nc_distance_laplacian_spectrum):
+            with pytest.raises(ValueError, match=r"^pair-class spectrum requires m >= 2 and n >= 2$"):
+                form(2, 1)
+
+
 class TestNcLaplacian:
     def test_two_two(self):
         expected = [0.0, 3 - SQRT5, 2.0, 4.0, 4.0, 4.0, 4.0, 3 + SQRT5]

@@ -312,6 +312,29 @@ class TestValidationAndExport:
         with pytest.raises(ValueError, match="non-negative"):
             make_graph(count, [(0, 1)])
 
+    @pytest.mark.parametrize("size", [2.5, "3", 3.0])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda s: nc_graph(s, 3), "m"),
+            (lambda s: nc_graph(3, s), "n"),
+            (path_graph, "n"),
+            (null_graph, "m"),
+            (lambda s: generalized_fan(2, s), "n"),
+            (lambda s: generalized_fan(s, 2), "m"),
+        ],
+    )
+    def test_builders_reject_a_size_that_is_not_an_integer(self, build, name, size):
+        # once a TypeError from range() or from comparing a string with 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {size!r}$"):
+            build(size)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_builders_accept_numpy_integer_sizes(self, integer):
+        assert nc_graph(integer(2), integer(3)) == nc_graph(2, 3)
+        assert generalized_fan(integer(2), integer(3)) == generalized_fan(2, 3)
+        assert path_graph(integer(3)) == path_graph(3)
+
     @pytest.mark.parametrize("integer", [np.int64, np.uint8])
     def test_accepts_a_numpy_integer_vertex_count(self, integer):
         assert np.array_equal(adjacency_matrix(Graph(integer(2), frozenset({(0, 1)}))), [[0, 1], [1, 0]])

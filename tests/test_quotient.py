@@ -1,5 +1,8 @@
 """Partition, quotient matrix, and equitable-spectrum tests."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,6 @@ from fanspectra.quotient import (
     Partition,
     fan_partition,
     is_equitable,
-    make_partition,
     nc_partition,
     quotient_eigenvalues,
     quotient_matrix,
@@ -23,44 +25,52 @@ from fanspectra.quotient import (
 
 
 def singleton_partition(order):
-    return make_partition([[v] for v in range(order)])
+    return Partition([[v] for v in range(order)])
 
 
 CYCLE4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-ALTERNATE = make_partition([[0, 2], [1, 3]])  # interleaved, not contiguous, blocks
+ALTERNATE = Partition([[0, 2], [1, 3]])  # interleaved, not contiguous, blocks
 
 
 class TestPartitionValidation:
+    # a partition is checked when built; its order N is the number of vertices listed
     def test_blocks_must_cover(self):
-        with pytest.raises(ValueError):
-            make_partition([[0], [1]]).validate_for(3)
+        with pytest.raises(ValueError, match=r"^partition must cover vertices 0\.\.1 exactly once$"):
+            Partition([[0], [2]])  # a gap
 
     def test_blocks_must_be_disjoint(self):
-        with pytest.raises(ValueError):
-            make_partition([[0, 1], [1, 2]]).validate_for(3)
+        # a vertex in two blocks, or twice in one
+        for blocks, top in (([[0, 1], [1, 2]], 3), ([[0, 0], [1]], 2)):
+            with pytest.raises(ValueError, match=rf"^partition must cover vertices 0\.\.{top} exactly"):
+                Partition(blocks)
 
     def test_blocks_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            make_partition([[0, 1], []]).validate_for(2)
+        with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
+            Partition([[0, 1], []])
 
     def test_vertices_in_range(self):
-        with pytest.raises(ValueError):
-            make_partition([[0, 7]]).validate_for(2)
+        for blocks in ([[0, 7]], [[-1, 0]]):
+            with pytest.raises(ValueError, match=r"^partition must cover vertices 0\.\.1 exactly once$"):
+                Partition(blocks)
 
-    @pytest.mark.parametrize("construct", [make_partition, Partition])
     @pytest.mark.parametrize(
         "blocks", [[[0, 2.9], [1]], [[0, 2.0], [1]], [["1"], [0]], [[np.float64(0)], [1]], [[0], 1]]
     )
-    def test_vertices_must_be_integers(self, construct, blocks):
+    def test_vertices_must_be_integers(self, blocks):
         # truncation would silently make [[0, 2.9], [1]] the partition {0, 2}, {1}
         with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
-            construct(blocks)
+            Partition(blocks)
 
-    @pytest.mark.parametrize("construct", [make_partition, Partition])
-    def test_numpy_integer_vertices_are_accepted(self, construct):
-        partition = construct([np.array([0, 2]), [np.int32(1)]])
+    def test_numpy_integer_vertices_are_accepted(self):
+        partition = Partition([np.array([0, 2]), [np.int32(1)]])
         assert partition.blocks == ((0, 2), (1,))
         assert all(type(v) is int for block in partition.blocks for v in block)
+
+    def test_a_partition_compares_and_pickles_by_its_blocks(self):
+        partition = nc_partition(2, 3)
+        assert partition == Partition([range(3), (3, 4), [5, 6], np.arange(7, 10)])
+        assert pickle.loads(pickle.dumps(partition)) == partition
+        assert vars(partition) == {"blocks": partition.blocks}
 
     @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
     def test_direct_construction_is_checked_before_any_quotient(self, call):
@@ -68,6 +78,34 @@ class TestPartitionValidation:
         lap = laplacian_matrix(path_graph(3))
         with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
             call(lap, Partition(((0, 2.9), (1,))))
+
+    @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_a_partition_of_another_order_is_rejected(self, call, order):
+        lap = laplacian_matrix(path_graph(order))
+        with pytest.raises(ValueError, match=f"^partition of order 3 for a matrix of order {order}$"):
+            call(lap, Partition(((0, 2), (1,))))
+
+    @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
+    @pytest.mark.parametrize("shape", [(3,), (3, 3, 3), (2, 3), (3, 2)])
+    def test_a_matrix_that_is_not_square_is_rejected(self, call, shape):
+        # a 1-D or 3-D matrix once passed as equitable, and 2x3 failed inside numpy's matmul
+        expected = rf"^expected a square matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=expected):
+            call(np.zeros(shape), Partition(((0, 1, 2),)))
+
+    @pytest.mark.parametrize("size", [2.5, "3"])
+    @pytest.mark.parametrize(
+        "build", [side_partition, fan_partition, nc_partition, lambda a, b: side_partition(b, a)]
+    )
+    def test_canonical_partitions_reject_a_size_that_is_not_an_integer(self, build, size):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            build(size, 2)
+
+    def test_canonical_partitions_reject_an_empty_block(self):
+        for build in (side_partition, fan_partition, nc_partition):
+            with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
+                build(0, 2)
 
 
 class TestQuotientMatrix:
@@ -118,7 +156,7 @@ class TestAgainstBlockLoops:
         a = rng.integers(-3, 4, size=(order, order)).astype(float)
         a = a + a.T
         owner = rng.permutation(np.arange(order) % min(t, order))
-        partition = make_partition([np.flatnonzero(owner == j) for j in range(min(t, order))])
+        partition = Partition([np.flatnonzero(owner == j) for j in range(min(t, order))])
         sums = block_sums_by_loops(a, partition)
         sizes = np.array(partition.block_sizes, dtype=float)
         assert np.array_equal(quotient_matrix(a, partition), sums / sizes[:, None])
@@ -166,7 +204,7 @@ class TestEquitability:
 
     def test_unbalanced_path_split_is_not_equitable(self):
         lap = laplacian_matrix(path_graph(3))
-        assert not is_equitable(lap, make_partition([[0], [1, 2]]))
+        assert not is_equitable(lap, Partition([[0], [1, 2]]))
 
     def test_nc_four_block_partition_is_equitable(self):
         m, n = 3, 4
@@ -180,7 +218,7 @@ class TestEquitability:
     def test_non_equitable_partition_is_rejected(self):
         lap = laplacian_matrix(path_graph(3))
         with pytest.raises(NotEquitableError):
-            quotient_eigenvalues(lap, make_partition([[0], [1, 2]]))
+            quotient_eigenvalues(lap, Partition([[0], [1, 2]]))
 
     def test_interleaved_blocks(self):
         assert is_equitable(laplacian_matrix(CYCLE4), ALTERNATE)
@@ -192,7 +230,7 @@ class TestEquitability:
         # vertices 0 and 1 share a block; their row sums toward block {2} are 0 and d
         for d, equitable in ((EQUITABLE_TOL, True), (2 * EQUITABLE_TOL, False)):
             a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, d], [0.0, d, 0.0]])
-            assert is_equitable(a, make_partition([[0, 1], [2]])) == equitable
+            assert is_equitable(a, Partition([[0, 1], [2]])) == equitable
 
 
 class TestNonFiniteInput:
@@ -201,7 +239,7 @@ class TestNonFiniteInput:
     def test_non_finite_row_sums_are_rejected(self, first, second):
         lap = laplacian_matrix(nc_graph(2, 3))
         lap[1, 5], lap[1, 6] = first, second  # path vertex 1 to the second hub block {5, 6}
-        for partition in (nc_partition(2, 3), make_partition([range(10)])):
+        for partition in (nc_partition(2, 3), Partition([range(10)])):
             for call in (quotient_matrix, is_equitable, quotient_eigenvalues):
                 with pytest.raises(ValueError, match="must be finite"):
                     call(lap, partition)

@@ -105,7 +105,7 @@ class TestCaseTable:
         row = FAMILIES[family]
         least = row.min_param
         graph = row.graph(least, least)
-        row.partition(least, least).validate_for(graph.vertex_count)
+        assert sum(row.partition(least, least).block_sizes) == graph.vertex_count
         for kind, form in row.closed_forms.items():
             assert closed_form(family, kind) is form
             assert form(least, least + 1).order == row.graph(least, least + 1).vertex_count
@@ -151,6 +151,14 @@ class TestSweep:
             sweep((0, 3), (2, 3))
         with pytest.raises(ValueError):
             sweep((2, 3), (2, 500))
+
+    @pytest.mark.parametrize("size", [2.5, "3"])
+    def test_range_bounds_must_be_integers(self, size):
+        # once a TypeError from range(), raised after the bounds check had passed
+        with pytest.raises(ValueError, match=f"^m_high must be an integer, got {size!r}$"):
+            sweep((2, size), (2, 2))
+        with pytest.raises(ValueError, match=f"^n_low must be an integer, got {size!r}$"):
+            sweep((2, 2), (size, 3))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
