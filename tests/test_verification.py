@@ -1,5 +1,6 @@
 """Verification-report, sweep, and randomized join-map tests."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -210,6 +211,16 @@ class TestRandomJoins:
         # zero pairs would make all(c.ok ...) pass vacuously
         with pytest.raises(ValueError, match="^pair_count must be an integer >= 1$"):
             verify_random_joins(pair_count=pair_count)
+
+    def test_default_checks_are_pinned(self):
+        # every seed keeps its two graphs, and each deviation keeps every bit
+        checks = verify_random_joins()
+        record = repr([
+            (c.seed, c.n1, c.n2, c.laplacian_deviation.hex(), c.distance_laplacian_deviation.hex(), c.ok)
+            for c in checks
+        ])
+        assert sum(c.ok for c in checks) == 100
+        assert hashlib.sha256(record.encode()).hexdigest().startswith("ea20384b14c63701")
 
     def test_numpy_integer_pair_count(self):
         assert [c.seed for c in verify_random_joins(pair_count=np.int64(2), seed=5)] == [5, 6]
