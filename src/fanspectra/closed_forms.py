@@ -89,7 +89,7 @@ def _path_values(n: int) -> list[float]:
 
 def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
-    _check_integers(n=n)
+    (n,) = _check_integers(n=n)
     if n < 1:
         raise ValueError("path spectrum requires n >= 1")
     return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
@@ -111,7 +111,7 @@ def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectru
     The result is {0, n1+n2} together with every nonzero-slot eigenvalue
     of the first part shifted by n2 and of the second part shifted by n1.
     """
-    _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_integers(n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     return _spectrum("join-laplacian", [(n1 + n2, 1)], [(rest1, n2, 1, 1), (rest2, n1, 1, 1)])
@@ -124,17 +124,18 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     {0, n1+n2} plus n2+2n1-lambda_i and n1+2n2-mu_j over the nonzero-slot
     eigenvalues of the two parts.
     """
-    _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_integers(n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     parts = [(rest1, n2 + 2 * n1, -1, 1), (rest2, n1 + 2 * n2, -1, 1)]
     return _spectrum("join-distance-laplacian", [(n1 + n2, 1)], parts)
 
 
-def _check_domain(what: str, m: int, n: int, least: int) -> None:
-    _check_integers(m=m, n=n)
+def _check_domain(what: str, m: int, n: int, least: int) -> list[int]:
+    m, n = _check_integers(m=m, n=n)
     if m < least or n < least:
         raise ValueError(f"{what} spectrum requires m >= {least} and n >= {least}")
+    return [m, n]
 
 
 def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
@@ -143,7 +144,7 @@ def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     {0, m+n}, n with multiplicity m-1, and m + 2 - 2 cos(pi j / n) for
     j = 1..n-1.
     """
-    _check_domain("fan", m, n, 1)
+    m, n = _check_domain("fan", m, n, 1)
     return _spectrum("fan-laplacian", [(m + n, 1), (n, m - 1)], [(_path_values(n), m, 1, 1)])
 
 
@@ -155,7 +156,7 @@ def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     its rounding differs in the last bits for some (m, n), so the cosines
     are scaled here instead.
     """
-    _check_domain("fan", m, n, 1)
+    m, n = _check_domain("fan", m, n, 1)
     cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
     return _spectrum(
         "fan-distance-laplacian",
@@ -171,7 +172,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     Kept only so the cardinality defect can be demonstrated; it is not a
     valid spectrum for the (m+n)-vertex fan.
     """
-    _check_domain("fan", m, n, 1)
+    m, n = _check_domain("fan", m, n, 1)
     values = [0.0, float(m + n)] + [float(m + n)] * (m - 1)
     values += [m + 2 * n - 2 + 2 * math.cos(math.pi * j / n) for j in range(n)]
     return sorted(values)
@@ -202,7 +203,7 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     multiplicity m-1, {0, m+n}, and the two roots of
     x^2 - (m+n+2) x + 2m.
     """
-    _check_domain("pair-class", m, n, 2)
+    m, n = _check_domain("pair-class", m, n, 2)
     return _pair_class(
         m, n, "nc-laplacian", NC_LAPLACIAN_NOTE,
         top=m + n, hubs=(n, n + 2), quadratic=(float(m + n + 2), 2.0 * m), offset=m, scale=1,
@@ -217,7 +218,7 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     (9(n+m) - 4)/2 +- sqrt(A)/2 with
     A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
     """
-    _check_domain("pair-class", m, n, 2)
+    m, n = _check_domain("pair-class", m, n, 2)
     c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
     return _pair_class(
         m, n, "nc-distance-laplacian", NC_DISTANCE_LAPLACIAN_NOTE,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +78,14 @@ def _check_tol(name: str, value: float, zero_ok: bool) -> None:
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
 
 
-def _check_integers(**values) -> None:
-    """ValueError naming the first value that is not an integer (a numpy integer
-    is one): a float or string size would otherwise pass, or fail later with a
-    TypeError about something else."""
+def _check_integers(**values) -> list[int]:
+    """The values as Python ints, so no sum of sizes overflows a narrow numpy type;
+    ValueError naming the first that is not an integer (a numpy integer is one): a
+    float or string size would otherwise pass, or fail later with another TypeError."""
     for name, value in values.items():
         if not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    return [operator.index(value) for value in values.values()]
 
 
 def _real_square(matrix) -> np.ndarray:

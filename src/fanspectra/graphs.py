@@ -15,24 +15,19 @@ the canonical equitable partitions depend on them.
   hub i of the second copy.  Any perfect matching between the hub sets
   yields an isomorphic graph, so the identity matching is fixed as the
   canonical one.
-* ``make_graph(V, edges)``: a graph from outside edges, in either order;
-  the builders above hand ``Graph`` a set of u < v pairs directly.
+* ``make_graph(V, edges)``: a graph from outside edges, in either order.
 
-Graphs are immutable after construction and all operations are pure, so
-values can be shared freely across threads.  Each graph walks its edges
-once, on the first matrix request, into a read-only 0/1 int8
-adjacency memo, and computes its all-pairs hop distances at most once,
-into a read-only integer memo.  The hop matrix answers adjacency
-requests from then on (``hops == 1``), so the edge memo is dropped and a
-graph keeps at most one V x V memo.  Two threads that race on first use
-each compute and store an equal value, so neither memo needs a lock.
+A ``Graph`` is its read-only 0/1 int8 adjacency; the vertex count and the
+edges are read from it.  Graphs are immutable and all operations are pure,
+so values can be shared freely across threads.  A graph's one memo, its
+all-pairs hop distances, is computed at most once: two threads that race
+on first use each store an equal read-only value, so it needs no lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, product
 from typing import Iterable
 
 import numpy as np
@@ -46,104 +41,125 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation that needs a connected graph gets one that is not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph; every edge is a pair (u, v) with u < v."""
+    """Simple undirected graph: a read-only int8 copy of its adjacency, which
+    must be a square, symmetric 0/1 matrix with a zero diagonal."""
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        vertex_count = self.vertex_count
-        if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
-            raise ValueError("vertex_count must be a non-negative integer")
-        for u, v in self.edges:
-            # u | v is a TypeError for a float or any other non-integer endpoint
-            try:
-                if 0 <= u | v and u < v < vertex_count:
-                    continue
-            except TypeError:
-                pass
-            raise ValueError(f"edge ({u}, {v}) is invalid for a graph on {vertex_count} vertices")
+        a = np.asarray(self.adjacency)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
+        stray = np.count_nonzero(a != a.T) + np.count_nonzero(a.diagonal())  # asymmetry, loops
+        if stray or np.count_nonzero(a) != np.count_nonzero(a == 1):  # or an entry not 0 or 1
+            raise ValueError("adjacency must be symmetric, with entries 0 or 1 and a zero diagonal")
+        a = a.astype(np.int8)
+        a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object
+        object.__setattr__(self, "adjacency", a)
+
+    @property
+    def vertex_count(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Each edge as (u, v) with u < v, ascending: np.nonzero reads row by row."""
+        u, v = np.nonzero(np.triu(self.adjacency, 1))
+        return list(zip(u.tolist(), v.tolist()))
 
-    def __getstate__(self) -> dict:
-        # a pickled or deep-copied graph leaves its memos behind: numpy
-        # would restore them writeable, and a write would alter every later matrix
-        return {"vertex_count": self.vertex_count, "edges": self.edges}
+    def _key(self) -> tuple[int, bytes]:
+        return self.vertex_count, self.adjacency.tobytes()
 
-    @cached_property
-    def _edge_adjacency(self) -> np.ndarray:
-        """The read-only 0/1 int8 adjacency from the one pass over the edges; read via _adjacency.
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Graph) else NotImplemented
 
-        cached_property writes straight into the instance __dict__, so it
-        works on the frozen dataclass and leaves __eq__ and __hash__, which
-        read only the fields, unchanged.
-        """
-        a = np.zeros((self.vertex_count, self.vertex_count), np.int8)
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.edge_count)
-        u, v = ends.reshape(-1, 2).T
-        a[u, v] = a[v, u] = 1
-        a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object
-        return a
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # a copy is built anew: read-only (numpy restores arrays writeable), no hop memo
+        return Graph, (self.adjacency,)
 
     @cached_property
     def _distances(self) -> np.ndarray:
-        """All-pairs hop distances, built once per graph and read-only; read via _hop_matrix."""
+        """All-pairs hop distances, built once per graph and read-only.  cached_property
+        writes straight into the instance __dict__, so it works on the frozen dataclass."""
         hops = _hops(self)
         hops.setflags(write=False)
         return hops
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from outside edges: endpoint pairs in either order."""
-    normalized = set()
-    for u, v in edges:
+    """Build a Graph from outside edges: endpoint pairs in either order, repeats allowed.
+
+    Of several bad edges the first in input order is named: a self-loop, or
+    a pair that is not two integers in 0..vertex_count-1.
+    """
+    if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
+        raise ValueError("vertex_count must be a non-negative integer")
+    pairs = list(edges)
+    ends = np.array(pairs)
+    if ends.dtype.kind not in "iu":  # no pairs, or an endpoint that is no integer: it becomes -1
+        integer = (int, np.integer)
+        ends = np.array([[x if isinstance(x, integer) else -1 for x in p] for p in pairs], object)
+    u, v = ends = ends.reshape(len(pairs), 2).T  # first endpoints, then second endpoints
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= vertex_count)
+    if np.count_nonzero(bad):
+        u, v = pairs[int(bad.argmax())]
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        normalized.add((u, v) if u < v else (v, u))
-    return Graph(vertex_count, frozenset(normalized))
+        u, v = (u, v) if u < v else (v, u)
+        raise ValueError(f"edge ({u}, {v}) is invalid for a graph on {vertex_count} vertices")
+    u, v = ends.astype(np.intp)
+    a = np.zeros((vertex_count, vertex_count), np.int8)
+    a[u, v] = a[v, u] = 1
+    return Graph(a)
 
 
 def null_graph(m: int) -> Graph:
     """Graph on m >= 1 vertices with no edges."""
-    _check_integers(m=m)
+    (m,) = _check_integers(m=m)
     if m < 1:
         raise ValueError("null_graph requires m >= 1")
-    return Graph(m, frozenset())
+    return Graph(np.zeros((m, m), np.int8))
 
 
 def path_graph(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
-    _check_integers(n=n)
+    (n,) = _check_integers(n=n)
     if n < 1:
         raise ValueError("path_graph requires n >= 1")
-    return Graph(n, frozenset({(i, i + 1) for i in range(n - 1)}))
+    return Graph(np.eye(n, k=1, dtype=np.int8) + np.eye(n, k=-1, dtype=np.int8))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union (g1's vertices first) plus every cross edge."""
     if g1.vertex_count == 0 or g2.vertex_count == 0:
         raise ValueError("join requires two nonempty graphs")
-    shift = g1.vertex_count
-    order = shift + g2.vertex_count
-    edges = {(u + shift, v + shift) for u, v in g2.edges}
-    edges.update(g1.edges, product(range(shift), range(shift, order)))
-    return Graph(order, frozenset(edges))
+    shift, order = g1.vertex_count, g1.vertex_count + g2.vertex_count
+    a = np.ones((order, order), np.int8)
+    a[:shift, :shift], a[shift:, shift:] = g1.adjacency, g2.adjacency
+    return Graph(a)
 
 
 def generalized_fan(m: int, n: int) -> Graph:
     """Fan with m hubs over an n-vertex path: path vertices 0..n-1, hubs n..n+m-1."""
-    _check_integers(m=m, n=n)
+    m, n = _check_integers(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError("generalized_fan requires m >= 1 and n >= 1")
-    return join(path_graph(n), null_graph(m))
+    a = np.zeros((m + n, m + n), np.int8)  # the upper triangle, mirrored at the end
+    a[:n, :n] = np.eye(n, k=1, dtype=np.int8)  # the path, i to i + 1
+    a[:n, n:] = 1  # every path vertex to every hub
+    return Graph(a | a.T)
 
 
 def nc_graph(m: int, n: int) -> Graph:
@@ -152,42 +168,15 @@ def nc_graph(m: int, n: int) -> Graph:
     Defined for m >= 2 and n >= 2 only; has 2(m+n) vertices and
     2(n-1+mn) + m edges.
     """
-    _check_integers(m=m, n=n)
+    m, n = _check_integers(m=m, n=n)
     if m < 2 or n < 2:
         raise ValueError("nc_graph requires m >= 2 and n >= 2")
-    _, hubs1, hubs2, path2 = _consecutive(n, m, m, n)
-    edges = {(i, i + 1) for i in range(n - 1)}
-    edges.update(zip(path2, path2[1:]), zip(hubs1, hubs2))
-    edges.update(product(range(n), hubs1), product(hubs2, path2))
-    return Graph(2 * (m + n), frozenset(edges))
-
-
-def _consecutive(*sizes: int) -> list[range]:
-    """Runs of the given sizes over the vertices 0, 1, 2, ... in order."""
-    ends = list(accumulate(sizes))
-    return list(map(range, [0, *ends], ends))
-
-
-def _adjacency(g: Graph) -> np.ndarray:
-    """The read-only 0/1 adjacency of g: the edge memo, or hops == 1 once the hop matrix exists.
-
-    The second look at ``_distances`` covers a thread that stored the hop
-    matrix while this one stored the edge memo: ``_hop_matrix`` then drops
-    the memo.
-    """
-    memo = vars(g)
-    if "_distances" not in memo:
-        adjacency = g._edge_adjacency
-        if "_distances" not in memo:
-            return adjacency
-    return _hop_matrix(g) == 1
-
-
-def _hop_matrix(g: Graph) -> np.ndarray:
-    """The hop-distance memo of g; the edge memo, which it now answers for, is dropped."""
-    hops = g._distances
-    vars(g).pop("_edge_adjacency", None)
-    return hops
+    half = m + n
+    a = np.zeros((2 * half, 2 * half), np.int8)  # the upper triangle, mirrored at the end
+    a[:n, :n] = a[-n:, -n:] = np.eye(n, k=1, dtype=np.int8)  # each path, i to i + 1
+    a[:n, n:half] = a[half:-n, -n:] = 1  # each copy's path to its hubs
+    np.fill_diagonal(a[n:half, half:], 1)  # hub i of the first copy to hub i of the second
+    return Graph(a | a.T)
 
 
 def _hops(g: Graph) -> np.ndarray:
@@ -205,7 +194,7 @@ def _hops(g: Graph) -> np.ndarray:
     flops: about 0.6 ms for the 136-vertex nc(34, 34) and 7 ms for
     path_graph(128) with one BLAS thread on a 2-vCPU x86-64 machine.
     """
-    adjacency = _adjacency(g).astype(np.float32)
+    adjacency = g.adjacency.astype(np.float32)
     frontier = np.eye(g.vertex_count, dtype=np.float32)
     hops = np.full(frontier.shape, UNREACHABLE, np.min_scalar_type(-max(g.vertex_count, 1)))
     np.fill_diagonal(hops, 0)

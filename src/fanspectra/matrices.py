@@ -12,11 +12,10 @@ level-synchronous BFS from all sources at once, one float32 V x V BLAS
 product per level, so building D costs O(diameter * V^3) flops: well
 under a millisecond on the diameter-3 families here, about 7 ms on
 path_graph(128), whose diameter is 127.  Every builder starts from one
-of the graph's two read-only memos: A and L from a fresh float64 copy of
-its 0/1 adjacency, which the graph fills by its one pass over the edges,
-and the distance kinds from a fresh float64 copy of its hop matrix,
-which that BFS fills once per graph.  Each builder then works in place
-on its copy.
+of the graph's two read-only arrays: A and L from a fresh float64 copy
+of its 0/1 adjacency, which is the graph itself, and the distance kinds
+from a fresh float64 copy of its hop matrix, which that BFS fills once
+per graph.  Each builder then works in place on its copy.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, UNREACHABLE, _adjacency, _hop_matrix
+from .graphs import DisconnectedGraphError, Graph, UNREACHABLE
 
 
 class MatrixKind(str, Enum):
@@ -39,7 +38,7 @@ class MatrixKind(str, Enum):
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency(g).astype(float)
+    return g.adjacency.astype(float)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -51,7 +50,7 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    d = _hop_matrix(g)
+    d = g._distances
     if UNREACHABLE in d:
         raise DisconnectedGraphError("distance matrix is undefined for a disconnected graph")
     return d.astype(float)

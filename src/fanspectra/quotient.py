@@ -20,7 +20,6 @@ from .eigen import (
     DEFAULT_GROUPING_TOL, Spectrum, _check_integers, _check_symmetric, _real_square,
     group_multiplicities, symmetric_eigenvalues,
 )
-from .graphs import _consecutive
 
 EQUITABLE_TOL = 1e-9
 
@@ -54,21 +53,26 @@ class Partition:
         return tuple(len(b) for b in self.blocks)
 
 
+def _consecutive(*sizes: int) -> list[range]:
+    """Runs of the given sizes over the vertices 0, 1, 2, ... in order."""
+    return [range(*bounds) for bounds in itertools.pairwise((0, *itertools.accumulate(sizes)))]
+
+
 def side_partition(n1: int, n2: int) -> Partition:
     """Two blocks: the first n1 indices, then the next n2."""
-    _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_integers(n1=n1, n2=n2)
     return Partition(_consecutive(n1, n2))
 
 
 def fan_partition(m: int, n: int) -> Partition:
     """Path block then hub block, matching the fan's vertex ordering."""
-    _check_integers(m=m, n=n)
+    m, n = _check_integers(m=m, n=n)
     return Partition(_consecutive(n, m))
 
 
 def nc_partition(m: int, n: int) -> Partition:
     """Four blocks: first path, first hubs, second hubs, second path."""
-    _check_integers(m=m, n=n)
+    m, n = _check_integers(m=m, n=n)
     return Partition(_consecutive(n, m, m, n))
 
 

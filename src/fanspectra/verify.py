@@ -189,8 +189,10 @@ def sweep(
     reports are kept, never raised; callers decide what a failure means.
     """
     (m_low, m_high), (n_low, n_high) = m_range, n_range
-    _check_integers(m_low=m_low, m_high=m_high, n_low=n_low, n_high=n_high)
-    for lo, hi in (m_range, n_range):
+    m_low, m_high, n_low, n_high = _check_integers(
+        m_low=m_low, m_high=m_high, n_low=n_low, n_high=n_high
+    )
+    for lo, hi in ((m_low, m_high), (n_low, n_high)):
         if not (1 <= lo <= hi <= MAX_SWEEP_PARAM):
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")
     kinds = tuple(kinds)
@@ -203,8 +205,8 @@ def sweep(
     requested = [CASES[case_kind] for case_kind in kinds]
     cases = [
         (family, m, n, kind)
-        for m in range(m_range[0], m_range[1] + 1)
-        for n in range(n_range[0], n_range[1] + 1)
+        for m in range(m_low, m_high + 1)
+        for n in range(n_low, n_high + 1)
         for family, kind in requested
         if min(m, n) >= FAMILIES[family].min_param
     ]
@@ -233,9 +235,11 @@ class JoinCheck:
 
 
 def random_graph(order: int, rng: np.random.Generator) -> Graph:
-    """Uniform random simple graph: each pair is an edge with probability 1/2."""
-    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < 0.5}
-    return Graph(order, frozenset(edges))
+    """Uniform random simple graph: each pair is an edge with probability 1/2, one
+    draw per pair u < v, row by row: (0, 1), (0, 2), ..., (1, 2), ..."""
+    upper = np.zeros((order, order), np.int8)
+    upper[np.triu_indices(order, 1)] = rng.random(order * (order - 1) // 2) < 0.5
+    return Graph(upper + upper.T)
 
 
 def verify_random_joins(pair_count: int = 100, seed: int = 20260809) -> list[JoinCheck]:

@@ -138,6 +138,30 @@ class TestSizesMustBeIntegers:
         assert fan_distance_laplacian_spectrum(m, n) == fan_distance_laplacian_spectrum(3, 4)
         assert join_laplacian_spectrum([0.0], np.int64(1), [0.0], 1).pairs == ((0.0, 1), (2.0, 1))
 
+    @pytest.mark.parametrize("integer", [np.uint8, np.int8])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            fan_laplacian_spectrum,
+            fan_distance_laplacian_spectrum,
+            fan_distance_laplacian_as_stated,
+            nc_laplacian_spectrum,
+            nc_distance_laplacian_spectrum,
+        ],
+    )
+    def test_narrow_numpy_sizes_give_the_python_int_spectrum(self, form, integer):
+        # m + n and the nc products once wrapped around: fan_laplacian_spectrum(uint8 200, uint8 100)
+        # gave 44 for m + n = 300; sizes near the type's top keep every sum out of its range
+        m, n = (200, 100) if integer is np.uint8 else (120, 100)
+        assert form(integer(m), integer(n)) == form(m, n)
+
+    @pytest.mark.parametrize("integer", [np.uint8, np.int8])
+    def test_narrow_numpy_sizes_in_the_path_and_join_forms(self, integer):
+        assert path_laplacian_spectrum(integer(100)) == path_laplacian_spectrum(100)
+        spec = path_laplacian_spectrum(100)
+        for join_map in (join_laplacian_spectrum, join_distance_laplacian_spectrum):
+            assert join_map(spec, integer(100), spec, integer(100)) == join_map(spec, 100, spec, 100)
+
     def test_the_domain_messages_are_unchanged(self):
         with pytest.raises(ValueError, match=r"^fan spectrum requires m >= 1 and n >= 1$"):
             fan_laplacian_spectrum(0, 3)

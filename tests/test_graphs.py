@@ -12,7 +12,6 @@ from fanspectra.graphs import (
     DisconnectedGraphError,
     Graph,
     UNREACHABLE,
-    _hop_matrix,
     generalized_fan,
     join,
     make_graph,
@@ -22,7 +21,7 @@ from fanspectra.graphs import (
     to_dot,
     to_edge_list,
 )
-from fanspectra.matrices import adjacency_matrix, distance_matrix
+from fanspectra.matrices import MatrixKind, adjacency_matrix, build_matrix, distance_matrix
 from fanspectra.verify import random_graph
 
 
@@ -117,7 +116,7 @@ class TestBasicFamilies:
 
     def test_join_requires_nonempty(self):
         with pytest.raises(ValueError):
-            join(Graph(0, frozenset()), path_graph(2))
+            join(make_graph(0, []), path_graph(2))
 
 
 class TestFan:
@@ -241,18 +240,18 @@ class TestTraversal:
     """The hop matrix, one row per source, and disconnection through the distance builder."""
 
     def test_path_distances(self):
-        assert _hop_matrix(path_graph(3)).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert path_graph(3)._distances.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     def test_fan_path_ends_two_apart(self):
         g = generalized_fan(3, 4)
-        assert _hop_matrix(g)[0, 3] == 2
+        assert g._distances[0, 3] == 2
 
     def test_nc_opposite_paths_three_apart(self):
-        hops = _hop_matrix(nc_graph(3, 4))
+        hops = nc_graph(3, 4)._distances
         assert (hops[:4, 10:14] == 3).all() and (hops[10:14, :4] == 3).all()
 
     def test_unreachable_marker(self):
-        assert _hop_matrix(null_graph(2)).tolist() == [[0, UNREACHABLE], [UNREACHABLE, 0]]
+        assert null_graph(2)._distances.tolist() == [[0, UNREACHABLE], [UNREACHABLE, 0]]
 
     @given(
         g=st.one_of(
@@ -269,7 +268,7 @@ class TestTraversal:
     @settings(max_examples=60, deadline=None)
     def test_against_reference_oracle(self, g):
         expected = [reference_distances(g, source) for source in range(g.vertex_count)]
-        assert _hop_matrix(g).tolist() == expected
+        assert g._distances.tolist() == expected
         # a graph is connected iff one source, any source, reaches every vertex
         if UNREACHABLE in expected[0]:
             with pytest.raises(DisconnectedGraphError):
@@ -279,7 +278,7 @@ class TestTraversal:
 
     def test_large_order_rows_are_int16(self):
         # order 130 does not fit int8, so the hop rows are int16
-        hops = _hop_matrix(path_graph(130))
+        hops = path_graph(130)._distances
         assert hops.dtype == np.int16
         assert hops[0].tolist() == list(range(130))
         assert hops[129].tolist() == list(range(129, -1, -1))
@@ -299,22 +298,61 @@ class TestTraversal:
             assert UNREACHABLE not in distance_matrix(g)
 
 
+SIMPLE = r"^adjacency must be symmetric, with entries 0 or 1 and a zero diagonal$"
+
+
 class TestValidationAndExport:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             make_graph(3, [(1, 1)])
 
     def test_rejects_out_of_range_edge(self):
-        with pytest.raises(ValueError):
-            Graph(2, frozenset({(0, 5)}))
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) is invalid for a graph on 2 vertices$"):
+            make_graph(2, [(0, 5)])
 
     @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None, -1])
     def test_rejects_a_vertex_count_that_is_not_a_non_negative_integer(self, count):
         # rejected at construction, not later as a TypeError from the first matrix
         with pytest.raises(ValueError, match="^vertex_count must be a non-negative integer$"):
-            Graph(count, frozenset({(0, 1)}))
-        with pytest.raises(ValueError, match="non-negative"):
             make_graph(count, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 5)], "self-loop at vertex 2"),
+            ([(0, 1), (5, 0), (2, 2)], r"edge \(0, 5\) is invalid"),
+            ([(2, 0), (1, 1.5), (1, 1)], r"edge \(1, 1.5\) is invalid"),
+            ([(2, 0), (1, 1), (1, 1.5)], "self-loop at vertex 1"),
+            ([(0, 1), (-1, 2), (0, 2**70)], r"edge \(-1, 2\) is invalid"),
+            ([(0, 1), (0, 2**70)], rf"edge \(0, {2**70}\) is invalid"),
+        ],
+    )
+    def test_names_the_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            (np.zeros((2, 3)), r"^adjacency must be a square matrix, got shape \(2, 3\)$"),
+            (np.zeros(4), r"^adjacency must be a square matrix, got shape \(4,\)$"),
+            ([[0, 2], [2, 0]], SIMPLE),
+            ([[0, 0.5], [0.5, 0]], SIMPLE),
+            ([[0, 1], [0, 0]], SIMPLE),
+            ([[1, 0], [0, 0]], SIMPLE),
+        ],
+    )
+    def test_graph_rejects_an_adjacency_that_is_not_simple(self, adjacency, message):
+        # non-square, an entry 2 or 0.5, an asymmetric entry, a self-loop on the diagonal
+        with pytest.raises(ValueError, match=message):
+            Graph(adjacency)
+
+    @pytest.mark.parametrize("dtype", [int, float, bool, np.uint8])
+    def test_graph_keeps_a_read_only_int8_copy_of_any_0_1_array(self, dtype):
+        g = Graph(np.array([[0, 1], [1, 0]], dtype))
+        assert g == path_graph(2) and hash(g) == hash(path_graph(2))
+        assert g.adjacency.dtype == np.int8 and not g.adjacency.flags.writeable
+        assert Graph(np.zeros((0, 0), dtype)).vertex_count == 0
 
     @pytest.mark.parametrize("size", [2.5, "3", 3.0])
     @pytest.mark.parametrize(
@@ -339,17 +377,28 @@ class TestValidationAndExport:
         assert generalized_fan(integer(2), integer(3)) == generalized_fan(2, 3)
         assert path_graph(integer(3)) == path_graph(3)
 
-    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    @pytest.mark.parametrize("integer", [np.uint8, np.int8])
+    def test_narrow_numpy_sizes_give_the_python_int_graph(self, integer):
+        # 2 * (m + n) once wrapped around in uint8: nc_graph(uint8 70, uint8 70) had 24 vertices
+        assert nc_graph(integer(70), integer(70)) == nc_graph(70, 70)
+        assert nc_graph(integer(70), integer(70)).vertex_count == 280
+        assert generalized_fan(integer(100), integer(100)) == generalized_fan(100, 100)
+        assert path_graph(integer(100)) == path_graph(100)
+        assert null_graph(integer(100)) == null_graph(100)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int8, np.uint8])
     def test_accepts_a_numpy_integer_vertex_count(self, integer):
-        assert np.array_equal(adjacency_matrix(Graph(integer(2), frozenset({(0, 1)}))), [[0, 1], [1, 0]])
+        # the count is read back from the array as an int: -max(count, 1) once overflowed a uint8
+        g = make_graph(integer(3), [(0, 1), (1, 2)])
+        assert g.vertex_count == 3 and type(g.vertex_count) is int and g == path_graph(3)
+        for kind in MatrixKind:
+            assert np.array_equal(build_matrix(g, kind, t=0.5), build_matrix(path_graph(3), kind, t=0.5))
 
     @pytest.mark.parametrize(
         "edge", [(0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1")]
     )
     def test_rejects_non_integer_endpoints(self, edge):
         message = rf"edge \({edge[0]}, {edge[1]}\) is invalid for a graph on 3 vertices"
-        with pytest.raises(ValueError, match=message):
-            Graph(3, frozenset({edge}))
         with pytest.raises(ValueError, match=message):
             make_graph(3, [edge])
 

@@ -49,9 +49,9 @@ def floyd_warshall(graph):
     return d
 
 
-def one_memo_left(g):
-    """The names of the memo arrays a graph keeps."""
-    return [name for name, value in vars(g).items() if isinstance(value, np.ndarray)]
+def memos(g):
+    """The names of the memos a graph keeps beside its adjacency."""
+    return [name for name in vars(g) if name != "adjacency"]
 
 
 class TestAdjacencyAndLaplacian:
@@ -128,7 +128,7 @@ class TestDistanceFamily:
         g = path_graph(k)
         index = np.arange(k)
         assert np.array_equal(distance_matrix(g), np.abs(index[:, None] - index))
-        assert graphs._hop_matrix(g)[k - 1].tolist() == list(range(k - 1, -1, -1))
+        assert g._distances[k - 1].tolist() == list(range(k - 1, -1, -1))
 
     def test_triangle_inequality_and_zero_diagonal(self):
         d = distance_matrix(nc_graph(2, 3))
@@ -244,7 +244,7 @@ class TestDistanceMemo:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                g = graphs.Graph(template.vertex_count, template.edges)
+                g = graphs.Graph(template.adjacency)  # fresh, no hop memo yet
                 results = []
 
                 def work(shift):
@@ -260,70 +260,62 @@ class TestDistanceMemo:
                 assert len(results) == len(workers)
                 for result in results:
                     assert [result[build] for build in builders] == expected
-                assert one_memo_left(g) == ["_distances"] and not g._distances.flags.writeable
+                assert memos(g) == ["_distances"] and not g._distances.flags.writeable
                 assert np.array_equal(g._distances, floyd_warshall(template))
         finally:
             sys.setswitchinterval(interval)
 
 
-class TestAdjacencyMemo:
-    def test_one_edge_walk_serves_every_kind(self):
-        walks = []
+class TestAdjacency:
+    """The graph's own read-only adjacency, which every build copies, and the one hop memo."""
 
-        class CountedEdges(frozenset):
-            def __iter__(self):
-                walks.append(self)
-                return super().__iter__()
-
-        g = graphs.Graph(14, CountedEdges(nc_graph(3, 4).edges))
-        del walks[:]  # the constructor's validation pass
+    def test_every_kind_reads_the_one_adjacency(self):
+        g = nc_graph(3, 4)
+        adjacency = g.adjacency
         for kind in MatrixKind:
             build_matrix(g, kind, t=0.5)
-        assert len(walks) == 1
+        assert g.adjacency is adjacency and memos(g) == ["_distances"]
+        assert np.array_equal(adjacency_matrix(g), g._distances == 1)
 
-    def test_memo_is_read_only_and_builds_are_fresh(self):
-        g = nc_graph(3, 4)
+    def test_adjacency_is_read_only_and_builds_are_fresh(self):
+        source = adjacency_matrix(nc_graph(3, 4))
+        g = graphs.Graph(source)
+        source[0, 1] = source[1, 0] = 0  # the graph holds its own copy
         first = adjacency_matrix(g)
-        assert not g._edge_adjacency.flags.writeable
+        assert g.adjacency.dtype == np.int8 and not g.adjacency.flags.writeable
         with pytest.raises(ValueError):
-            g._edge_adjacency[0, 1] = 0
-        assert not graphs._adjacency(g).flags.writeable
+            g.adjacency[0, 1] = 0
         first[...] = 7.0
         assert np.array_equal(adjacency_matrix(g), floyd_warshall(g) == 1)
+        assert g == nc_graph(3, 4)
 
     @pytest.mark.parametrize("graph", [nc_graph(3, 4), generalized_fan(5, 2), path_graph(130)])
-    def test_hop_matrix_takes_over_from_the_edge_memo(self, graph):
-        g = graphs.Graph(graph.vertex_count, graph.edges)  # fresh, no memos yet
+    def test_the_hop_matrix_is_the_only_memo(self, graph):
+        g = graphs.Graph(graph.adjacency)  # fresh, no memos yet
         a, lap = adjacency_matrix(g), laplacian_matrix(g)
-        assert one_memo_left(g) == ["_edge_adjacency"]
+        assert memos(g) == []
         distance_matrix(g)
-        assert one_memo_left(g) == ["_distances"]
+        assert memos(g) == ["_distances"]
         for before, after in ((a, adjacency_matrix(g)), (lap, laplacian_matrix(g))):
             assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
-        assert one_memo_left(g) == ["_distances"]
+        assert memos(g) == ["_distances"]
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
-    def test_a_copy_builds_its_own_read_only_memos(self, duplicate):
+    def test_a_copy_is_read_only_and_builds_its_own_memo(self, duplicate):
         g = nc_graph(3, 4)
-        adjacency_matrix(g)
-        h = duplicate(g)
         distance_matrix(g)
-        assert h == g and one_memo_left(h) == []
-        assert duplicate(g) == g and one_memo_left(duplicate(g)) == []
+        h = duplicate(g)
+        assert h == g and hash(h) == hash(g) and memos(h) == []
+        assert not h.adjacency.flags.writeable
+        with pytest.raises(ValueError):
+            h.adjacency[0, 1] = 0
         assert np.array_equal(distance_matrix(h), floyd_warshall(g))
         assert not h._distances.flags.writeable
 
-    def test_a_hop_matrix_built_during_the_edge_walk_takes_over(self):
-        """Replays a race: another thread builds the hop matrix while this one walks the edges."""
-        walks = []
-
-        class Interleaved(frozenset):
-            def __iter__(self):
-                walks.append(self)
-                if len(walks) == 2:  # the first walk into the memo, after validation
-                    distance_matrix(g)
-                return super().__iter__()
-
-        g = graphs.Graph(14, Interleaved(nc_graph(3, 4).edges))
-        assert adjacency_matrix(g).tobytes() == adjacency_matrix(nc_graph(3, 4)).tobytes()
-        assert len(walks) == 3 and one_memo_left(g) == ["_distances"]
+    def test_attributes_cannot_be_assigned(self):
+        g = nc_graph(3, 4)
+        with pytest.raises(AttributeError):
+            g.adjacency = np.zeros((14, 14), np.int8)
+        with pytest.raises(AttributeError):
+            g.vertex_count = 3
+        assert g == nc_graph(3, 4)

@@ -102,6 +102,12 @@ class TestPartitionValidation:
         with pytest.raises(ValueError, match="must be an integer, got"):
             build(size, 2)
 
+    @pytest.mark.parametrize("integer", [np.uint8, np.int8])
+    @pytest.mark.parametrize("build", [side_partition, fan_partition, nc_partition])
+    def test_narrow_numpy_sizes_give_the_python_int_partition(self, build, integer):
+        # the block bounds are sums of the sizes: 70 + 70 + 70 once wrapped around in uint8
+        assert build(integer(70), integer(70)) == build(70, 70)
+
     def test_canonical_partitions_reject_an_empty_block(self):
         for build in (side_partition, fan_partition, nc_partition):
             with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
