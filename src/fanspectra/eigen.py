@@ -14,8 +14,18 @@ Loan, symSchur2).  Read as complex128, row r of a matrix holds the numbers
 A[r, 2i] + i A[r, 2i+1], so A J is that view times c_i + i s_i: the round
 writes the phases into every row of whichever buffer is free, multiplies
 (A J), copies the transpose (J^T A) and multiplies again (J^T A J).  The
-gather to the next round's slots zeroes the pivots a_pq and a_qp, copying
-them from a zero entry past the spare matrix.
+gather to the next round's slots is a pure permutation: the pivots a_pq and
+a_qp move with the rest, and nothing is set to zero by fiat.
+
+Each sweep takes a gap floor, max(_GAP_FLOOR, _FLOOR_SHARE * the off-norm
+the previous sweep left), and the tangent's denominator is the hypot of the
+exact one and that floor.  Inside a cluster of equal diagonal entries a tiny
+a_pq would otherwise get a large rotation that moves mass not yet annihilated
+back into entries the sweep has already zeroed, and the sweeps converge only
+linearly; with the floor such a pair gets a rotation near zero, while every
+other pair gets its exact one up to a second-order error.  A rotation shorter
+than the exact one never increases |a_pq|, so the off-norm never grows, and
+the stopping test still bounds the eigenvalue error.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -33,11 +43,12 @@ import numpy as np
 DEFAULT_CONVERGENCE_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-6
 SWEEP_CAP = 100
-# Added to each tangent's denominator (the working copy's largest entry is in
-# [1/2, 1)): t = 0 when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level
-# between equal diagonal entries gets a small rotation, not a 45-degree one
-# that mixes two rows and leaves clusters of equal eigenvalues converging linearly.
+# The least gap floor (the working copy's largest entry is in [1/2, 1)): t = 0
+# when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level between equal
+# diagonal entries gets a small rotation, not a 45-degree one.
 _GAP_FLOOR = 2.0**-52
+# A sweep's gap floor is this share of the off-norm the previous sweep left.
+_FLOOR_SHARE = 0.01
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -106,27 +117,24 @@ def _expand(spectrum_like) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _round_plan(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _round_plan(m: int) -> tuple[np.ndarray, np.ndarray]:
     """What every round at order m reads: the flat gather index that moves an
-    m x m matrix to the next round's slots, then length-m/2 arrays of
-    _GAP_FLOOR and of 1.0 (a Python-float operand doubles a ufunc call's cost).
+    m x m matrix to the next round's slots, a permutation of range(m*m), then
+    a length-m/2 array of 1.0 (a Python-float operand doubles a ufunc call's cost).
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
-    and after m - 1 rounds every index is home.  The pivots' destinations
-    gather index m*m, the zero entry past the spare matrix.  The two constant
-    arrays are read-only; the index stays writable because take copies a
-    read-only index on every call.
+    and after m - 1 rounds every index is home.  The array of ones is
+    read-only; the index stays writable because take copies a read-only
+    index on every call.
     """
     position = [k // 2 if k % 2 == 0 else m - 1 - k // 2 for k in range(m)]
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
-    gather = source[:, None] * m + source
-    gather[(source[:, None] // 2 == source // 2) & (source[:, None] != source)] = m * m
-    gap_floor, one = np.full(m // 2, _GAP_FLOOR), np.ones(m // 2)
-    gap_floor.flags.writeable = one.flags.writeable = False
-    return gather.ravel(), gap_floor, one
+    one = np.ones(m // 2)
+    one.flags.writeable = False
+    return (source[:, None] * m + source).ravel(), one
 
 
 def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
@@ -175,33 +183,33 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
     n = a.shape[0]
     m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
     h = m // 2
-    work, spare_buffer = np.zeros((m, m)), np.zeros(m * m + 1)  # spare, then a zero
-    spare = spare_buffer[: m * m].reshape(m, m)
+    work, spare = np.zeros((m, m)), np.empty((m, m))
     work_t = work.T
     work[:n, :n] = a
     np.ldexp(work, -1 - exponent, out=work)
     spare[...] = work_t
     np.add(work, spare, work)  # the exact symmetric part
-    flat_work = work.reshape(-1)
+    flat_work, flat_spare = work.reshape(-1), spare.reshape(-1)
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
     app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
     phase = np.empty(m)  # c_0, s_0, c_1, s_1, ...: one row of the phase table
     cos, sin = phase[0::2], phase[1::2]
-    gap, t, norm = np.empty(h), np.empty(h), np.empty(h)
-    gather, gap_floor, one = _round_plan(m)
+    gap, t, norm, gap_floor = np.empty(h), np.empty(h), np.empty(h), np.empty(h)
+    gather, one = _round_plan(m)
 
-    initial = _off_norm(work, spare)
+    initial = remaining = _off_norm(work, spare)
     target = convergence_tol * initial
     if initial > 0.0:
         for _ in range(SWEEP_CAP):
+            gap_floor.fill(max(_GAP_FLOOR, _FLOOR_SHARE * remaining))
             for _ in range(m - 1):
-                # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp:
-                # 2 a_pq / (d + sign(d) (hypot(d, 2 a_pq) + _GAP_FLOOR))
+                # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp and
+                # the floor f: 2 a_pq / (d + sign(d) hypot(hypot(d, 2 a_pq), f))
                 np.subtract(aqq, app, gap)
                 np.add(apq, apq, t)
                 np.hypot(gap, t, norm)
-                np.add(norm, gap_floor, norm)
+                np.hypot(norm, gap_floor, norm)
                 np.copysign(norm, gap, norm)
                 np.add(norm, gap, norm)
                 np.divide(t, norm, t)
@@ -213,8 +221,7 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
                 spare[...] = work_t  # J^T A
                 work[...] = phase
                 np.multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
-                # to the next round's slots; the pivots, at roundoff level, become 0
-                spare_buffer.take(gather, None, flat_work, "clip")
+                flat_spare.take(gather, None, flat_work, "clip")  # to the next round's slots
             remaining = _off_norm(work, spare)
             if remaining <= target:
                 break

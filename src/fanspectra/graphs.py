@@ -101,17 +101,25 @@ class Graph:
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from outside edges: endpoint pairs in either order, repeats allowed.
 
-    Of several bad edges the first in input order is named: a self-loop, or
-    a pair that is not two integers in 0..vertex_count-1.
+    Of several bad edges the first in input order is named: a self-loop, an
+    entry that is not a pair, or a pair that is not two integers in
+    0..vertex_count-1.
     """
     if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
         raise ValueError("vertex_count must be a non-negative integer")
     pairs = list(edges)
-    ends = np.array(pairs)
-    if ends.dtype.kind not in "iu":  # no pairs, or an endpoint that is no integer: it becomes -1
-        integer = (int, np.integer)
-        ends = np.array([[x if isinstance(x, integer) else -1 for x in p] for p in pairs], object)
-    u, v = ends = ends.reshape(len(pairs), 2).T  # first endpoints, then second endpoints
+    try:
+        ends = np.array(pairs)
+        if ends.dtype.kind not in "iu":  # no pairs, or an endpoint that is no integer: it becomes -1
+            integer = (int, np.integer)
+            ends = np.array([[x if isinstance(x, integer) else -1 for x in p] for p in pairs], object)
+        u, v = ends = ends.reshape(len(pairs), 2).T  # first endpoints, then second endpoints
+    except (ValueError, TypeError):
+        for i, pair in enumerate(pairs):
+            if not _is_pair(pair):
+                make_graph(vertex_count, pairs[:i])  # names a bad edge before it, if any
+                raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
+        raise
     bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= vertex_count)
     if np.count_nonzero(bad):
         u, v = pairs[int(bad.argmax())]
@@ -123,6 +131,14 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     a = np.zeros((vertex_count, vertex_count), np.int8)
     a[u, v] = a[v, u] = 1
     return Graph(a)
+
+
+def _is_pair(entry) -> bool:
+    """Whether entry reads as a length-2 sequence of scalars."""
+    try:
+        return np.shape(entry) == (2,)
+    except ValueError:  # ragged, like (0, [1, 2])
+        return False
 
 
 def null_graph(m: int) -> Graph:

@@ -332,6 +332,26 @@ class TestValidationAndExport:
             make_graph(3, edges)
 
     @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 2)], r"edge \(0, 1, 2\)"),
+            ([0, 1], "edge 0"),
+            ([(0, 1), (1,)], r"edge \(1,\)"),
+            ([(0, 1), (0, [1, 2])], r"edge \(0, \[1, 2\]\)"),
+        ],
+    )
+    def test_names_the_first_entry_that_is_not_a_pair(self, edges, message):
+        # once numpy's reshape or "inhomogeneous shape" message, naming no edge
+        with pytest.raises(ValueError, match=f"^{message} is not a pair of vertices$"):
+            make_graph(3, edges)
+
+    def test_a_bad_edge_before_an_entry_that_is_not_a_pair_is_named_first(self):
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            make_graph(3, [(0, 1), (1, 1), (0, 1, 2)])
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) is invalid"):
+            make_graph(3, [(5, 0), (1,)])
+
+    @pytest.mark.parametrize(
         "adjacency, message",
         [
             (np.zeros((2, 3)), r"^adjacency must be a square matrix, got shape \(2, 3\)$"),

@@ -220,7 +220,7 @@ class TestRandomJoins:
             for c in checks
         ])
         assert sum(c.ok for c in checks) == 100
-        assert hashlib.sha256(record.encode()).hexdigest().startswith("ea20384b14c63701")
+        assert hashlib.sha256(record.encode()).hexdigest().startswith("9716d23225c2156e")
 
     def test_numpy_integer_pair_count(self):
         assert [c.seed for c in verify_random_joins(pair_count=np.int64(2), seed=5)] == [5, 6]
