@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .eigen import Multiset, _check_integers, _expand, group_multiplicities
+from .eigen import Multiset, _check_integers, _check_sizes, _expand, group_multiplicities
 
 MERGE_TOL = 1e-9
 
@@ -89,9 +89,7 @@ def _path_values(n: int) -> list[float]:
 
 def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
-    (n,) = _check_integers(n=n)
-    if n < 1:
-        raise ValueError("path spectrum requires n >= 1")
+    (n,) = _check_sizes("path spectrum", 1, n=n)
     return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
 
 
@@ -131,20 +129,13 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     return _spectrum("join-distance-laplacian", [(n1 + n2, 1)], parts)
 
 
-def _check_domain(what: str, m: int, n: int, least: int) -> list[int]:
-    m, n = _check_integers(m=m, n=n)
-    if m < least or n < least:
-        raise ValueError(f"{what} spectrum requires m >= {least} and n >= {least}")
-    return [m, n]
-
-
 def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     """Laplacian spectrum of the (m, n) fan, the join of P_n and m K_1.
 
     {0, m+n}, n with multiplicity m-1, and m + 2 - 2 cos(pi j / n) for
     j = 1..n-1.
     """
-    m, n = _check_domain("fan", m, n, 1)
+    m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
     return _spectrum("fan-laplacian", [(m + n, 1), (n, m - 1)], [(_path_values(n), m, 1, 1)])
 
 
@@ -156,7 +147,7 @@ def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     its rounding differs in the last bits for some (m, n), so the cosines
     are scaled here instead.
     """
-    m, n = _check_domain("fan", m, n, 1)
+    m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
     cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
     return _spectrum(
         "fan-distance-laplacian",
@@ -172,7 +163,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     Kept only so the cardinality defect can be demonstrated; it is not a
     valid spectrum for the (m+n)-vertex fan.
     """
-    m, n = _check_domain("fan", m, n, 1)
+    m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
     values = [0.0, float(m + n)] + [float(m + n)] * (m - 1)
     values += [m + 2 * n - 2 + 2 * math.cos(math.pi * j / n) for j in range(n)]
     return sorted(values)
@@ -203,7 +194,7 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     multiplicity m-1, {0, m+n}, and the two roots of
     x^2 - (m+n+2) x + 2m.
     """
-    m, n = _check_domain("pair-class", m, n, 2)
+    m, n = _check_sizes("pair-class spectrum", 2, m=m, n=n)
     return _pair_class(
         m, n, "nc-laplacian", NC_LAPLACIAN_NOTE,
         top=m + n, hubs=(n, n + 2), quadratic=(float(m + n + 2), 2.0 * m), offset=m, scale=1,
@@ -218,7 +209,7 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     (9(n+m) - 4)/2 +- sqrt(A)/2 with
     A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
     """
-    m, n = _check_domain("pair-class", m, n, 2)
+    m, n = _check_sizes("pair-class spectrum", 2, m=m, n=n)
     c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
     return _pair_class(
         m, n, "nc-distance-laplacian", NC_DISTANCE_LAPLACIAN_NOTE,

@@ -99,6 +99,14 @@ def _check_integers(**values) -> list[int]:
     return [operator.index(value) for value in values.values()]
 
 
+def _check_sizes(what: str, least: int, **sizes) -> list[int]:
+    """_check_integers, then ValueError("{what} requires m >= least ...") if one is below least."""
+    values = _check_integers(**sizes)
+    if min(values) < least:
+        raise ValueError(f"{what} requires " + " and ".join(f"{name} >= {least}" for name in sizes))
+    return values
+
+
 def _real_square(matrix) -> np.ndarray:
     """matrix as a float array; ValueError for complex entries or any shape but n x n."""
     if np.iscomplexobj(matrix):

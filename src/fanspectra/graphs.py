@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .eigen import _check_integers
+from .eigen import _check_sizes
 
 UNREACHABLE = -1
 
@@ -105,29 +105,26 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     entry that is not a pair, or a pair that is not two integers in
     0..vertex_count-1.
     """
-    if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
+    integer = (int, np.integer)
+    if not isinstance(vertex_count, integer) or vertex_count < 0:
         raise ValueError("vertex_count must be a non-negative integer")
-    pairs = list(edges)
-    try:
-        ends = np.array(pairs)
-        if ends.dtype.kind not in "iu":  # no pairs, or an endpoint that is no integer: it becomes -1
-            integer = (int, np.integer)
-            ends = np.array([[x if isinstance(x, integer) else -1 for x in p] for p in pairs], object)
-        u, v = ends = ends.reshape(len(pairs), 2).T  # first endpoints, then second endpoints
-    except (ValueError, TypeError):
-        for i, pair in enumerate(pairs):
-            if not _is_pair(pair):
-                make_graph(vertex_count, pairs[:i])  # names a bad edge before it, if any
-                raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
-        raise
-    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= vertex_count)
-    if np.count_nonzero(bad):
-        u, v = pairs[int(bad.argmax())]
+    ends = []
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
+        integral = isinstance(u, integer) and isinstance(v, integer)
+        if not integral and not _is_pair(edge):  # like (0, [1, 2]); asked only here: ~1 us
+            raise ValueError(f"edge {edge!r} is not a pair of vertices")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        u, v = (u, v) if u < v else (v, u)
-        raise ValueError(f"edge ({u}, {v}) is invalid for a graph on {vertex_count} vertices")
-    u, v = ends.astype(np.intp)
+        if integral and u > v:
+            u, v = v, u
+        if not integral or u < 0 or v >= vertex_count:  # a non-integer pair is named as given
+            raise ValueError(f"edge ({u}, {v}) is invalid for a graph on {vertex_count} vertices")
+        ends.append((u, v))
+    u, v = np.array(ends, np.intp).reshape(-1, 2).T
     a = np.zeros((vertex_count, vertex_count), np.int8)
     a[u, v] = a[v, u] = 1
     return Graph(a)
@@ -143,17 +140,13 @@ def _is_pair(entry) -> bool:
 
 def null_graph(m: int) -> Graph:
     """Graph on m >= 1 vertices with no edges."""
-    (m,) = _check_integers(m=m)
-    if m < 1:
-        raise ValueError("null_graph requires m >= 1")
+    (m,) = _check_sizes("null_graph", 1, m=m)
     return Graph(np.zeros((m, m), np.int8))
 
 
 def path_graph(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
-    (n,) = _check_integers(n=n)
-    if n < 1:
-        raise ValueError("path_graph requires n >= 1")
+    (n,) = _check_sizes("path_graph", 1, n=n)
     return Graph(np.eye(n, k=1, dtype=np.int8) + np.eye(n, k=-1, dtype=np.int8))
 
 
@@ -169,9 +162,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 def generalized_fan(m: int, n: int) -> Graph:
     """Fan with m hubs over an n-vertex path: path vertices 0..n-1, hubs n..n+m-1."""
-    m, n = _check_integers(m=m, n=n)
-    if m < 1 or n < 1:
-        raise ValueError("generalized_fan requires m >= 1 and n >= 1")
+    m, n = _check_sizes("generalized_fan", 1, m=m, n=n)
     a = np.zeros((m + n, m + n), np.int8)  # the upper triangle, mirrored at the end
     a[:n, :n] = np.eye(n, k=1, dtype=np.int8)  # the path, i to i + 1
     a[:n, n:] = 1  # every path vertex to every hub
@@ -184,9 +175,7 @@ def nc_graph(m: int, n: int) -> Graph:
     Defined for m >= 2 and n >= 2 only; has 2(m+n) vertices and
     2(n-1+mn) + m edges.
     """
-    m, n = _check_integers(m=m, n=n)
-    if m < 2 or n < 2:
-        raise ValueError("nc_graph requires m >= 2 and n >= 2")
+    m, n = _check_sizes("nc_graph", 2, m=m, n=n)
     half = m + n
     a = np.zeros((2 * half, 2 * half), np.int8)  # the upper triangle, mirrored at the end
     a[:n, :n] = a[-n:, -n:] = np.eye(n, k=1, dtype=np.int8)  # each path, i to i + 1

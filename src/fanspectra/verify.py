@@ -36,7 +36,8 @@ from .closed_forms import (
     nc_laplacian_spectrum,
 )
 from .eigen import (
-    Spectrum, _check_integers, _check_tol, _expand, group_multiplicities, symmetric_eigenvalues
+    Spectrum, _check_integers, _check_sizes, _check_tol, _expand, group_multiplicities,
+    symmetric_eigenvalues,
 )
 from .graphs import Graph, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
@@ -243,14 +244,15 @@ def random_graph(order: int, rng: np.random.Generator) -> Graph:
 
 
 def verify_random_joins(pair_count: int = 100, seed: int = 20260809) -> list[JoinCheck]:
-    """Check both join spectrum maps on pair_count (an integer >= 1) seeded
-    random pairs of graphs of order 1..8, each map to within DEFAULT_CASE_TOL.
+    """Check both join spectrum maps on pair_count (an integer >= 1) random pairs of graphs
+    of order 1..8, seeded from seed (an integer >= 0), each map to within DEFAULT_CASE_TOL.
 
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
     if not isinstance(pair_count, (int, np.integer)) or pair_count < 1:
         raise ValueError("pair_count must be an integer >= 1")
+    (seed,) = _check_sizes("verify_random_joins", 0, seed=seed)
     checks = []
     for k in range(pair_count):
         pair_seed = seed + k

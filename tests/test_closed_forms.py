@@ -163,11 +163,17 @@ class TestSizesMustBeIntegers:
             assert join_map(spec, integer(100), spec, integer(100)) == join_map(spec, 100, spec, 100)
 
     def test_the_domain_messages_are_unchanged(self):
-        with pytest.raises(ValueError, match=r"^fan spectrum requires m >= 1 and n >= 1$"):
-            fan_laplacian_spectrum(0, 3)
+        with pytest.raises(ValueError, match=r"^path spectrum requires n >= 1$"):
+            path_laplacian_spectrum(0)
+        for form in (fan_laplacian_spectrum, fan_distance_laplacian_spectrum,
+                     fan_distance_laplacian_as_stated):
+            for m, n in [(0, 3), (3, 0)]:
+                with pytest.raises(ValueError, match=r"^fan spectrum requires m >= 1 and n >= 1$"):
+                    form(m, n)
         for form in (nc_laplacian_spectrum, nc_distance_laplacian_spectrum):
-            with pytest.raises(ValueError, match=r"^pair-class spectrum requires m >= 2 and n >= 2$"):
-                form(2, 1)
+            for m, n in [(2, 1), (1, 2)]:
+                with pytest.raises(ValueError, match=r"^pair-class spectrum requires m >= 2 and n >= 2$"):
+                    form(m, n)
 
 
 class TestNcLaplacian:

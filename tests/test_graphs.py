@@ -100,9 +100,9 @@ class TestBasicFamilies:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_empty_parameters(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^null_graph requires m >= 1$"):
             null_graph(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^path_graph requires n >= 1$"):
             path_graph(bad)
 
     def test_join_counts(self):
@@ -142,7 +142,7 @@ class TestFan:
 
     @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
     def test_parameter_validation(self, m, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^generalized_fan requires m >= 1 and n >= 1$"):
             generalized_fan(m, n)
 
 
@@ -196,7 +196,7 @@ class TestNcGraph:
 
     @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (0, 2), (2, 0)])
     def test_domain_restriction(self, m, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^nc_graph requires m >= 2 and n >= 2$"):
             nc_graph(m, n)
 
 
@@ -415,9 +415,14 @@ class TestValidationAndExport:
             assert np.array_equal(build_matrix(g, kind, t=0.5), build_matrix(path_graph(3), kind, t=0.5))
 
     @pytest.mark.parametrize(
-        "edge", [(0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1")]
+        "edge",
+        [
+            (0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1"),
+            (None, 1), ("0", 1), (1, "a"),
+        ],
     )
     def test_rejects_non_integer_endpoints(self, edge):
+        # None, "0" and "a" once escaped as a TypeError from ordering the pair
         message = rf"edge \({edge[0]}, {edge[1]}\) is invalid for a graph on 3 vertices"
         with pytest.raises(ValueError, match=message):
             make_graph(3, [edge])
@@ -432,6 +437,12 @@ class TestValidationAndExport:
     def test_normalizes_duplicate_and_reversed_edges(self):
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges == frozenset({(0, 2), (0, 1)})
+
+    def test_reads_edges_from_a_one_shot_iterator(self):
+        edges = [(2, 0), (0, 2), (1, 0)]
+        assert make_graph(3, (edge for edge in edges)) == make_graph(3, edges)
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            make_graph(3, (edge for edge in [(0, 1), (1, 1), (0, 1, 2)]))
 
     def test_export_of_the_paper_families_is_pinned(self):
         # fan 1..12 x 1..12, then nc 2..12 x 2..12: any change to the edges or their order shows

@@ -212,6 +212,16 @@ class TestRandomJoins:
         with pytest.raises(ValueError, match="^pair_count must be an integer >= 1$"):
             verify_random_joins(pair_count=pair_count)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2.5, "seed must be an integer, got 2.5"), ("3", "seed must be an integer, got '3'"),
+         (None, "seed must be an integer, got None"), (-1, "verify_random_joins requires seed >= 0")],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        # once a TypeError from numpy or from seed + k, or numpy's own negative-seed message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_random_joins(pair_count=1, seed=seed)
+
     def test_default_checks_are_pinned(self):
         # every seed keeps its two graphs, and each deviation keeps every bit
         checks = verify_random_joins()
