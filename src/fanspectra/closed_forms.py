@@ -21,17 +21,17 @@ is returned and the discrepancy recorded in ``errata_notes``:
   which yields {3n+5m, 3n+5m-4}.  The derived pair passes the trace
   identity and is returned.
 
-Every closed form is one call to the skeleton ``_spectrum``: the
-eigenvalue 0, fixed (value, multiplicity) terms, and offset + scale * v
-for every base value v of each part.  The bases are a join part's
-nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
+Every closed form is one call to the skeleton ``_spectrum``: the eigenvalue
+0, integer (value, multiplicity) terms, both roots of each integer quadratic
+factor x^2 - b x + c, and offset + scale * v for every base value v of each
+part, with integer offset and scale.  The bases are float lists: a join
+part's nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
 2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).
-Values are plain double-precision reals (no symbolic layer).  When a
-formula produces the same eigenvalue through two routes, the
-contributions are grouped by ``eigen.group_multiplicities`` at
-``MERGE_TOL`` = 1e-9, the same rule that groups numeric spectra.
-Which family and kind each closed form belongs to is recorded once, in
-the case table ``verify.FAMILIES``.
+Only the skeleton turns integers into doubles (no symbolic layer).  Values
+a formula gives through two routes are grouped by
+``eigen.group_multiplicities`` at ``MERGE_TOL`` = 1e-9, the same rule that
+groups numeric spectra.  Which family and kind each closed form belongs to
+is recorded once, in the case table ``verify.FAMILIES``.
 
 The paper's 4x4 quotients and quartics are not typed here:
 ``quotient_matrix(laplacian_matrix(nc_graph(m, n)), nc_partition(m, n))``
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .eigen import Multiset, _check_integers, _check_sizes, _expand, group_multiplicities
+from .eigen import Multiset, _check_sizes, _sorted_values, group_multiplicities
 
 MERGE_TOL = 1e-9
 
@@ -69,13 +69,21 @@ class ClosedFormSpectrum(Multiset):
     errata_notes: tuple[str, ...] = field(default=())
 
 
-def _spectrum(source: str, terms, parts=(), errata: tuple[str, ...] = ()) -> ClosedFormSpectrum:
+def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> ClosedFormSpectrum:
     """The one skeleton of every closed form: 0, each (value, multiplicity) term,
-    and offset + scale * v with multiplicity k for each base value v of each
-    (base, offset, scale, k) part, grouped by group_multiplicities at MERGE_TOL."""
+    both roots of x^2 - b x + c for each integer (b, c) of quadratics, and
+    offset + scale * v with multiplicity k for each base value v of each
+    (base, offset, scale, k) part, grouped by group_multiplicities at MERGE_TOL.
+
+    Every quadratic here has real roots: its discriminant is a sum of squares,
+    (m+n+2)^2 - 8m = (m+n-2)^2 + 8n for L and
+    (9(m+n)-4)^2 - 4c = (3(n-m)+4)^2 + 4mn for D^L."""
     values = [0.0]
     for value, k in terms:
         values += [float(value)] * k
+    for b, c in quadratics:
+        b, root = float(b), math.sqrt(float(b) * float(b) - 4.0 * float(c))
+        values += [(b - root) / 2.0, (b + root) / 2.0]
     for base, offset, scale, k in parts:
         values += [offset + scale * v for v in base for _ in range(k)]
     values.sort()
@@ -90,12 +98,12 @@ def _path_values(n: int) -> list[float]:
 def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
     """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
     (n,) = _check_sizes("path spectrum", 1, n=n)
-    return _spectrum("path-laplacian", [(v, 1) for v in _path_values(n)])
+    return _spectrum("path-laplacian", [], [(_path_values(n), 0, 1, 1)])
 
 
 def _consume_zero(spectrum_like, order: int, what: str) -> list[float]:
     """Expand a full Laplacian spectrum, check it contains 0 (to 1e-6), and drop one copy."""
-    values = sorted(_expand(spectrum_like))
+    values = _sorted_values(spectrum_like)
     if len(values) != order:
         raise ValueError(f"{what} has {len(values)} eigenvalues, expected {order}")
     if abs(values[0]) > 1e-6:
@@ -109,7 +117,7 @@ def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectru
     The result is {0, n1+n2} together with every nonzero-slot eigenvalue
     of the first part shifted by n2 and of the second part shifted by n1.
     """
-    n1, n2 = _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_sizes("join spectrum", 1, n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     return _spectrum("join-laplacian", [(n1 + n2, 1)], [(rest1, n2, 1, 1), (rest2, n1, 1, 1)])
@@ -122,7 +130,7 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     {0, n1+n2} plus n2+2n1-lambda_i and n1+2n2-mu_j over the nonzero-slot
     eigenvalues of the two parts.
     """
-    n1, n2 = _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_sizes("join spectrum", 1, n1=n1, n2=n2)
     rest1 = _consume_zero(spec1, n1, "first spectrum")
     rest2 = _consume_zero(spec2, n2, "second spectrum")
     parts = [(rest1, n2 + 2 * n1, -1, 1), (rest2, n1 + 2 * n2, -1, 1)]
@@ -149,12 +157,9 @@ def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     """
     m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
     cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
-    return _spectrum(
-        "fan-distance-laplacian",
-        [(m + n, 1), (n + 2 * m, m - 1)],
-        [(cosines, m + 2 * n - 2, 2, 1)],
-        (FAN_DISTANCE_LAPLACIAN_NOTE,),
-    )
+    terms = [(m + n, 1), (n + 2 * m, m - 1)]
+    parts = [(cosines, m + 2 * n - 2, 2, 1)]
+    return _spectrum("fan-distance-laplacian", terms, parts, errata=(FAN_DISTANCE_LAPLACIAN_NOTE,))
 
 
 def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
@@ -169,24 +174,6 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     return sorted(values)
 
 
-def _quadratic_roots(b: float, c: float) -> tuple[float, float]:
-    """Roots of x^2 - b x + c, ascending."""
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        raise ValueError(f"negative discriminant {disc} for x^2 - {b}x + {c}")
-    root = math.sqrt(disc)
-    return ((b - root) / 2.0, (b + root) / 2.0)
-
-
-def _pair_class(m: int, n: int, source: str, note: str, top, hubs, quadratic, offset, scale):
-    """{0, top}, both hub values with multiplicity m-1, the roots of x^2 - b x + c
-    for quadratic = (b, c), and offset + scale * lambda twice over the path's
-    nonzero Laplacian eigenvalues lambda."""
-    lo, hi = _quadratic_roots(*quadratic)
-    terms = [(top, 1), (hubs[0], m - 1), (hubs[1], m - 1), (lo, 1), (hi, 1)]
-    return _spectrum(source, terms, [(_path_values(n), offset, scale, 2)], (note,))
-
-
 def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     """Laplacian spectrum of the hub-matched fan pair (corrected form).
 
@@ -195,10 +182,9 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     x^2 - (m+n+2) x + 2m.
     """
     m, n = _check_sizes("pair-class spectrum", 2, m=m, n=n)
-    return _pair_class(
-        m, n, "nc-laplacian", NC_LAPLACIAN_NOTE,
-        top=m + n, hubs=(n, n + 2), quadratic=(float(m + n + 2), 2.0 * m), offset=m, scale=1,
-    )
+    terms = [(m + n, 1), (n, m - 1), (n + 2, m - 1)]
+    parts = [(_path_values(n), m, 1, 2)]
+    return _spectrum("nc-laplacian", terms, parts, [(m + n + 2, 2 * m)], (NC_LAPLACIAN_NOTE,))
 
 
 def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
@@ -206,13 +192,11 @@ def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
 
     5n + 3m - lambda_j twice over the nonzero path Laplacian eigenvalues,
     3n+5m and 3n+5m-4 each with multiplicity m-1, {0, 3(n+m)}, and
-    (9(n+m) - 4)/2 +- sqrt(A)/2 with
-    A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
+    (9(n+m) - 4)/2 +- sqrt(A)/2 with A = 9n^2 + 9m^2 - 14nm + 24n - 24m + 16.
     """
     m, n = _check_sizes("pair-class spectrum", 2, m=m, n=n)
+    terms = [(3 * (n + m), 1), (3 * n + 5 * m, m - 1), (3 * n + 5 * m - 4, m - 1)]
+    parts = [(_path_values(n), 5 * n + 3 * m, -1, 2)]
     c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
-    return _pair_class(
-        m, n, "nc-distance-laplacian", NC_DISTANCE_LAPLACIAN_NOTE,
-        top=3 * (n + m), hubs=(3 * n + 5 * m, 3 * n + 5 * m - 4),
-        quadratic=(float(9 * (n + m) - 4), float(c)), offset=5 * n + 3 * m, scale=-1,
-    )
+    factors = [(9 * (n + m) - 4, c)]
+    return _spectrum("nc-distance-laplacian", terms, parts, factors, (NC_DISTANCE_LAPLACIAN_NOTE,))

@@ -117,11 +117,17 @@ def _real_square(matrix) -> np.ndarray:
     return a
 
 
-def _expand(spectrum_like) -> list[float]:
-    """A multiset's values with repeats, or a plain sequence's values, as floats."""
+def _sorted_values(spectrum_like) -> list[float]:
+    """The one reader of outside spectra: a multiset's values with repeats, or a plain
+    sequence's as floats, ascending; ValueError for a NaN, which sorts anywhere, or an inf."""
     if hasattr(spectrum_like, "expanded"):
-        return list(spectrum_like.expanded())
-    return [float(v) for v in spectrum_like]
+        values = spectrum_like.expanded()  # already floats, and a new list
+    else:
+        values = [float(v) for v in spectrum_like]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    values.sort()
+    return values
 
 
 @functools.lru_cache(maxsize=32)

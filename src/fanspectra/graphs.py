@@ -53,7 +53,8 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
         stray = np.count_nonzero(a != a.T) + np.count_nonzero(a.diagonal())  # asymmetry, loops
-        if stray or np.count_nonzero(a) != np.count_nonzero(a == 1):  # or an entry not 0 or 1
+        binary = np.count_nonzero(a == 0) + np.count_nonzero(a == 1) == a.size  # None is neither
+        if stray or not binary or np.iscomplexobj(a):  # a complex 1 would pass as 1
             raise ValueError("adjacency must be symmetric, with entries 0 or 1 and a zero diagonal")
         a = a.astype(np.int8)
         a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object

@@ -20,7 +20,6 @@ random graph pairs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -36,7 +35,7 @@ from .closed_forms import (
     nc_laplacian_spectrum,
 )
 from .eigen import (
-    Spectrum, _check_integers, _check_sizes, _check_tol, _expand, group_multiplicities,
+    Spectrum, _check_integers, _check_sizes, _check_tol, _sorted_values, group_multiplicities,
     symmetric_eigenvalues,
 )
 from .graphs import Graph, generalized_fan, join, nc_graph
@@ -108,12 +107,9 @@ def closed_form(family: str, kind: str) -> Callable[[int, int], ClosedFormSpectr
 
 
 def compare_spectra(a, b) -> float:
-    """Max elementwise gap between two multisets after ascending expansion.
-
-    ValueError for a non-finite value: max() would skip a NaN that is not first."""
-    xs, ys = sorted(_expand(a)), sorted(_expand(b))
-    if not all(map(math.isfinite, xs + ys)):
-        raise ValueError("values must be finite")
+    """Max elementwise gap between two multisets after ascending expansion;
+    ValueError for a non-finite value, SpectrumSizeMismatch for unequal sizes."""
+    xs, ys = _sorted_values(a), _sorted_values(b)
     if len(xs) != len(ys):
         raise SpectrumSizeMismatch(f"multiset sizes differ: {len(xs)} vs {len(ys)}")
     return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)

@@ -28,7 +28,9 @@ from fanspectra.closed_forms import (
 from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, nc_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
+from fanspectra.verify import MAX_SWEEP_PARAM
 
+JOIN_MAPS = [join_laplacian_spectrum, join_distance_laplacian_spectrum]
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
@@ -105,6 +107,32 @@ class TestJoinMaps:
     def test_wrong_cardinality_is_rejected(self):
         with pytest.raises(ValueError):
             join_laplacian_spectrum([0.0, 1.0], 3, [0.0], 1)
+
+    # a leading NaN once passed for the zero eigenvalue: [nan, 2.0] and [0.0] gave {0, 3, 3}
+    @pytest.mark.parametrize("join_map", JOIN_MAPS)
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan, 2.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]],
+        ids=["nan-first", "nan-last", "inf", "minus-inf"],
+    )
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first-part", "second-part"])
+    def test_a_value_that_is_not_finite_is_rejected(self, join_map, bad, as_array, first):
+        bad = np.array(bad) if as_array else bad
+        args = (bad, 2, [0.0], 1) if first else ([0.0], 1, bad, 2)
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            join_map(*args)
+
+    # an empty part was once an IndexError, a negative size a cardinality message
+    @pytest.mark.parametrize("join_map", JOIN_MAPS)
+    @pytest.mark.parametrize(
+        "args",
+        [([], 0, [0.0], 1), ([0.0], 1, [], 0), ([0.0], -1, [0.0], 1), ([0.0], 1, [0.0], -2)],
+        ids=["empty-first", "empty-second", "negative-first", "negative-second"],
+    )
+    def test_a_part_of_no_vertices_is_rejected(self, join_map, args):
+        with pytest.raises(ValueError, match="^join spectrum requires n1 >= 1 and n2 >= 1$"):
+            join_map(*args)
 
 
 class TestSizesMustBeIntegers:
@@ -413,11 +441,19 @@ class TestBitIdentity:
         ids=["fan-laplacian", "fan-distance-laplacian", "nc-laplacian", "nc-distance-laplacian"],
     )
     def test_family_forms(self, form, reference, low, source, errata):
-        for m in range(low, 41):
-            for n in range(low, 41):
+        for m in range(low, MAX_SWEEP_PARAM + 1):
+            for n in range(low, MAX_SWEEP_PARAM + 1):
                 spectrum = form(m, n)
                 assert spectrum.pairs == reference(m, n), (m, n)
                 assert (spectrum.source, spectrum.errata_notes) == (source, errata)
+
+    def test_the_nc_discriminants_are_sums_of_squares(self):
+        # so both quadratic factors have two real roots over the whole domain, exactly
+        for m in range(2, MAX_SWEEP_PARAM + 1):
+            for n in range(2, MAX_SWEEP_PARAM + 1):
+                assert (m + n + 2) ** 2 - 8 * m == (m + n - 2) ** 2 + 8 * n
+                c = 18 * n * n + 44 * n * m + 18 * m * m - 24 * n - 12 * m
+                assert (9 * (m + n) - 4) ** 2 - 4 * c == (3 * (n - m) + 4) ** 2 + 4 * m * n
 
     @pytest.mark.parametrize(
         "form, reference, source",

@@ -360,14 +360,20 @@ class TestValidationAndExport:
             ([[0, 0.5], [0.5, 0]], SIMPLE),
             ([[0, 1], [0, 0]], SIMPLE),
             ([[1, 0], [0, 0]], SIMPLE),
+            (np.array([[0, 1], [1, 0]], complex), SIMPLE),
+            (np.array([[0, 1j], [1j, 0]]), SIMPLE),
+            (np.array([[0, None], [None, 0]], object), SIMPLE),
+            (np.array([[0, 1], [1, None]], object), SIMPLE),
         ],
     )
     def test_graph_rejects_an_adjacency_that_is_not_simple(self, adjacency, message):
-        # non-square, an entry 2 or 0.5, an asymmetric entry, a self-loop on the diagonal
+        # non-square, an entry 2 or 0.5, an asymmetric entry, a self-loop on the diagonal,
+        # entries that are not real (a complex 0/1 array once passed with a ComplexWarning,
+        # and a None in an object array was a TypeError from the int8 cast)
         with pytest.raises(ValueError, match=message):
             Graph(adjacency)
 
-    @pytest.mark.parametrize("dtype", [int, float, bool, np.uint8])
+    @pytest.mark.parametrize("dtype", [int, float, bool, np.uint8, object])
     def test_graph_keeps_a_read_only_int8_copy_of_any_0_1_array(self, dtype):
         g = Graph(np.array([[0, 1], [1, 0]], dtype))
         assert g == path_graph(2) and hash(g) == hash(path_graph(2))

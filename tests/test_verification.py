@@ -189,6 +189,13 @@ class TestSerialization:
             assert record["max_abs_deviation"] == report.max_abs_deviation
             assert record["passed"] is True
 
+    def test_the_2_6_sweep_json_is_pinned(self):
+        # every bit of every report over the 2..6 grid: a change to the bits of the
+        # solver, of the grouping or of a closed form must re-pin this
+        text = reports_to_json(sweep((2, 6), (2, 6)))
+        assert len(text) == 148_593
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("ac7a6e1e19803bf9")
+
 
 class TestRandomJoins:
     def test_seeded_graphs_are_reproducible(self):
