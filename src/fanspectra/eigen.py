@@ -5,27 +5,37 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 16 array calls into buffers made once per solve, with
-constants cached once per order, so it allocates nothing.  At the orders
+is a fixed sequence of 14 array calls (8 build the rotations, 6 apply them)
+into buffers made once per solve, with its ufuncs bound once per solve and
+the gather cached once per order, so it allocates nothing.  At the orders
 verified here its cost is those calls, not their arithmetic, so each call
 passes its output positionally and takes array operands, never Python floats.
 Each pair (2i, 2i+1) gets the rotation J = [[c, s], [-s, c]] (Golub & Van
-Loan, symSchur2).  Read as complex128, row r of a matrix holds the numbers
-A[r, 2i] + i A[r, 2i+1], so A J is that view times c_i + i s_i: the round
-writes the phases into every row of whichever buffer is free, multiplies
-(A J), copies the transpose (J^T A) and multiplies again (J^T A J).  The
-gather to the next round's slots is a pure permutation: the pivots a_pq and
-a_qp move with the rest, and nothing is set to zero by fiat.
+Loan, symSchur2), read off one complex pivot per pair,
+u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq with d = a_qq - a_pp
+and the gap floor f below, whose Im u / Re u is the tangent that zeroes a_pq:
+d and 2 a_pq are written through the real and imaginary views of one buffer,
+and one complex divide by hypot(Re u, Im u) + 0i normalises u in place to
+c + i s (np.hypot on the two views: np.absolute on the complex array rounds
+less accurately).  When d < 0 that is
+-(c + i s), and -J gives the same J^T A J.  The pivots' float view is the
+phase row c_0, s_0, c_1, s_1, ....  Read as complex128, row r of a matrix
+holds the numbers A[r, 2i] + i A[r, 2i+1], so A J is that view times
+c_i + i s_i: the round writes the phase row into every row of whichever
+buffer is free, multiplies (A J), copies the transpose (J^T A) and multiplies
+again (J^T A J).  The gather to the next round's slots is a pure permutation:
+the pivots a_pq and a_qp move with the rest, and nothing is set to zero by fiat.
 
-Each sweep takes a gap floor, max(_GAP_FLOOR, _FLOOR_SHARE * the off-norm
-the previous sweep left), and the tangent's denominator is the hypot of the
-exact one and that floor.  Inside a cluster of equal diagonal entries a tiny
-a_pq would otherwise get a large rotation that moves mass not yet annihilated
-back into entries the sweep has already zeroed, and the sweeps converge only
-linearly; with the floor such a pair gets a rotation near zero, while every
-other pair gets its exact one up to a second-order error.  A rotation shorter
-than the exact one never increases |a_pq|, so the off-norm never grows, and
-the stopping test still bounds the eigenvalue error.
+The first sweep takes the least gap floor, _GAP_FLOOR, so every pair gets its
+exact rotation and an isolated pair is finished in one sweep; each later
+sweep takes max(_GAP_FLOOR, _FLOOR_SHARE * the off-norm the previous sweep
+left).  Inside a cluster of equal diagonal entries a tiny a_pq would otherwise
+get a large rotation that moves mass not yet annihilated back into entries the
+sweep has already zeroed, and the sweeps converge only linearly; with the
+floor such a pair gets a rotation near zero, while every other pair gets its
+exact one up to a second-order error.  A rotation shorter than the exact one
+never increases |a_pq|, so the off-norm never grows, and the stopping test
+still bounds the eigenvalue error.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -47,7 +57,7 @@ SWEEP_CAP = 100
 # when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level between equal
 # diagonal entries gets a small rotation, not a 45-degree one.
 _GAP_FLOOR = 2.0**-52
-# A sweep's gap floor is this share of the off-norm the previous sweep left.
+# A later sweep's gap floor is this share of the off-norm the previous sweep left.
 _FLOOR_SHARE = 0.01
 
 
@@ -131,24 +141,20 @@ def _sorted_values(spectrum_like) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _round_plan(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """What every round at order m reads: the flat gather index that moves an
-    m x m matrix to the next round's slots, a permutation of range(m*m), then
-    a length-m/2 array of 1.0 (a Python-float operand doubles a ufunc call's cost).
+def _round_plan(m: int) -> np.ndarray:
+    """The flat gather index that moves an m x m matrix to the next round's
+    slots, a permutation of range(m*m), which every round at order m reads.
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
-    and after m - 1 rounds every index is home.  The array of ones is
-    read-only; the index stays writable because take copies a read-only
-    index on every call.
+    and after m - 1 rounds every index is home.  The index stays writable
+    because take copies a read-only index on every call.
     """
     position = [k // 2 if k % 2 == 0 else m - 1 - k // 2 for k in range(m)]
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
-    one = np.ones(m // 2)
-    one.flags.writeable = False
-    return (source[:, None] * m + source).ravel(), one
+    return (source[:, None] * m + source).ravel()
 
 
 def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
@@ -207,38 +213,42 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
     app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
-    phase = np.empty(m)  # c_0, s_0, c_1, s_1, ...: one row of the phase table
-    cos, sin = phase[0::2], phase[1::2]
-    gap, t, norm, gap_floor = np.empty(h), np.empty(h), np.empty(h), np.empty(h)
-    gather, one = _round_plan(m)
+    # one pivot u per pair, normalised in place: its float view c_0, s_0, c_1, s_1, ...
+    # is one row of the phase table; the modulus's imaginary part stays zero
+    pivot, modulus = np.empty(h, np.complex128), np.zeros(h, np.complex128)
+    phase, gap, twice_apq, norm = pivot.view(np.float64), pivot.real, pivot.imag, modulus.real
+    gap_floor = np.full(h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
+    gather = _round_plan(m)
+    subtract, add, hypot, copysign, divide, multiply = (
+        np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply
+    )
+    take = flat_spare.take
 
     initial = remaining = _off_norm(work, spare)
     target = convergence_tol * initial
     if initial > 0.0:
         for _ in range(SWEEP_CAP):
-            gap_floor.fill(max(_GAP_FLOOR, _FLOOR_SHARE * remaining))
             for _ in range(m - 1):
-                # t = tan of the angle that zeroes a_pq, with d = a_qq - a_pp and
-                # the floor f: 2 a_pq / (d + sign(d) hypot(hypot(d, 2 a_pq), f))
-                np.subtract(aqq, app, gap)
-                np.add(apq, apq, t)
-                np.hypot(gap, t, norm)
-                np.hypot(norm, gap_floor, norm)
-                np.copysign(norm, gap, norm)
-                np.add(norm, gap, norm)
-                np.divide(t, norm, t)
-                np.hypot(t, one, norm)
-                np.reciprocal(norm, cos)
-                np.multiply(t, cos, sin)
+                # u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq, with d = a_qq - a_pp
+                # and the floor f, so Im u / Re u is the tangent of the angle that zeroes a_pq
+                subtract(aqq, app, gap)
+                add(apq, apq, twice_apq)
+                hypot(gap, twice_apq, norm)
+                hypot(norm, gap_floor, norm)
+                copysign(norm, gap, norm)
+                add(gap, norm, gap)
+                hypot(gap, twice_apq, norm)
+                divide(pivot, modulus, pivot)  # c + i s, or -(c + i s): J^T A J is the same
                 spare[...] = phase  # the phase table, in the free buffer
-                np.multiply(pairs_work, pairs_spare, pairs_work)  # A J
+                multiply(pairs_work, pairs_spare, pairs_work)  # A J
                 spare[...] = work_t  # J^T A
                 work[...] = phase
-                np.multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
-                flat_spare.take(gather, None, flat_work, "clip")  # to the next round's slots
+                multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
+                take(gather, None, flat_work, "clip")  # to the next round's slots
             remaining = _off_norm(work, spare)
             if remaining <= target:
                 break
+            gap_floor.fill(max(_GAP_FLOOR, _FLOOR_SHARE * remaining))
         else:
             raise JacobiConvergenceError(
                 f"no convergence after {SWEEP_CAP} sweeps: "

@@ -54,7 +54,9 @@ class Graph:
             raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
         stray = np.count_nonzero(a != a.T) + np.count_nonzero(a.diagonal())  # asymmetry, loops
         binary = np.count_nonzero(a == 0) + np.count_nonzero(a == 1) == a.size  # None is neither
-        if stray or not binary or np.iscomplexobj(a):  # a complex 1 would pass as 1
+        # a complex 1 would pass as 1, in a complex array or as an object array's entry
+        not_real = np.iscomplexobj(a) or a.dtype == object and any(map(np.iscomplexobj, a.flat))
+        if stray or not binary or not_real:
             raise ValueError("adjacency must be symmetric, with entries 0 or 1 and a zero diagonal")
         a = a.astype(np.int8)
         a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object

@@ -74,25 +74,29 @@ def solve_reading(monkeypatch, matrix, read=lambda work: None):
 
 @pytest.fixture(scope="module")
 def grid_sweep():
-    """The reports of the 2..12 verify grid and the Jacobi rounds it ran."""
-    rounds = 0
+    """The reports of the 2..12 verify grid, the Jacobi rounds it ran, and the
+    sweeps that its solves of order 2 and 4 took."""
+    rounds = small_sweeps = order = 0
     off_norm, jacobi_diagonal = eigen._off_norm, eigen._jacobi_diagonal
 
     def counting(work, spare):  # called once per sweep of m - 1 rounds ...
-        nonlocal rounds
+        nonlocal rounds, small_sweeps
         rounds += work.shape[0] - 1
+        small_sweeps += order in (2, 4)
         return off_norm(work, spare)
 
     def uncounting_the_input(a, *args):  # ... and once on the input
-        nonlocal rounds
-        rounds -= a.shape[0] + a.shape[0] % 2 - 1
+        nonlocal rounds, small_sweeps, order
+        order = a.shape[0]
+        rounds -= order + order % 2 - 1
+        small_sweeps -= order in (2, 4)
         return jacobi_diagonal(a, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigen, "_off_norm", counting)
         patch.setattr(eigen, "_jacobi_diagonal", uncounting_the_input)
         reports = sweep((2, 12), (2, 12))
-    return reports, rounds
+    return reports, rounds, small_sweeps
 
 
 class TestSymmetricEigenvalues:
@@ -237,7 +241,7 @@ class TestSymmetricEigenvalues:
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_each_sweep_rotates_every_pair_once_and_restores_the_order(self, m):
-        source = _round_plan(m)[0][:: m + 1] // m
+        source = _round_plan(m)[:: m + 1] // m
         slots = np.arange(m)  # slots[k] = the index held in slot k
         met = []
         for _ in range(m - 1):
@@ -249,7 +253,7 @@ class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_the_gather_is_a_permutation(self, m):
         # the pivots move with the rest: no entry is copied from elsewhere or dropped
-        gather = _round_plan(m)[0]
+        gather = _round_plan(m)
         assert np.array_equal(np.sort(gather), np.arange(m * m))
         source = gather[:: m + 1] // m
         assert np.array_equal(gather, (source[:, None] * m + source).ravel())
@@ -343,15 +347,17 @@ class TestRoundLoop:
         lap = laplacian_matrix(nc_graph(m, n))
         assert self._peak_bytes(lap) <= 2 * lap.size * 8 + 4096
 
-    def test_the_cached_plans_are_read_only_and_shared_safely(self):
-        # the gap floor changes each sweep, so it is the solve's own, not the plan's
+    def test_the_cached_plan_is_one_gather_and_shared_safely(self):
+        # the gap floor changes each sweep and the pivots each round, so both are
+        # the solve's own; the plan is the gather alone, and no solve writes it
         plan = _round_plan(16)
-        assert len(plan) == 2
-        assert not plan[1].flags.writeable and np.array_equal(plan[1], np.ones(8))
+        assert isinstance(plan, np.ndarray) and plan.shape == (256,) and plan.dtype == np.intp
+        before = plan.copy()
         matrices = [
             random_symmetric(3, seed=1), laplacian_matrix(nc_graph(4, 4)), random_symmetric(3, seed=2)
         ]
         interleaved = [symmetric_eigenvalues(a) for a in matrices]
+        assert np.array_equal(_round_plan(16), before)
         for a, values in zip(matrices, interleaved):
             _round_plan.cache_clear()
             assert np.array_equal(symmetric_eigenvalues(a), values)
@@ -359,9 +365,29 @@ class TestRoundLoop:
 
 class TestOracleRegressionGuards:
     def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
-        # 60,309 rounds with the per-sweep gap floor, plus 1%; without the
-        # floor the sweeps converged linearly on clustered spectra: 83,762
-        assert grid_sweep[1] <= 60_912
+        # 59,184 rounds with an exact first sweep, plus 1%; with the first sweep at a
+        # floor of 1% of the input's off-norm 60,309, and without any floor the
+        # sweeps converged linearly on clustered spectra: 83,762
+        assert grid_sweep[1] <= 59_775
+
+    def test_the_grid_s_order_2_and_4_solves_take_no_extra_sweeps(self, grid_sweep):
+        # 779 sweeps; a first-sweep floor of 1% of the input's off-norm shortened
+        # even an isolated pair's exact rotation, and they took 1,217
+        assert grid_sweep[2] <= 800
+
+    @pytest.mark.parametrize("blocks", [[0], [1], [0, 1, 2, 3, 4, 5]])
+    def test_pairs_the_first_round_rotates_alone_take_one_sweep(self, monkeypatch, blocks):
+        # a lone 2 x 2, or 2 x 2 blocks on the slots that the first round pairs: each
+        # exact rotation zeroes its block, and every later pair has a_pq = 0 exactly.
+        # Block 0 is the 2-vertex path's Laplacian, whose equal diagonal asks 45 degrees
+        block_of = [laplacian_matrix(path_graph(2))]
+        block_of += [random_symmetric(2, seed=k) for k in range(1, 6)]
+        a = np.zeros((2 * len(blocks), 2 * len(blocks)))
+        for slot, k in enumerate(blocks):
+            a[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = block_of[k]
+        values, seen = solve_reading(monkeypatch, a)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-14 * np.max(np.abs(a))
+        assert len(seen) - 1 == 1
 
     def test_a_clustered_spectrum_converges_quadratically(self, monkeypatch):
         # nc(12, 3)'s L has n and n + 2 each m - 1 times: 12 sweeps without the floor
@@ -370,15 +396,21 @@ class TestOracleRegressionGuards:
         np.testing.assert_allclose(values, nc_laplacian_spectrum(12, 3).expanded(), atol=1e-12)
         assert len(seen) - 1 <= 7
 
-    @pytest.mark.parametrize("kind", ["random", "equal-couplings"])
+    @pytest.mark.parametrize("kind", ["random", "equal-couplings", "signed-equal-couplings"])
     def test_a_large_odd_dense_matrix_does_not_stall(self, monkeypatch, kind):
         # the gap floor may shorten a rotation but must never switch a pair off.
-        # Order 129 is odd and larger than any grid case; at order 257 with
-        # equal couplings every |a_pq| starts below the first sweep's floor
+        # Order 129 is odd and larger than any grid case. At order 257 every |a_pq|
+        # starts at 1e-3, below 1% of the off-norm: the exact first sweep finishes
+        # equal couplings, while with random signs it leaves over 96% of the pairs
+        # below each later sweep's floor, for eight more sweeps
         if kind == "random":
             a = random_symmetric(129, seed=129)
         else:
-            a = np.eye(257) + 1e-3 * (np.ones((257, 257)) - np.eye(257))
+            couplings = np.ones((257, 257))
+            if kind == "signed-equal-couplings":
+                signs = np.triu(np.random.default_rng(257).choice([-1.0, 1.0], (257, 257)), 1)
+                couplings = signs + signs.T
+            a = np.eye(257) + 1e-3 * (couplings - np.diag(np.diag(couplings)))
         values, seen = solve_reading(monkeypatch, a)
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
         assert len(seen) - 1 < eigen.SWEEP_CAP
@@ -386,7 +418,14 @@ class TestOracleRegressionGuards:
     def test_every_grid_case_passes_far_inside_the_case_tolerance(self, grid_sweep):
         reports = grid_sweep[0]
         assert len(reports) == 484 and all(report.passed for report in reports)
-        assert max(report.max_abs_deviation for report in reports) <= 1e-11
+        # 1.26e-12 with the rotation read off one normalised complex pivot per pair
+        assert max(report.max_abs_deviation for report in reports) <= 2e-12
+
+    @pytest.mark.parametrize("builder", [laplacian_matrix, distance_laplacian])
+    def test_the_largest_grid_matrices_match_lapack(self, builder):
+        # nc(12, 12), order 48: 1.1e-13 for L and 1.07e-12 for D^L (max |a| = 150)
+        a = builder(nc_graph(12, 12))
+        assert np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a))) <= 2e-12
 
     @pytest.mark.parametrize("order", [5, 8, 16, 33])
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)

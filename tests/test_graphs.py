@@ -364,12 +364,15 @@ class TestValidationAndExport:
             (np.array([[0, 1j], [1j, 0]]), SIMPLE),
             (np.array([[0, None], [None, 0]], object), SIMPLE),
             (np.array([[0, 1], [1, None]], object), SIMPLE),
+            (np.array([[0, 1 + 0j], [1 + 0j, 0]], object), SIMPLE),
+            (np.array([[0, np.complex128(1)], [np.complex128(1), 0]], object), SIMPLE),
         ],
     )
     def test_graph_rejects_an_adjacency_that_is_not_simple(self, adjacency, message):
         # non-square, an entry 2 or 0.5, an asymmetric entry, a self-loop on the diagonal,
         # entries that are not real (a complex 0/1 array once passed with a ComplexWarning,
-        # and a None in an object array was a TypeError from the int8 cast)
+        # a None in an object array was a TypeError from the int8 cast, and so was an
+        # object array's complex 1, while its numpy complex 1 passed with a ComplexWarning)
         with pytest.raises(ValueError, match=message):
             Graph(adjacency)
 
