@@ -37,6 +37,18 @@ exact one up to a second-order error.  A rotation shorter than the exact one
 never increases |a_pq|, so the off-norm never grows, and the stopping test
 still bounds the eigenvalue error.
 
+A matrix of even order 2k >= 4 that equals its reversal a[::-1, ::-1]
+exactly, as every matrix built from an nc graph does (the reversal swaps its
+two copies), is orthogonally similar to diag(B + CJ, B - CJ), with B its
+leading k x k block and CJ its top-right block with the columns reversed
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976).  It is solved as those two
+halves, each scaled by its own power of two, on the same Jacobi path: a sweep
+costs order^3, so the halves cost about a quarter of the whole.  The stopping
+rule is the whole matrix's: each half stops at convergence_tol times the
+whole's initial off-norm over sqrt 2, so the two halves together, which are
+orthogonally similar to the whole, end within its target.  Order 2 stays
+whole: one exact rotation finishes it, and a split would only pay a second setup.
+
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
 """
@@ -178,6 +190,9 @@ def symmetric_eigenvalues(
 
     Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
+    A matrix of even order 4 or more that equals its reversal exactly is
+    solved as its two halves B + CJ and B - CJ, under the same stopping rule
+    for the two together; order 2 is solved whole, in one exact rotation.
     Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
@@ -193,13 +208,66 @@ def symmetric_eigenvalues(
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
     exponent = math.frexp(scale)[1]
-    values = _jacobi_diagonal(a, exponent, convergence_tol)
+    n = a.shape[0]
+    if n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1]):
+        values = _reversal_diagonal(a, exponent, convergence_tol)
+    else:
+        values = _jacobi_diagonal(a, exponent, convergence_tol)
     values.sort()  # after the solver's buffers are freed: sorting allocates
     return np.ldexp(values, exponent, out=values)
 
 
-def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
-    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to."""
+def _reversal_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
+    """The eigenvalues of 2**-exponent * a, unsorted, for an order-2k a equal to its
+    reversal: those of B + CJ and of B - CJ, each solved at its own power of two.
+
+    B = a[:k, :k] and CJ is a[:k, k:] with its columns reversed.  With J the order-k
+    reversal, a = [[B, CJ J], [J CJ, J B J]], and the orthogonal Q = [[I, J], [I, -J]] / sqrt 2
+    gives Q a Q^T = diag(B + CJ, B - CJ).  B and CJ are taken from a's symmetric part,
+    which the solver reads and which equals its reversal too: its top-right block with
+    the columns reversed is the symmetric part of CJ.
+    """
+    k = a.shape[0] // 2
+    plus, minus, spare = np.empty((k, k)), np.empty((k, k)), np.empty((k, k))
+    # every operand contiguous, so no ufunc buffers a strided view; the entries
+    # are below 1 and have the bits of the whole solve's symmetric part
+    for half, block in ((plus, a[:k, :k]), (minus, a[:k, : k - 1 : -1])):
+        half[...] = block
+        np.ldexp(half, -1 - exponent, out=half)
+        spare[...] = half.T
+        np.add(half, spare, half)
+    # the whole's off-norm squared is twice the sum of B's off-diagonal squares and
+    # CJ's squares: each half stops at convergence_tol times the whole's off-norm / sqrt 2
+    spare[...] = plus
+    spare.reshape(-1)[:: k + 1] = 0.0
+    off_norm = math.sqrt(float(np.vdot(spare, spare)) + float(np.vdot(minus, minus)))
+    np.subtract(plus, minus, spare)
+    np.add(plus, minus, plus)
+    del minus
+    values = []
+    for half in (plus, spare):
+        half_exponent = math.frexp(float(np.abs(half).max()))[1]
+        half_values = _jacobi_diagonal(
+            half, half_exponent, convergence_tol, off_norm=off_norm, units=exponent
+        )
+        values.append(np.ldexp(half_values, half_exponent, out=half_values))
+    return np.concatenate(values)
+
+
+def _jacobi_diagonal(
+    a: np.ndarray,
+    exponent: int,
+    convergence_tol: float,
+    *,
+    off_norm: float | None = None,
+    units: int = 0,
+) -> np.ndarray:
+    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to.
+
+    The sweeps stop at convergence_tol times off_norm, in a's units, or by default
+    times the initial off-norm.  a is 2**-units times the input, and the diagnostics
+    are reported in the input's units.
+    """
     n = a.shape[0]
     m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
     h = m // 2
@@ -225,7 +293,7 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
     take = flat_spare.take
 
     initial = remaining = _off_norm(work, spare)
-    target = convergence_tol * initial
+    target = convergence_tol * (initial if off_norm is None else math.ldexp(off_norm, -exponent))
     if initial > 0.0:
         for _ in range(SWEEP_CAP):
             for _ in range(m - 1):
@@ -252,9 +320,9 @@ def _jacobi_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np
         else:
             raise JacobiConvergenceError(
                 f"no convergence after {SWEEP_CAP} sweeps: "
-                f"off-diagonal norm {math.ldexp(remaining, exponent):.3e}, "
-                f"target {math.ldexp(target, exponent):.3e} "
-                f"(initial {math.ldexp(initial, exponent):.3e})"
+                f"off-diagonal norm {math.ldexp(remaining, exponent + units):.3e}, "
+                f"target {math.ldexp(target, exponent + units):.3e} "
+                f"(initial {math.ldexp(initial, exponent + units):.3e})"
             )
     return flat_work[: n * (m + 1) : m + 1].copy()
 

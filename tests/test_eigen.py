@@ -31,7 +31,7 @@ from fanspectra.eigen import (
     symmetric_eigenvalues,
 )
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
-from fanspectra.matrices import distance_laplacian, laplacian_matrix
+from fanspectra.matrices import MatrixKind, build_matrix, distance_laplacian, laplacian_matrix
 from fanspectra.verify import sweep
 
 
@@ -60,22 +60,29 @@ def adversarial(kind, order):
 
 
 def solve_reading(monkeypatch, matrix, read=lambda work: None):
-    """The matrix's eigenvalues, and read(work) at each off-norm the solver
+    """The matrix's eigenvalues, and for each Jacobi solve it ran (two for a matrix
+    that equals its reversal) the solve's order and read(work) at each off-norm it
     takes: once on its scaled input, then after each sweep."""
-    seen, off_norm = [], eigen._off_norm
+    solves, off_norm, jacobi_diagonal = [], eigen._off_norm, eigen._jacobi_diagonal
 
     def recording(work, spare):
-        seen.append(read(work))
+        solves[-1][1].append(read(work))
         return off_norm(work, spare)
 
+    def opening(a, *args, **kwargs):
+        solves.append((a.shape[0], []))
+        return jacobi_diagonal(a, *args, **kwargs)
+
     monkeypatch.setattr(eigen, "_off_norm", recording)
-    return symmetric_eigenvalues(matrix), seen
+    monkeypatch.setattr(eigen, "_jacobi_diagonal", opening)
+    return symmetric_eigenvalues(matrix), solves
 
 
 @pytest.fixture(scope="module")
 def grid_sweep():
     """The reports of the 2..12 verify grid, the Jacobi rounds it ran, and the
-    sweeps that its solves of order 2 and 4 took."""
+    sweeps that its Jacobi solves of order 2 and 4 took (a matrix that equals its
+    reversal is two solves, one per half)."""
     rounds = small_sweeps = order = 0
     off_norm, jacobi_diagonal = eigen._off_norm, eigen._jacobi_diagonal
 
@@ -85,12 +92,12 @@ def grid_sweep():
         small_sweeps += order in (2, 4)
         return off_norm(work, spare)
 
-    def uncounting_the_input(a, *args):  # ... and once on the input
+    def uncounting_the_input(a, *args, **kwargs):  # ... and once on the input
         nonlocal rounds, small_sweeps, order
         order = a.shape[0]
         rounds -= order + order % 2 - 1
         small_sweeps -= order in (2, 4)
-        return jacobi_diagonal(a, *args)
+        return jacobi_diagonal(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigen, "_off_norm", counting)
@@ -228,6 +235,16 @@ class TestSymmetricEigenvalues:
         off_diagonal = a - np.diag(np.diag(a))
         assert initial == pytest.approx(np.sqrt(np.sum(off_diagonal**2)), rel=1e-3)
 
+    def test_a_split_solve_reports_the_whole_s_target_in_input_units(self, monkeypatch):
+        # each half stops at the whole's target over sqrt 2, so the two together meet it
+        monkeypatch.setattr(eigen, "SWEEP_CAP", 1)
+        a = reversal_symmetric(8, seed=3, scale=1e100)
+        with pytest.raises(JacobiConvergenceError) as caught:
+            symmetric_eigenvalues(a)
+        target = float(re.search(r"target ([-+.e0-9]+)", str(caught.value)).group(1))
+        off_diagonal = a - np.diag(np.diag(a))
+        assert target == pytest.approx(1e-12 * np.sqrt(np.sum(off_diagonal**2) / 2), rel=1e-3)
+
     @pytest.mark.parametrize("factor", [1e200, 1e-200])
     def test_entries_far_from_one(self, factor):
         # squares of these entries overflow or underflow in double precision
@@ -264,7 +281,7 @@ class TestRoundRobinSchedule:
         # rotations are orthogonal, so only roundoff may move the norm; an entry
         # set to zero by fiat (a pair the floor held back keeps its a_pq) would show
         a = random_symmetric(order, seed=order) if kind == "random" else adversarial(kind, order)
-        _, norms = solve_reading(monkeypatch, a, lambda work: math.sqrt(float(np.vdot(work, work))))
+        _, [(_, norms)] = solve_reading(monkeypatch, a, lambda work: math.sqrt(float(np.vdot(work, work))))
         assert len(norms) > 1 and abs(norms[1] - norms[0]) <= 1e-14 * norms[0]
 
     @pytest.mark.parametrize("order", range(1, 51))
@@ -324,28 +341,53 @@ class TestRoundRobinSchedule:
         np.testing.assert_allclose(symmetric_eigenvalues(a), expected, atol=1e-9)
 
 
+def shuffled_nc_laplacian(m, n):
+    """nc(m, n)'s Laplacian under a fixed permutation that does not equal its reversal,
+    so that it is solved whole, in one full-order Jacobi solve."""
+    lap = laplacian_matrix(nc_graph(m, n))
+    order = np.random.default_rng(0).permutation(lap.shape[0])
+    lap = lap[np.ix_(order, order)]
+    assert not np.array_equal(lap, lap[::-1, ::-1])
+    return lap
+
+
 class TestRoundLoop:
     @staticmethod
-    def _peak_bytes(matrix):
-        symmetric_eigenvalues(matrix)  # warm-up: builds and caches the order's round plan
+    def _peak_bytes(solve, matrix):
+        solve(matrix)  # warm-up: builds and caches the order's round plan
         tracemalloc.start()
         try:
-            symmetric_eigenvalues(matrix)
+            solve(matrix)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _split(matrix):
+        exponent = math.frexp(float(np.abs(matrix).max()))[1]
+        return eigen._reversal_diagonal(matrix, exponent, eigen.DEFAULT_CONVERGENCE_TOL)
+
     @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
-    def test_rounds_allocate_nothing(self, m, n):
-        # a diagonal matrix of the same order runs no round at all
-        lap = laplacian_matrix(nc_graph(m, n))
-        assert self._peak_bytes(lap) - self._peak_bytes(np.diag(np.diag(lap))) <= 512
+    @pytest.mark.parametrize("split", [False, True])
+    def test_rounds_allocate_nothing(self, m, n, split):
+        # a diagonal matrix of the same order runs no round at all, and is never split
+        lap = laplacian_matrix(nc_graph(m, n)) if split else shuffled_nc_laplacian(m, n)
+        diagonal = np.diag(np.diag(lap))
+        solve = self._split if split else symmetric_eigenvalues
+        assert self._peak_bytes(solve, lap) - self._peak_bytes(solve, diagonal) <= 512
 
     @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
     def test_the_solver_holds_at_most_two_matrix_buffers(self, m, n):
         # the phase table lives in whichever buffer is free, never in a third V x V one
+        lap = shuffled_nc_laplacian(m, n)
+        assert self._peak_bytes(symmetric_eigenvalues, lap) <= 2 * lap.size * 8 + 4096
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
+    def test_a_split_holds_at_most_one_matrix_of_buffers(self, m, n):
+        # B + CJ, B - CJ and one half's two solver buffers, each a quarter of V x V;
+        # a third solver buffer or a fourth half-size one would pass V x V
         lap = laplacian_matrix(nc_graph(m, n))
-        assert self._peak_bytes(lap) <= 2 * lap.size * 8 + 4096
+        assert self._peak_bytes(self._split, lap) <= lap.size * 8 + 4096
 
     def test_the_cached_plan_is_one_gather_and_shared_safely(self):
         # the gap floor changes each sweep and the pivots each round, so both are
@@ -353,9 +395,7 @@ class TestRoundLoop:
         plan = _round_plan(16)
         assert isinstance(plan, np.ndarray) and plan.shape == (256,) and plan.dtype == np.intp
         before = plan.copy()
-        matrices = [
-            random_symmetric(3, seed=1), laplacian_matrix(nc_graph(4, 4)), random_symmetric(3, seed=2)
-        ]
+        matrices = [random_symmetric(3, seed=1), shuffled_nc_laplacian(4, 4), random_symmetric(3, seed=2)]
         interleaved = [symmetric_eigenvalues(a) for a in matrices]
         assert np.array_equal(_round_plan(16), before)
         for a, values in zip(matrices, interleaved):
@@ -365,14 +405,16 @@ class TestRoundLoop:
 
 class TestOracleRegressionGuards:
     def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
-        # 59,184 rounds with an exact first sweep, plus 1%; with the first sweep at a
-        # floor of 1% of the input's off-norm 60,309, and without any floor the
-        # sweeps converged linearly on clustered spectra: 83,762
-        assert grid_sweep[1] <= 59_775
+        # 53,016 rounds with each nc matrix and nc quotient solved as its two
+        # halves, plus 1%; with the first sweep at a floor of 1% of the input's
+        # off-norm 60,309 whole, and without any floor the sweeps converged
+        # linearly on clustered spectra: 83,762
+        assert grid_sweep[1] <= 53_550
 
     def test_the_grid_s_order_2_and_4_solves_take_no_extra_sweeps(self, grid_sweep):
-        # 779 sweeps; a first-sweep floor of 1% of the input's off-norm shortened
-        # even an isolated pair's exact rotation, and they took 1,217
+        # 735 sweeps, the order-2 halves of the nc quotients and the order-4 halves
+        # of nc(2, 2) among them; a first-sweep floor of 1% of the input's off-norm
+        # shortened even an isolated pair's exact rotation, and they took 1,217
         assert grid_sweep[2] <= 800
 
     @pytest.mark.parametrize("blocks", [[0], [1], [0, 1, 2, 3, 4, 5]])
@@ -385,16 +427,18 @@ class TestOracleRegressionGuards:
         a = np.zeros((2 * len(blocks), 2 * len(blocks)))
         for slot, k in enumerate(blocks):
             a[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = block_of[k]
-        values, seen = solve_reading(monkeypatch, a)
+        values, [(_, seen)] = solve_reading(monkeypatch, a)
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-14 * np.max(np.abs(a))
         assert len(seen) - 1 == 1
 
     def test_a_clustered_spectrum_converges_quadratically(self, monkeypatch):
-        # nc(12, 3)'s L has n and n + 2 each m - 1 times: 12 sweeps without the floor
+        # nc(12, 3)'s L has n and n + 2 each m - 1 times: each of its two order-15
+        # halves takes 5 sweeps, and a whole solve without the floor took 12
         lap = laplacian_matrix(nc_graph(12, 3))
-        values, seen = solve_reading(monkeypatch, lap)
+        values, solves = solve_reading(monkeypatch, lap)
         np.testing.assert_allclose(values, nc_laplacian_spectrum(12, 3).expanded(), atol=1e-12)
-        assert len(seen) - 1 <= 7
+        assert [order for order, _ in solves] == [15, 15]
+        assert all(len(seen) - 1 <= 6 for _, seen in solves)
 
     @pytest.mark.parametrize("kind", ["random", "equal-couplings", "signed-equal-couplings"])
     def test_a_large_odd_dense_matrix_does_not_stall(self, monkeypatch, kind):
@@ -411,19 +455,26 @@ class TestOracleRegressionGuards:
                 signs = np.triu(np.random.default_rng(257).choice([-1.0, 1.0], (257, 257)), 1)
                 couplings = signs + signs.T
             a = np.eye(257) + 1e-3 * (couplings - np.diag(np.diag(couplings)))
-        values, seen = solve_reading(monkeypatch, a)
+        values, [(_, seen)] = solve_reading(monkeypatch, a)
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
         assert len(seen) - 1 < eigen.SWEEP_CAP
 
     def test_every_grid_case_passes_far_inside_the_case_tolerance(self, grid_sweep):
         reports = grid_sweep[0]
         assert len(reports) == 484 and all(report.passed for report in reports)
-        # 1.26e-12 with the rotation read off one normalised complex pivot per pair
-        assert max(report.max_abs_deviation for report in reports) <= 2e-12
+        # 7.53e-13 with each nc matrix solved as its two halves
+        assert max(report.max_abs_deviation for report in reports) <= 1e-12
+
+    def test_every_grid_case_keeps_its_closed_form_multiplicities(self, grid_sweep):
+        # the union of an nc matrix's halves groups exactly as the whole did
+        for report in grid_sweep[0]:
+            numeric = [k for _, k in report.numeric.pairs]
+            assert numeric == [k for _, k in report.closed_form.pairs], (report.case_tag, report.m, report.n)
 
     @pytest.mark.parametrize("builder", [laplacian_matrix, distance_laplacian])
     def test_the_largest_grid_matrices_match_lapack(self, builder):
-        # nc(12, 12), order 48: 1.1e-13 for L and 1.07e-12 for D^L (max |a| = 150)
+        # nc(12, 12), order 48, solved as two halves: 4.6e-14 for L and 6.4e-13 for
+        # D^L (max |a| = 150)
         a = builder(nc_graph(12, 12))
         assert np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a))) <= 2e-12
 
@@ -433,6 +484,77 @@ class TestOracleRegressionGuards:
         a = adversarial(kind, order)
         error = np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a)))
         assert error <= 1e-12 * np.max(np.abs(a))
+
+
+def reversal_symmetric(order, seed, scale=1.0):
+    """A random symmetric matrix that equals its reversal a[::-1, ::-1] exactly."""
+    a = random_symmetric(order, seed)
+    return (a + a[::-1, ::-1]) * scale
+
+
+class TestReversalSplit:
+    @staticmethod
+    def _orders(monkeypatch, matrix):
+        values, solves = solve_reading(monkeypatch, matrix)
+        return values, [order for order, _ in solves]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("order", range(4, 51, 2))
+    def test_a_matrix_equal_to_its_reversal_is_solved_as_two_halves(self, monkeypatch, order, scale):
+        a = reversal_symmetric(order, seed=order, scale=scale)
+        assert np.array_equal(a, a[::-1, ::-1])
+        values, orders = self._orders(monkeypatch, a)
+        assert orders == [order // 2, order // 2]
+        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("case", ["odd", "order-2", "moved-inside", "moved-corner", "fan"])
+    def test_a_matrix_that_is_not_its_reversal_or_small_or_odd_is_solved_whole(self, monkeypatch, case):
+        if case == "odd":
+            a = reversal_symmetric(7, seed=7)
+        elif case == "order-2":
+            a = laplacian_matrix(path_graph(2))  # one exact rotation: a split only costs a setup
+        elif case == "fan":
+            a = laplacian_matrix(generalized_fan(4, 4))
+        else:
+            a = reversal_symmetric(8, seed=8)
+            p, q = (1, 3) if case == "moved-inside" else (0, 0)  # the corner is tested first
+            a[p, q] += 2.0**-40
+            a[q, p] = a[p, q]
+        values, orders = self._orders(monkeypatch, a)
+        assert orders == [a.shape[0]]
+        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
+
+    def test_a_reversal_equal_matrix_that_is_symmetric_up_to_roundoff(self, monkeypatch):
+        # each half's symmetric part is a half of the symmetric part, which the solver reads
+        a = reversal_symmetric(10, seed=10)
+        a[1, 3] += 1e-11
+        a[-2, -4] += 1e-11  # the reversal's image of (1, 3)
+        assert np.array_equal(a, a[::-1, ::-1]) and not np.array_equal(a, a.T)
+        values, orders = self._orders(monkeypatch, a)
+        assert orders == [5, 5]
+        expected = np.linalg.eigvalsh((a + a.T) / 2)
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(a))
+
+    def test_a_half_far_below_the_whole_s_off_norm_stops_at_the_whole_s_target(self, monkeypatch):
+        # B + CJ = [[2, e], [e, 2]]: held to its own off-norm it would have to reach
+        # 1e-12 * e, and the gap floor cuts every rotation between its equal diagonal
+        # entries short, so it ran out of sweeps
+        e = 1e-20
+        a = np.array([[1, e, 0, 1], [e, 1, 1, 0], [0, 1, 1, e], [1, 0, e, 1]])
+        values, solves = solve_reading(monkeypatch, a)
+        assert [order for order, _ in solves] == [2, 2]
+        assert all(len(seen) - 1 <= 1 for _, seen in solves)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "m, n, kind",
+        [(31, 63, kind) for kind in MatrixKind] + [(64, 64, "laplacian"), (64, 64, "distance-laplacian")],
+    )
+    def test_large_nc_matrices_match_lapack(self, m, n, kind):
+        # orders 188 and 256, solved as halves of 94 and 128: at most 3.3e-14 of max |λ|
+        a = build_matrix(nc_graph(m, n), kind, t=0.5)
+        expected = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(symmetric_eigenvalues(a) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestGrouping:
