@@ -41,13 +41,20 @@ A matrix of even order 2k >= 4 that equals its reversal a[::-1, ::-1]
 exactly, as every matrix built from an nc graph does (the reversal swaps its
 two copies), is orthogonally similar to diag(B + CJ, B - CJ), with B its
 leading k x k block and CJ its top-right block with the columns reversed
-(Cantoni & Butler, Linear Algebra Appl. 13, 1976).  It is solved as those two
-halves, each scaled by its own power of two, on the same Jacobi path: a sweep
-costs order^3, so the halves cost about a quarter of the whole.  The stopping
-rule is the whole matrix's: each half stops at convergence_tol times the
-whole's initial off-norm over sqrt 2, so the two halves together, which are
-orthogonally similar to the whole, end within its target.  Order 2 stays
-whole: one exact rotation finishes it, and a split would only pay a second setup.
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976).  A sweep costs order^3, so
+the halves cost about a quarter of the whole, and since a round costs its calls,
+the two run as one stack of two members, each scaled by its own power of two.
+Member 1 starts after m pad entries, at m(m + 1), a multiple of the pair stride:
+every pair's a_pp, a_pq and a_qq, in both members, lie on the one stride 2(m + 1),
+so the eight pivot calls stay 1-D, and the two complex products run over each
+whole flat buffer, in which the pads stay zero and the gather maps each pad entry
+to itself.  The stopping rule is the whole matrix's: each member stops at
+convergence_tol times the whole's initial off-norm over sqrt 2, so the two
+halves together, which are orthogonally similar to the whole, end within its
+target.  A member at its target is frozen: its phases are exactly 1 + 0i, so it
+is permuted with the rest but never rotated, and it ends with the diagonal it
+would reach alone, bit for bit.  Order 2 stays whole: one exact rotation
+finishes it, and a split would only pay a second setup.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -113,10 +120,11 @@ def _check_tol(name: str, value: float, zero_ok: bool) -> None:
 
 def _check_integers(**values) -> list[int]:
     """The values as Python ints, so no sum of sizes overflows a narrow numpy type;
-    ValueError naming the first that is not an integer (a numpy integer is one): a
-    float or string size would otherwise pass, or fail later with another TypeError."""
+    ValueError naming the first that is not an integer (a numpy integer is one, a
+    bool is not): a float or string size would otherwise pass, or fail later with
+    another TypeError, and True would pass as 1."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     return [operator.index(value) for value in values.values()]
 
@@ -153,9 +161,11 @@ def _sorted_values(spectrum_like) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _round_plan(m: int) -> np.ndarray:
+def _round_plan(m: int, members: int = 1) -> np.ndarray:
     """The flat gather index that moves an m x m matrix to the next round's
-    slots, a permutation of range(m*m), which every round at order m reads.
+    slots, a permutation of range(m*m), which every round at order m reads;
+    for a stack of members, each but the last followed by m pad entries, the
+    index of the whole stack, which maps every pad entry to itself.
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
@@ -166,15 +176,26 @@ def _round_plan(m: int) -> np.ndarray:
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
-    return (source[:, None] * m + source).ravel()
+    plan = (source[:, None] * m + source).ravel()
+    if members == 1:
+        return plan
+    member = np.concatenate([plan, np.arange(m * m, m * (m + 1))])
+    return (np.arange(members)[:, None] * member.size + member).ravel()[:-m]
 
 
-def _off_norm(work: np.ndarray, spare: np.ndarray) -> float:
-    # squares the off-diagonal entries alone (spare is scratch): subtracting the
-    # diagonal from the full Frobenius norm cancels catastrophically near convergence
-    spare[...] = work
-    spare.reshape(-1)[:: spare.shape[0] + 1] = 0.0
-    return math.sqrt(float(np.vdot(spare, spare)))
+def _off_norm(work: np.ndarray, spare: np.ndarray, m: int, start: int = 0) -> float:
+    """The off-diagonal Frobenius norm of the m x m matrix that work holds flat, row by
+    row, from start on: all of work, or one member of a stack (spare is scratch of
+    work's size)."""
+    # squares the off-diagonal entries alone: subtracting the diagonal from the
+    # full Frobenius norm cancels catastrophically near convergence
+    if work.size == m * m:
+        spare[...] = work
+    else:
+        spare = spare[start : start + m * m]
+        spare[...] = work[start : start + m * m]
+    spare[:: m + 1] = 0.0
+    return math.sqrt(float(np.dot(spare, spare)))
 
 
 def _check_symmetric(a: np.ndarray, scale: float) -> None:
@@ -191,9 +212,9 @@ def symmetric_eigenvalues(
     Runs round-robin Jacobi sweeps until the off-diagonal Frobenius norm
     drops below convergence_tol times its initial value (or vanishes).
     A matrix of even order 4 or more that equals its reversal exactly is
-    solved as its two halves B + CJ and B - CJ, under the same stopping rule
-    for the two together; order 2 is solved whole, in one exact rotation.
-    Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
+    solved as its two halves B + CJ and B - CJ, in one run and under the same
+    stopping rule for the two together; order 2 is solved whole, in one exact
+    rotation.  Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
     convergence_tol that is not finite and positive.
@@ -212,119 +233,180 @@ def symmetric_eigenvalues(
     if n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1]):
         values = _reversal_diagonal(a, exponent, convergence_tol)
     else:
-        values = _jacobi_diagonal(a, exponent, convergence_tol)
+        values = _whole_diagonal(a, exponent, convergence_tol)
     values.sort()  # after the solver's buffers are freed: sorting allocates
     return np.ldexp(values, exponent, out=values)
 
 
+def _whole_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
+    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to."""
+    n = a.shape[0]
+    m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
+    work, spare = np.zeros(m * m), np.empty(m * m)
+    work.reshape(m, m)[:n, :n] = a
+    np.ldexp(work, -1 - exponent, out=work)
+    spare.reshape(m, m)[...] = work.reshape(m, m).T
+    np.add(work, spare, work)  # the exact symmetric part
+    _jacobi(work, spare, m, exponent, convergence_tol)
+    return work[: n * (m + 1) : m + 1].copy()
+
+
 def _reversal_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
     """The eigenvalues of 2**-exponent * a, unsorted, for an order-2k a equal to its
-    reversal: those of B + CJ and of B - CJ, each solved at its own power of two.
+    reversal: those of B + CJ and of B - CJ, solved in one run as a stack of two
+    members, each at its own power of two.
 
     B = a[:k, :k] and CJ is a[:k, k:] with its columns reversed.  With J the order-k
     reversal, a = [[B, CJ J], [J CJ, J B J]], and the orthogonal Q = [[I, J], [I, -J]] / sqrt 2
-    gives Q a Q^T = diag(B + CJ, B - CJ).  B and CJ are taken from a's symmetric part,
-    which the solver reads and which equals its reversal too: its top-right block with
-    the columns reversed is the symmetric part of CJ.
+    gives Q a Q^T = diag(B + CJ, B - CJ).
     """
     k = a.shape[0] // 2
-    plus, minus, spare = np.empty((k, k)), np.empty((k, k)), np.empty((k, k))
-    # every operand contiguous, so no ufunc buffers a strided view; the entries
-    # are below 1 and have the bits of the whole solve's symmetric part
-    for half, block in ((plus, a[:k, :k]), (minus, a[:k, : k - 1 : -1])):
-        half[...] = block
-        np.ldexp(half, -1 - exponent, out=half)
-        spare[...] = half.T
-        np.add(half, spare, half)
-    # the whole's off-norm squared is twice the sum of B's off-diagonal squares and
-    # CJ's squares: each half stops at convergence_tol times the whole's off-norm / sqrt 2
-    spare[...] = plus
-    spare.reshape(-1)[:: k + 1] = 0.0
-    off_norm = math.sqrt(float(np.vdot(spare, spare)) + float(np.vdot(minus, minus)))
-    np.subtract(plus, minus, spare)
-    np.add(plus, minus, plus)
-    del minus
-    values = []
-    for half in (plus, spare):
-        half_exponent = math.frexp(float(np.abs(half).max()))[1]
-        half_values = _jacobi_diagonal(
-            half, half_exponent, convergence_tol, off_norm=off_norm, units=exponent
-        )
-        values.append(np.ldexp(half_values, half_exponent, out=half_values))
-    return np.concatenate(values)
+    m = k + k % 2
+    # member 1 starts after m pad entries, at m * (m + 1), a multiple of the pair stride
+    work, spare = np.zeros(m * (2 * m + 1)), np.zeros(m * (2 * m + 1))
+    halves, off_norm = _write_halves(a, exponent, work, spare, k, m)
+    _jacobi(work, spare, m, exponent, convergence_tol, halves, off_norm)
+    values = work[:: m + 1].reshape(2, m)[:, :k].copy()  # each member's diagonal in turn
+    np.ldexp(values, np.array(halves)[:, None], out=values)
+    return values.reshape(-1)
 
 
-def _jacobi_diagonal(
-    a: np.ndarray,
+def _write_halves(
+    a: np.ndarray, exponent: int, work: np.ndarray, spare: np.ndarray, k: int, m: int
+) -> tuple[tuple[int, int], float]:
+    """Write B + CJ and B - CJ of 2**-exponent * a into the two members of the stack
+    work, each scaled to its own power of two; return those powers and the whole's
+    off-norm over sqrt 2, in 2**-exponent times the input's units.
+
+    B and CJ are taken from a's symmetric part, which the solver reads and which equals
+    its reversal too: its top-right block with the columns reversed is the symmetric
+    part of CJ.  Every operand is contiguous and below 1, with the bits of the whole
+    solve's symmetric part.
+    """
+    start = m * (m + 1)  # member 1's
+    b, cj = work[: m * m].reshape(m, m), work[start:].reshape(m, m)
+    b_scratch, cj_scratch = spare[: m * m].reshape(m, m), spare[start:].reshape(m, m)
+    b[:k, :k] = a[:k, :k]
+    cj[:k, :k] = a[:k, : k - 1 : -1]
+    np.ldexp(work, -1 - exponent, out=work)
+    b_scratch[...] = b.T
+    cj_scratch[...] = cj.T
+    np.add(work, spare, work)
+    # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
+    b_scratch[...] = b
+    b_scratch.reshape(-1)[:: m + 1] = 0.0
+    b_off, cj_all = b_scratch[:k, :k], cj[:k, :k]
+    off_norm = math.sqrt(float(np.vdot(b_off, b_off)) + float(np.vdot(cj_all, cj_all)))
+    np.subtract(b, cj, b_scratch)
+    np.add(b, cj, b)
+    cj[...] = b_scratch
+    # max |x| as two reductions: np.abs would take a third member-size buffer
+    halves = tuple(math.frexp(max(float(x.max()), -float(x.min())))[1] for x in (b, cj))
+    np.ldexp(b, -halves[0], out=b)
+    np.ldexp(cj, -halves[1], out=cj)
+    return halves, off_norm
+
+
+def _jacobi(
+    work: np.ndarray,
+    spare: np.ndarray,
+    m: int,
     exponent: int,
     convergence_tol: float,
-    *,
+    shifts=(0,),
     off_norm: float | None = None,
-    units: int = 0,
-) -> np.ndarray:
-    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to.
+) -> None:
+    """Run Jacobi sweeps in place on one symmetric matrix of even order m, or on a
+    stack of them, until each has reached its target.
 
-    The sweeps stop at convergence_tol times off_norm, in a's units, or by default
-    times the initial off-norm.  a is 2**-units times the input, and the diagnostics
-    are reported in the input's units.
+    work holds the members flat, one for each entry of shifts: member i's m x m rows
+    start at i * m * (m + 1), and each but the last is followed by m pad entries, zero
+    in work and in spare, which is scratch of work's size.  Member i holds
+    2**-(exponent + shifts[i]) times its part of the input, and stops at convergence_tol
+    times off_norm (in 2**-exponent times the input's units), or by default times its
+    own initial off-norm.  The rounds run over the members from the first to the last
+    not yet at its target: one outside that span is permuted with the rest (and each
+    round transposes it) but never rotated, so each member of a stack of two ends with
+    the diagonal it would reach alone, bit for bit.  The diagnostics are in the input's
+    units.
     """
-    n = a.shape[0]
-    m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
-    h = m // 2
-    work, spare = np.zeros((m, m)), np.empty((m, m))
-    work_t = work.T
-    work[:n, :n] = a
-    np.ldexp(work, -1 - exponent, out=work)
-    spare[...] = work_t
-    np.add(work, spare, work)  # the exact symmetric part
-    flat_work, flat_spare = work.reshape(-1), spare.reshape(-1)
+    members, h, block = len(shifts), m // 2, m * (m + 1)
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
-    step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next
-    app, apq, aqq = (flat_work[start::step] for start in (0, 1, m + 1))
-    # one pivot u per pair, normalised in place: its float view c_0, s_0, c_1, s_1, ...
-    # is one row of the phase table; the modulus's imaginary part stays zero
-    pivot, modulus = np.empty(h, np.complex128), np.zeros(h, np.complex128)
-    phase, gap, twice_apq, norm = pivot.view(np.float64), pivot.real, pivot.imag, modulus.real
-    gap_floor = np.full(h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
-    gather = _round_plan(m)
+    step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next, across members too
+    app, apq, aqq = work[::step], work[1::step], work[m + 1 :: step]
+    # one pivot u per pair, normalised in place to c + i s; the modulus's imaginary
+    # part stays zero
+    pivot, modulus = np.empty(members * h, np.complex128), np.zeros(members * h, np.complex128)
+    gap, twice_apq, norm = pivot.real, pivot.imag, modulus.real
+    gap_floor = np.full(members * h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
+    live_pivot, live_modulus, live_floor = pivot, modulus, gap_floor
+    phase = pivot.view(np.float64)  # c_0, s_0, c_1, s_1, ...: a member's row of its phase table
+    if members == 1:
+        rows_work, rows_spare = work.reshape(m, m), spare.reshape(m, m)
+        work_t = rows_work.T
+        gather = _round_plan(m)
+    else:  # the rounds write the members' rows alone, so the pads stay zero
+        rows_work = np.ndarray((members, m, m), np.float64, work, 0, (8 * block, 8 * m, 8))
+        rows_spare = np.ndarray((members, m, m), np.float64, spare, 0, (8 * block, 8 * m, 8))
+        work_t, phase = rows_work.transpose(0, 2, 1), phase.reshape(members, 1, m)
+        gather = _round_plan(m, members)
     subtract, add, hypot, copysign, divide, multiply = (
         np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply
     )
-    take = flat_spare.take
 
-    initial = remaining = _off_norm(work, spare)
-    target = convergence_tol * (initial if off_norm is None else math.ldexp(off_norm, -exponent))
-    if initial > 0.0:
-        for _ in range(SWEEP_CAP):
-            for _ in range(m - 1):
-                # u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq, with d = a_qq - a_pp
-                # and the floor f, so Im u / Re u is the tangent of the angle that zeroes a_pq
-                subtract(aqq, app, gap)
-                add(apq, apq, twice_apq)
-                hypot(gap, twice_apq, norm)
-                hypot(norm, gap_floor, norm)
-                copysign(norm, gap, norm)
-                add(gap, norm, gap)
-                hypot(gap, twice_apq, norm)
-                divide(pivot, modulus, pivot)  # c + i s, or -(c + i s): J^T A J is the same
-                spare[...] = phase  # the phase table, in the free buffer
-                multiply(pairs_work, pairs_spare, pairs_work)  # A J
-                spare[...] = work_t  # J^T A
-                work[...] = phase
-                multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
-                take(gather, None, flat_work, "clip")  # to the next round's slots
-            remaining = _off_norm(work, spare)
-            if remaining <= target:
-                break
-            gap_floor.fill(max(_GAP_FLOOR, _FLOOR_SHARE * remaining))
-        else:
-            raise JacobiConvergenceError(
-                f"no convergence after {SWEEP_CAP} sweeps: "
-                f"off-diagonal norm {math.ldexp(remaining, exponent + units):.3e}, "
-                f"target {math.ldexp(target, exponent + units):.3e} "
-                f"(initial {math.ldexp(initial, exponent + units):.3e})"
-            )
-    return flat_work[: n * (m + 1) : m + 1].copy()
+    initial, targets = [], []  # each member's, in its own units
+    low, high, sweeps = 0, members, 0  # the rounds run over the members low to high - 1
+    while True:
+        first, last = high, low - 1  # the first and last member not yet at its target
+        for i in range(low, high):
+            remaining = _off_norm(work, spare, m, i * block)
+            if not sweeps:
+                initial.append(remaining)
+                reference = remaining if off_norm is None else math.ldexp(off_norm, -shifts[i])
+                targets.append(convergence_tol * reference)
+            if remaining <= targets[i]:
+                continue
+            if sweeps == SWEEP_CAP:
+                units = exponent + shifts[i]
+                raise JacobiConvergenceError(
+                    f"no convergence after {SWEEP_CAP} sweeps: "
+                    f"off-diagonal norm {math.ldexp(remaining, units):.3e}, "
+                    f"target {math.ldexp(targets[i], units):.3e} "
+                    f"(initial {math.ldexp(initial[i], units):.3e})"
+                )
+            if sweeps:  # the floor of member i's pairs in the next sweep
+                floor = max(_GAP_FLOOR, _FLOOR_SHARE * remaining)
+                (gap_floor if members == 1 else gap_floor[i * h : (i + 1) * h]).fill(floor)
+            first, last = min(first, i), i
+        if first > last:
+            break
+        if first != low or last + 1 != high:
+            # the members outside the new span have stopped: their phases stay 1 + 0i
+            low, high = first, last + 1
+            pivot[: low * h] = pivot[high * h :] = 1.0
+            live = slice(low * h, high * h)
+            live_pivot, live_modulus, live_floor = pivot[live], modulus[live], gap_floor[live]
+            gap, twice_apq, norm = live_pivot.real, live_pivot.imag, live_modulus.real
+            span = work[low * block : high * block]
+            app, apq, aqq = span[::step], span[1::step], span[m + 1 :: step]
+        for _ in range(m - 1):
+            # u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq, with d = a_qq - a_pp
+            # and the floor f, so Im u / Re u is the tangent of the angle that zeroes a_pq
+            subtract(aqq, app, gap)
+            add(apq, apq, twice_apq)
+            hypot(gap, twice_apq, norm)
+            hypot(norm, live_floor, norm)
+            copysign(norm, gap, norm)
+            add(gap, norm, gap)
+            hypot(gap, twice_apq, norm)
+            divide(live_pivot, live_modulus, live_pivot)  # c + i s, or -(c + i s): the same J^T A J
+            rows_spare[...] = phase  # the phase table, in the free buffer
+            multiply(pairs_work, pairs_spare, pairs_work)  # A J
+            rows_spare[...] = work_t  # J^T A
+            rows_work[...] = phase
+            multiply(pairs_spare, pairs_work, pairs_spare)  # J^T A J
+            spare.take(gather, None, work, "clip")  # to the next round's slots
+        sweeps += 1
 
 
 def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:

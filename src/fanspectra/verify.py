@@ -246,7 +246,8 @@ def verify_random_joins(pair_count: int = 100, seed: int = 20260809) -> list[Joi
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
-    if not isinstance(pair_count, (int, np.integer)) or pair_count < 1:
+    integer = isinstance(pair_count, (int, np.integer)) and not isinstance(pair_count, bool)
+    if not integer or pair_count < 1:
         raise ValueError("pair_count must be an integer >= 1")
     (seed,) = _check_sizes("verify_random_joins", 0, seed=seed)
     checks = []

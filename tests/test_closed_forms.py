@@ -136,8 +136,9 @@ class TestJoinMaps:
 
 
 class TestSizesMustBeIntegers:
-    # each was once a TypeError (or, for the join maps, silently accepted n1 = 2.0)
-    @pytest.mark.parametrize("size", [2.5, "3"])
+    # each was once a TypeError (or, for the join maps, silently accepted n1 = 2.0,
+    # and True as 1)
+    @pytest.mark.parametrize("size", [2.5, "3", True, np.True_])
     @pytest.mark.parametrize(
         "form, name",
         [

@@ -59,51 +59,53 @@ def adversarial(kind, order):
     }[kind]()
 
 
+def record_runs(patch, read=lambda member: None):
+    """Hook the solver; the returned list gets one (members, order, reads) for each Jacobi
+    run it makes (one member for a matrix solved whole, two for the halves of a matrix
+    that equals its reversal), where reads maps each member's flat offset to read(member)
+    at each off-norm taken of it: once on its scaled input, then after each sweep that
+    rotated it."""
+    runs, off_norm = [], eigen._off_norm
+
+    def recording(work, spare, m, start=0):
+        member = work[start : start + m * m].reshape(m, m)
+        runs[-1][2].setdefault(start, []).append(read(member))
+        return off_norm(work, spare, m, start)
+
+    def opening(solve, members):
+        def opened(a, *args):
+            runs.append((members, len(a) // members, {}))
+            return solve(a, *args)
+
+        return opened
+
+    patch.setattr(eigen, "_off_norm", recording)
+    patch.setattr(eigen, "_whole_diagonal", opening(eigen._whole_diagonal, 1))
+    patch.setattr(eigen, "_reversal_diagonal", opening(eigen._reversal_diagonal, 2))
+    return runs
+
+
 def solve_reading(monkeypatch, matrix, read=lambda work: None):
-    """The matrix's eigenvalues, and for each Jacobi solve it ran (two for a matrix
-    that equals its reversal) the solve's order and read(work) at each off-norm it
-    takes: once on its scaled input, then after each sweep."""
-    solves, off_norm, jacobi_diagonal = [], eigen._off_norm, eigen._jacobi_diagonal
-
-    def recording(work, spare):
-        solves[-1][1].append(read(work))
-        return off_norm(work, spare)
-
-    def opening(a, *args, **kwargs):
-        solves.append((a.shape[0], []))
-        return jacobi_diagonal(a, *args, **kwargs)
-
-    monkeypatch.setattr(eigen, "_off_norm", recording)
-    monkeypatch.setattr(eigen, "_jacobi_diagonal", opening)
-    return symmetric_eigenvalues(matrix), solves
+    """The matrix's eigenvalues, and its Jacobi runs as record_runs gives them, with
+    each run's reads a list in member order."""
+    runs = record_runs(monkeypatch, read)
+    values = symmetric_eigenvalues(matrix)
+    return values, [(members, order, list(reads.values())) for members, order, reads in runs]
 
 
 @pytest.fixture(scope="module")
 def grid_sweep():
-    """The reports of the 2..12 verify grid, the Jacobi rounds it ran, and the
-    sweeps that its Jacobi solves of order 2 and 4 took (a matrix that equals its
-    reversal is two solves, one per half)."""
-    rounds = small_sweeps = order = 0
-    off_norm, jacobi_diagonal = eigen._off_norm, eigen._jacobi_diagonal
-
-    def counting(work, spare):  # called once per sweep of m - 1 rounds ...
-        nonlocal rounds, small_sweeps
-        rounds += work.shape[0] - 1
-        small_sweeps += order in (2, 4)
-        return off_norm(work, spare)
-
-    def uncounting_the_input(a, *args, **kwargs):  # ... and once on the input
-        nonlocal rounds, small_sweeps, order
-        order = a.shape[0]
-        rounds -= order + order % 2 - 1
-        small_sweeps -= order in (2, 4)
-        return jacobi_diagonal(a, *args, **kwargs)
-
+    """The reports of the 2..12 verify grid, the Jacobi runs it made, the rounds they ran
+    (a round of a stack counted once), and the sweeps its members of order 2 and 4 took."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eigen, "_off_norm", counting)
-        patch.setattr(eigen, "_jacobi_diagonal", uncounting_the_input)
+        runs = record_runs(patch)
         reports = sweep((2, 12), (2, 12))
-    return reports, rounds, small_sweeps
+    rounds = small_sweeps = 0
+    for _, order, reads in runs:
+        sweeps = [len(seen) - 1 for seen in reads.values()]
+        rounds += (order + order % 2 - 1) * max(sweeps)  # the run sweeps until its last member stops
+        small_sweeps += sum(sweeps) if order in (2, 4) else 0
+    return reports, len(runs), rounds, small_sweeps
 
 
 class TestSymmetricEigenvalues:
@@ -275,13 +277,23 @@ class TestRoundRobinSchedule:
         source = gather[:: m + 1] // m
         assert np.array_equal(gather, (source[:, None] * m + source).ravel())
 
+    @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_a_stack_s_gather_moves_each_member_as_alone_and_keeps_its_pads(self, m, members):
+        gather, block = _round_plan(m, members), m * (m + 1)
+        assert np.array_equal(np.sort(gather), np.arange((members - 1) * block + m * m))
+        for i in range(members):
+            assert np.array_equal(gather[i * block :][: m * m], _round_plan(m) + i * block)
+            pad = np.arange(i * block + m * m, min((i + 1) * block, gather.size))
+            assert np.array_equal(gather[pad], pad)
+
     @pytest.mark.parametrize("order", [2, 7, 16, 33])
     @pytest.mark.parametrize("kind", ["random", "graded"])
     def test_a_sweep_keeps_the_frobenius_norm(self, monkeypatch, kind, order):
         # rotations are orthogonal, so only roundoff may move the norm; an entry
         # set to zero by fiat (a pair the floor held back keeps its a_pq) would show
         a = random_symmetric(order, seed=order) if kind == "random" else adversarial(kind, order)
-        _, [(_, norms)] = solve_reading(monkeypatch, a, lambda work: math.sqrt(float(np.vdot(work, work))))
+        _, [(_, _, [norms])] = solve_reading(monkeypatch, a, lambda work: math.sqrt(float(np.vdot(work, work))))
         assert len(norms) > 1 and abs(norms[1] - norms[0]) <= 1e-14 * norms[0]
 
     @pytest.mark.parametrize("order", range(1, 51))
@@ -384,8 +396,8 @@ class TestRoundLoop:
 
     @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
     def test_a_split_holds_at_most_one_matrix_of_buffers(self, m, n):
-        # B + CJ, B - CJ and one half's two solver buffers, each a quarter of V x V;
-        # a third solver buffer or a fourth half-size one would pass V x V
+        # the stack's two buffers, each B + CJ and B - CJ with the V / 2 pad entries
+        # between them, about a half of V x V; a third would pass V x V
         lap = laplacian_matrix(nc_graph(m, n))
         assert self._peak_bytes(self._split, lap) <= lap.size * 8 + 4096
 
@@ -405,17 +417,17 @@ class TestRoundLoop:
 
 class TestOracleRegressionGuards:
     def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
-        # 53,016 rounds with each nc matrix and nc quotient solved as its two
-        # halves, plus 1%; with the first sweep at a floor of 1% of the input's
-        # off-norm 60,309 whole, and without any floor the sweeps converged
-        # linearly on clustered spectra: 83,762
-        assert grid_sweep[1] <= 53_550
+        # one run per solve, of the 484 matrices and their 484 quotients; 35,930
+        # rounds, a round of the two halves of an nc matrix or nc quotient counted
+        # once, plus 1%. Counted per member the halves run 53,016
+        assert grid_sweep[1] == 968
+        assert 0 < grid_sweep[2] <= 36_290
 
     def test_the_grid_s_order_2_and_4_solves_take_no_extra_sweeps(self, grid_sweep):
-        # 735 sweeps, the order-2 halves of the nc quotients and the order-4 halves
-        # of nc(2, 2) among them; a first-sweep floor of 1% of the input's off-norm
-        # shortened even an isolated pair's exact rotation, and they took 1,217
-        assert grid_sweep[2] <= 800
+        # 735 sweeps, counted per member: the order-2 halves of the nc quotients and
+        # the order-4 halves of nc(2, 2) among them; a first-sweep floor of 1% of the
+        # input's off-norm shortened even an isolated pair's exact rotation: 1,217
+        assert grid_sweep[3] <= 800
 
     @pytest.mark.parametrize("blocks", [[0], [1], [0, 1, 2, 3, 4, 5]])
     def test_pairs_the_first_round_rotates_alone_take_one_sweep(self, monkeypatch, blocks):
@@ -427,18 +439,18 @@ class TestOracleRegressionGuards:
         a = np.zeros((2 * len(blocks), 2 * len(blocks)))
         for slot, k in enumerate(blocks):
             a[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = block_of[k]
-        values, [(_, seen)] = solve_reading(monkeypatch, a)
+        values, [(_, _, [seen])] = solve_reading(monkeypatch, a)
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-14 * np.max(np.abs(a))
         assert len(seen) - 1 == 1
 
     def test_a_clustered_spectrum_converges_quadratically(self, monkeypatch):
-        # nc(12, 3)'s L has n and n + 2 each m - 1 times: each of its two order-15
-        # halves takes 5 sweeps, and a whole solve without the floor took 12
+        # nc(12, 3)'s L has n and n + 2 each m - 1 times: each member of its one run
+        # of two order-15 halves takes 5 sweeps, and a whole solve without the floor took 12
         lap = laplacian_matrix(nc_graph(12, 3))
-        values, solves = solve_reading(monkeypatch, lap)
+        values, [(members, order, reads)] = solve_reading(monkeypatch, lap)
         np.testing.assert_allclose(values, nc_laplacian_spectrum(12, 3).expanded(), atol=1e-12)
-        assert [order for order, _ in solves] == [15, 15]
-        assert all(len(seen) - 1 <= 6 for _, seen in solves)
+        assert (members, order) == (2, 15)
+        assert all(len(seen) - 1 <= 6 for seen in reads)
 
     @pytest.mark.parametrize("kind", ["random", "equal-couplings", "signed-equal-couplings"])
     def test_a_large_odd_dense_matrix_does_not_stall(self, monkeypatch, kind):
@@ -455,7 +467,7 @@ class TestOracleRegressionGuards:
                 signs = np.triu(np.random.default_rng(257).choice([-1.0, 1.0], (257, 257)), 1)
                 couplings = signs + signs.T
             a = np.eye(257) + 1e-3 * (couplings - np.diag(np.diag(couplings)))
-        values, [(_, seen)] = solve_reading(monkeypatch, a)
+        values, [(_, _, [seen])] = solve_reading(monkeypatch, a)
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
         assert len(seen) - 1 < eigen.SWEEP_CAP
 
@@ -486,25 +498,43 @@ class TestOracleRegressionGuards:
         assert error <= 1e-12 * np.max(np.abs(a))
 
 
+# equal to its reversal, with halves B + CJ = [[2, e], [e, 2]] and B - CJ = [[0, e], [e, 0]]
+# far below the whole's off-norm, e = 1e-20
+HALVES_AT_TARGET = np.array([[1, 1e-20, 0, 1], [1e-20, 1, 1, 0], [0, 1, 1, 1e-20], [1, 0, 1e-20, 1]])
+# a dense half that takes several sweeps
+DENSE_HALF = np.array([[4.0, 1, 2, 3], [1, -2, 1, 1], [2, 1, 5, 2], [3, 1, 2, 1]])
+
+
 def reversal_symmetric(order, seed, scale=1.0):
     """A random symmetric matrix that equals its reversal a[::-1, ::-1] exactly."""
     a = random_symmetric(order, seed)
     return (a + a[::-1, ::-1]) * scale
 
 
+def from_halves(plus, minus):
+    """The order-2k matrix that equals its reversal and has the halves B + CJ = plus and
+    B - CJ = minus, up to the rounding of (plus +- minus) / 2."""
+    b, cj = (plus + minus) / 2, (plus - minus) / 2
+    j = np.eye(len(plus))[::-1]
+    a = np.block([[b, cj @ j], [j @ cj, j @ b @ j]])
+    assert np.array_equal(a, a[::-1, ::-1])
+    return a
+
+
 class TestReversalSplit:
     @staticmethod
-    def _orders(monkeypatch, matrix):
-        values, solves = solve_reading(monkeypatch, matrix)
-        return values, [order for order, _ in solves]
+    def _runs(monkeypatch, matrix):
+        """The matrix's eigenvalues, and each of its Jacobi runs' members and order."""
+        values, runs = solve_reading(monkeypatch, matrix)
+        return values, [(members, order) for members, order, _ in runs]
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     @pytest.mark.parametrize("order", range(4, 51, 2))
     def test_a_matrix_equal_to_its_reversal_is_solved_as_two_halves(self, monkeypatch, order, scale):
         a = reversal_symmetric(order, seed=order, scale=scale)
         assert np.array_equal(a, a[::-1, ::-1])
-        values, orders = self._orders(monkeypatch, a)
-        assert orders == [order // 2, order // 2]
+        values, runs = self._runs(monkeypatch, a)
+        assert runs == [(2, order // 2)]  # one run of two members
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("case", ["odd", "order-2", "moved-inside", "moved-corner", "fan"])
@@ -520,8 +550,8 @@ class TestReversalSplit:
             p, q = (1, 3) if case == "moved-inside" else (0, 0)  # the corner is tested first
             a[p, q] += 2.0**-40
             a[q, p] = a[p, q]
-        values, orders = self._orders(monkeypatch, a)
-        assert orders == [a.shape[0]]
+        values, runs = self._runs(monkeypatch, a)
+        assert runs == [(1, a.shape[0])]
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
 
     def test_a_reversal_equal_matrix_that_is_symmetric_up_to_roundoff(self, monkeypatch):
@@ -530,8 +560,8 @@ class TestReversalSplit:
         a[1, 3] += 1e-11
         a[-2, -4] += 1e-11  # the reversal's image of (1, 3)
         assert np.array_equal(a, a[::-1, ::-1]) and not np.array_equal(a, a.T)
-        values, orders = self._orders(monkeypatch, a)
-        assert orders == [5, 5]
+        values, runs = self._runs(monkeypatch, a)
+        assert runs == [(2, 5)]
         expected = np.linalg.eigvalsh((a + a.T) / 2)
         assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(a))
 
@@ -539,12 +569,10 @@ class TestReversalSplit:
         # B + CJ = [[2, e], [e, 2]]: held to its own off-norm it would have to reach
         # 1e-12 * e, and the gap floor cuts every rotation between its equal diagonal
         # entries short, so it ran out of sweeps
-        e = 1e-20
-        a = np.array([[1, e, 0, 1], [e, 1, 1, 0], [0, 1, 1, e], [1, 0, e, 1]])
-        values, solves = solve_reading(monkeypatch, a)
-        assert [order for order, _ in solves] == [2, 2]
-        assert all(len(seen) - 1 <= 1 for _, seen in solves)
-        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-15
+        values, [(members, order, reads)] = solve_reading(monkeypatch, HALVES_AT_TARGET)
+        assert (members, order) == (2, 2)
+        assert all(len(seen) - 1 <= 1 for seen in reads)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(HALVES_AT_TARGET))) <= 1e-15
 
     @pytest.mark.parametrize(
         "m, n, kind",
@@ -555,6 +583,57 @@ class TestReversalSplit:
         a = build_matrix(nc_graph(m, n), kind, t=0.5)
         expected = np.linalg.eigvalsh(a)
         assert np.max(np.abs(symmetric_eigenvalues(a) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class TestStackedRun:
+    """The halves of a matrix that equals its reversal run as one padded stack of two."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("order", [8, 10, 14, 24])  # halves of order 4, 5, 7 and 12
+    def test_each_member_ends_bit_for_bit_as_its_own_solve(self, monkeypatch, order, scale):
+        runs, jacobi = [], eigen._jacobi
+
+        def capturing(work, spare, m, *args):
+            members = [work[i * m * (m + 1) :][: m * m].copy() for i in (0, 1)]  # before the run
+            jacobi(work, spare, m, *args)
+            runs.append((members, work.copy(), m, args))
+
+        monkeypatch.setattr(eigen, "_jacobi", capturing)
+        symmetric_eigenvalues(reversal_symmetric(order, seed=order, scale=scale))
+        [(members, stack, m, (exponent, tol, halves, off_norm))] = runs
+        for i, (alone, half) in enumerate(zip(members, halves)):
+            jacobi(alone, np.empty_like(alone), m, exponent, tol, (half,), off_norm)
+            stacked = stack[i * m * (m + 1) :][: m * m].reshape(m, m)
+            alone = alone.reshape(m, m)
+            assert np.diagonal(alone).tobytes() == np.diagonal(stacked).tobytes()
+            # a round transposes a member it does not rotate (J^T A J with J = I writes
+            # A^T), and a sweep is m - 1 rounds: one that stopped first may end transposed
+            assert np.array_equal(stacked, alone) or np.array_equal(stacked, alone.T)
+
+    def test_members_at_their_target_from_the_start_are_never_rotated(self, monkeypatch):
+        values, [(members, order, reads)] = solve_reading(monkeypatch, HALVES_AT_TARGET)
+        assert (members, order) == (2, 2) and [len(seen) - 1 for seen in reads] == [0, 0]
+        assert values.tolist() == [0.0, 0.0, 2.0, 2.0]  # the halves' diagonals, exactly
+
+    def test_a_member_at_its_target_stays_frozen_while_the_other_runs(self, monkeypatch):
+        # B + CJ is diagonal; B - CJ takes the run through several sweeps
+        a = from_halves(np.diag([1.0, 2.0, 3.0, 4.0]), DENSE_HALF)
+        values, [(members, order, reads)] = solve_reading(monkeypatch, a)
+        assert (members, order) == (2, 4) and len(reads[0]) == 1 and len(reads[1]) > 2
+        assert {1.0, 2.0, 3.0, 4.0} <= set(values.tolist())  # permuted, never rotated
+        assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-14 * np.max(np.abs(a))
+
+    def test_a_stack_out_of_sweeps_reports_the_failing_member_in_input_units(self, monkeypatch):
+        # B + CJ's one coupling sits on the first round's pair and is zeroed in one sweep,
+        # so member 1, B - CJ, is the one still above the target
+        monkeypatch.setattr(eigen, "SWEEP_CAP", 1)
+        plus = np.diag([1.0, 2.0, 3.0, 4.0])
+        plus[0, 1] = plus[1, 0] = 1.0
+        with pytest.raises(JacobiConvergenceError) as caught:
+            symmetric_eigenvalues(from_halves(plus, DENSE_HALF) * 1e100)
+        initial = float(re.search(r"initial ([-+.e0-9]+)", str(caught.value)).group(1))
+        off_diagonal = DENSE_HALF - np.diag(np.diag(DENSE_HALF))
+        assert initial == pytest.approx(1e100 * np.sqrt(np.sum(off_diagonal**2)), rel=1e-3)
 
 
 class TestGrouping:

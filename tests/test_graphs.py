@@ -383,7 +383,7 @@ class TestValidationAndExport:
         assert g.adjacency.dtype == np.int8 and not g.adjacency.flags.writeable
         assert Graph(np.zeros((0, 0), dtype)).vertex_count == 0
 
-    @pytest.mark.parametrize("size", [2.5, "3", 3.0])
+    @pytest.mark.parametrize("size", [2.5, "3", 3.0, True, np.True_])
     @pytest.mark.parametrize(
         "build, name",
         [

@@ -94,7 +94,7 @@ class TestPartitionValidation:
         with pytest.raises(ValueError, match=expected):
             call(np.zeros(shape), Partition(((0, 1, 2),)))
 
-    @pytest.mark.parametrize("size", [2.5, "3"])
+    @pytest.mark.parametrize("size", [2.5, "3", True, np.True_])
     @pytest.mark.parametrize(
         "build", [side_partition, fan_partition, nc_partition, lambda a, b: side_partition(b, a)]
     )

@@ -153,7 +153,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep((2, 3), (2, 500))
 
-    @pytest.mark.parametrize("size", [2.5, "3"])
+    @pytest.mark.parametrize("size", [2.5, "3", True, np.True_])
     def test_range_bounds_must_be_integers(self, size):
         # once a TypeError from range(), raised after the bounds check had passed
         with pytest.raises(ValueError, match=f"^m_high must be an integer, got {size!r}$"):
@@ -213,7 +213,7 @@ class TestRandomJoins:
         checks = verify_random_joins(pair_count=3, seed=999)
         assert [c.seed for c in checks] == [999, 1000, 1001]
 
-    @pytest.mark.parametrize("pair_count", [0, -3, 2.0, "2", None])
+    @pytest.mark.parametrize("pair_count", [0, -3, 2.0, "2", None, True, np.True_])
     def test_pair_count_must_be_an_integer_of_at_least_one(self, pair_count):
         # zero pairs would make all(c.ok ...) pass vacuously
         with pytest.raises(ValueError, match="^pair_count must be an integer >= 1$"):
