@@ -118,13 +118,18 @@ def _check_tol(name: str, value: float, zero_ok: bool) -> None:
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer but not a bool, which would pass as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_integers(**values) -> list[int]:
     """The values as Python ints, so no sum of sizes overflows a narrow numpy type;
     ValueError naming the first that is not an integer (a numpy integer is one, a
     bool is not): a float or string size would otherwise pass, or fail later with
     another TypeError, and True would pass as 1."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     return [operator.index(value) for value in values.values()]
 
@@ -199,8 +204,11 @@ def _off_norm(work: np.ndarray, spare: np.ndarray, m: int, start: int = 0) -> fl
 
 
 def _check_symmetric(a: np.ndarray, scale: float) -> None:
-    """ValueError if max|a - a^T| exceeds 1e-10 * scale, where scale = max|a|."""
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * scale:
+    """ValueError if max|a - a^T| exceeds 1e-10 * scale, where scale = max|a|.  Holds one
+    V x V temporary: a - a.T would hold two, as numpy copies the transposed operand too."""
+    gap = a.T.copy()
+    np.subtract(a, gap, out=gap)
+    if float(np.abs(gap, out=gap).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,15 @@ class NotEquitableError(ValueError):
     """Raised when a quotient-spectrum request gets a non-equitable partition."""
 
 
+class _BlockData(NamedTuple):
+    """A partition's arrays, read-only, that every quotient reads."""
+
+    vertices: np.ndarray  # block 0's vertices in its order, then block 1's, and so on
+    starts: np.ndarray  # where each block starts in vertices
+    indicator: np.ndarray  # V x k, I[v, j] = 1 iff vertex v is in block j
+    sizes: np.ndarray  # the block sizes, as floats
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered nonempty blocks that hold each of the vertices 0..N-1 exactly once."""
@@ -36,9 +47,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         # integer vertices (numpy integers too), stored as Python ints: truncation
-        # would silently make ((0, 2.9), (1,)) the partition {0, 2}, {1}
+        # would silently make ((0, 2.9), (1,)) the partition {0, 2}, {1}, and a bool
+        # would pass as 0 or 1
         try:
-            blocks = tuple(tuple(map(operator.index, block)) for block in self.blocks)
+            blocks = tuple(tuple(map(_vertex, block)) for block in self.blocks)
         except TypeError:
             raise ValueError("partition blocks must hold integer vertices") from None
         if not all(blocks):
@@ -51,6 +63,29 @@ class Partition:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
+
+    def __reduce__(self):
+        # a copy is built anew: no block data, which numpy would restore writeable
+        return Partition, (self.blocks,)
+
+    @cached_property
+    def _block_data(self) -> _BlockData:
+        """Built once per partition, like Graph._distances, and kept out of ==, hash and repr."""
+        sizes = self.block_sizes
+        vertices = np.fromiter(itertools.chain.from_iterable(self.blocks), np.intp)
+        indicator = np.zeros((len(vertices), len(sizes)))
+        indicator[vertices, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
+        data = _BlockData(vertices, np.cumsum((0, *sizes))[:-1], indicator, np.array(sizes, float))
+        for array in data:
+            array.setflags(write=False)
+        return data
+
+
+def _vertex(value) -> int:
+    """value as a Python int; TypeError for a bool or anything that is not an integer."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a vertex")
+    return operator.index(value)
 
 
 def _consecutive(*sizes: int) -> list[range]:
@@ -76,43 +111,37 @@ def nc_partition(m: int, n: int) -> Partition:
     return Partition(_consecutive(n, m, m, n))
 
 
-def _layout(partition: Partition) -> np.ndarray:
-    """The vertices block by block: block 0's in its order, then block 1's, and so on."""
-    return np.fromiter(itertools.chain.from_iterable(partition.blocks), np.intp)
-
-
-def _row_sums(matrix: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The indicator I (I[v, j] = 1 iff vertex v is in block j) and matrix @ I, whose
-    entry (v, j) is row v's sum over block j.  Each entry enters one sum with weight 1,
-    so a NaN or inf entry (or an overflow) makes a non-finite sum: a ValueError, as is
-    a complex, non-square or wrongly sized matrix, rather than numpy's inf * 0 warning."""
+def _row_sums(matrix: np.ndarray, partition: Partition) -> np.ndarray:
+    """matrix @ I for the partition's indicator I: entry (v, j) is row v's sum over block j.
+    Each entry enters one sum with weight 1, so a NaN or inf entry (or an overflow) makes
+    a non-finite sum: a ValueError, as is a complex, non-square or wrongly sized matrix,
+    rather than numpy's inf * 0 warning."""
     matrix = _real_square(matrix)
-    vertices, sizes = _layout(partition), partition.block_sizes
-    if len(vertices) != matrix.shape[0]:
-        raise ValueError(f"partition of order {len(vertices)} for a matrix of order {len(matrix)}")
-    indicator = np.zeros((len(vertices), len(sizes)))
-    indicator[vertices, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
+    indicator = partition._block_data.indicator
+    if len(indicator) != matrix.shape[0]:
+        raise ValueError(f"partition of order {len(indicator)} for a matrix of order {len(matrix)}")
     with np.errstate(invalid="ignore", over="ignore"):
         rows = matrix @ indicator
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries and their block row sums must be finite")
-    return indicator, rows
+    return rows
 
 
 def quotient_matrix(matrix: np.ndarray, partition: Partition) -> np.ndarray:
     """The block-averaged matrix; its blocks' sizes are ``partition.block_sizes``."""
-    indicator, rows = _row_sums(matrix, partition)
-    return (indicator.T @ rows) / np.array(partition.block_sizes, dtype=float)[:, None]
+    rows = _row_sums(matrix, partition)
+    data = partition._block_data
+    return (data.indicator.T @ rows) / data.sizes[:, None]
 
 
 def is_equitable(matrix: np.ndarray, partition: Partition) -> bool:
     """True iff within every block pair all row sums agree to within EQUITABLE_TOL."""
-    _, rows = _row_sums(matrix, partition)
+    rows = _row_sums(matrix, partition)
     # the rows block by block, then one max - min per block and column (every
     # block is nonempty, so each reduceat segment is exactly one block)
-    grouped = rows[_layout(partition)]
-    starts = np.cumsum((0, *partition.block_sizes))[:-1]
-    spread = np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts)
+    data = partition._block_data
+    grouped = rows[data.vertices]
+    spread = np.maximum.reduceat(grouped, data.starts) - np.minimum.reduceat(grouped, data.starts)
     return not (spread > EQUITABLE_TOL).any()
 
 
@@ -132,8 +161,8 @@ def quotient_eigenvalues(
         raise NotEquitableError("partition is not equitable for this matrix")
     a = np.asarray(matrix, dtype=float)  # is_equitable has rejected complex and non-finite entries
     _check_symmetric(a, float(np.abs(a).max(initial=0.0)))
-    indicator, rows = _row_sums(a, partition)
-    sizes = np.array(partition.block_sizes, dtype=float)
-    upper = np.triu((indicator.T @ rows) / np.sqrt(np.outer(sizes, sizes)))
+    rows = _row_sums(a, partition)
+    data = partition._block_data
+    upper = np.triu((data.indicator.T @ rows) / np.sqrt(np.outer(data.sizes, data.sizes)))
     c = upper + np.triu(upper, 1).T
     return group_multiplicities(symmetric_eigenvalues(c), grouping_tol=grouping_tol)

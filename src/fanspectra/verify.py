@@ -35,8 +35,8 @@ from .closed_forms import (
     nc_laplacian_spectrum,
 )
 from .eigen import (
-    Spectrum, _check_integers, _check_sizes, _check_tol, _sorted_values, group_multiplicities,
-    symmetric_eigenvalues,
+    Spectrum, _check_integers, _check_sizes, _check_tol, _is_integer, _sorted_values,
+    group_multiplicities, symmetric_eigenvalues,
 )
 from .graphs import Graph, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
@@ -246,8 +246,7 @@ def verify_random_joins(pair_count: int = 100, seed: int = 20260809) -> list[Joi
     The component graphs may be disconnected; the join never is.  Each
     check records its own seed so any failure is reproducible.
     """
-    integer = isinstance(pair_count, (int, np.integer)) and not isinstance(pair_count, bool)
-    if not integer or pair_count < 1:
+    if not _is_integer(pair_count) or pair_count < 1:
         raise ValueError("pair_count must be an integer >= 1")
     (seed,) = _check_sizes("verify_random_joins", 0, seed=seed)
     checks = []

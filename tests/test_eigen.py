@@ -401,6 +401,12 @@ class TestRoundLoop:
         lap = laplacian_matrix(nc_graph(m, n))
         assert self._peak_bytes(self._split, lap) <= lap.size * 8 + 4096
 
+    def test_the_symmetry_check_holds_at_most_one_matrix_temporary(self):
+        # a - a.T held two: numpy copied the transposed operand as well as the difference
+        lap = laplacian_matrix(nc_graph(12, 12))  # order 48
+        check = lambda a: eigen._check_symmetric(a, float(np.abs(a).max()))  # noqa: E731
+        assert self._peak_bytes(check, lap) <= lap.size * 8 + 4096
+
     def test_the_cached_plan_is_one_gather_and_shared_safely(self):
         # the gap floor changes each sweep and the pivots each round, so both are
         # the solve's own; the plan is the gather alone, and no solve writes it

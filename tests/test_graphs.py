@@ -276,6 +276,49 @@ class TestTraversal:
         else:
             assert distance_matrix(g).tolist() == expected
 
+    @staticmethod
+    def _products(monkeypatch, g):
+        """How many matrix products the BFS makes for g."""
+        calls, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+        g._distances  # fills the hop memo: one BFS
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "g, products",
+        [
+            *[(generalized_fan(m, n), 1) for m, n in [(1, 3), (2, 2), (3, 4), (56, 56)]],
+            *[(nc_graph(m, n), 2) for m, n in [(2, 2), (3, 4), (34, 34)]],
+            (Graph(1 - np.eye(6, dtype=np.int8)), 0),  # complete: level 1 reaches every pair
+            (generalized_fan(1, 2), 0),  # the triangle
+            *[(path_graph(n), max(n - 2, 0)) for n in [1, 2, 3, 10, 130]],
+            # disconnected: every level up to the first empty one, which takes a product
+            (null_graph(2), 0),  # no level 2 in a 2-vertex graph
+            (null_graph(3), 1),
+            (make_graph(5, [(0, 1), (1, 2), (3, 4)]), 2),
+            (make_graph(5, [(0, 1), (1, 2), (2, 3)]), 3),
+            (make_graph(4, [(0, 1), (1, 2), (2, 3)]), 2),  # connected again: no empty level
+        ],
+    )
+    def test_one_product_per_level_after_the_first(self, monkeypatch, g, products):
+        # level 1 is the adjacency; the loop stops once every pair is reached
+        assert self._products(monkeypatch, g) == products
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_joins_and_random_graphs_take_a_product_per_level_after_the_first(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        g1, g2 = random_graph(int(rng.integers(1, 9)), rng), random_graph(int(rng.integers(1, 9)), rng)
+        assert self._products(monkeypatch, join(g1, g2)) <= 1  # diameter at most 2
+        g = random_graph(int(rng.integers(1, 13)), rng)
+        hops = [reference_distances(g, source) for source in range(g.vertex_count)]
+        eccentricity = max(max(row) for row in hops)
+        if any(UNREACHABLE in row for row in hops):
+            # levels 2..eccentricity find pairs, then one finds none, if V - 1 levels allow it
+            expected = min(max(eccentricity, 1), g.vertex_count - 2)
+        else:
+            expected = max(eccentricity - 1, 0)
+        assert self._products(monkeypatch, g) == expected
+
     def test_large_order_rows_are_int16(self):
         # order 130 does not fit int8, so the hop rows are int16
         hops = path_graph(130)._distances
@@ -310,7 +353,7 @@ class TestValidationAndExport:
         with pytest.raises(ValueError, match=r"^edge \(0, 5\) is invalid for a graph on 2 vertices$"):
             make_graph(2, [(0, 5)])
 
-    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None, -1])
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), "3", None, -1, True, False])
     def test_rejects_a_vertex_count_that_is_not_a_non_negative_integer(self, count):
         # rejected at construction, not later as a TypeError from the first matrix
         with pytest.raises(ValueError, match="^vertex_count must be a non-negative integer$"):
@@ -427,11 +470,12 @@ class TestValidationAndExport:
         "edge",
         [
             (0, 1.5), (0.0, 1.0), (0, np.float64(2.0)), (Fraction(1, 2), 2), ("0", "1"),
-            (None, 1), ("0", 1), (1, "a"),
+            (None, 1), ("0", 1), (1, "a"), (True, 2), (0, True),
         ],
     )
     def test_rejects_non_integer_endpoints(self, edge):
-        # None, "0" and "a" once escaped as a TypeError from ordering the pair
+        # None, "0" and "a" once escaped as a TypeError from ordering the pair, and
+        # (True, 2) and (0, True) were read as (1, 2) and (0, 1)
         message = rf"edge \({edge[0]}, {edge[1]}\) is invalid for a graph on 3 vertices"
         with pytest.raises(ValueError, match=message):
             make_graph(3, [edge])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanspectra import quotient
 from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
@@ -54,10 +55,15 @@ class TestPartitionValidation:
                 Partition(blocks)
 
     @pytest.mark.parametrize(
-        "blocks", [[[0, 2.9], [1]], [[0, 2.0], [1]], [["1"], [0]], [[np.float64(0)], [1]], [[0], 1]]
+        "blocks",
+        [
+            [[0, 2.9], [1]], [[0, 2.0], [1]], [["1"], [0]], [[np.float64(0)], [1]], [[0], 1],
+            ((0,), (True,)), [[False], [1]], [[0], [np.True_]],
+        ],
     )
     def test_vertices_must_be_integers(self, blocks):
-        # truncation would silently make [[0, 2.9], [1]] the partition {0, 2}, {1}
+        # truncation would silently make [[0, 2.9], [1]] the partition {0, 2}, {1},
+        # and ((0,), (True,)) was accepted as the partition {0}, {1}
         with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
             Partition(blocks)
 
@@ -71,6 +77,38 @@ class TestPartitionValidation:
         assert partition == Partition([range(3), (3, 4), [5, 6], np.arange(7, 10)])
         assert pickle.loads(pickle.dumps(partition)) == partition
         assert vars(partition) == {"blocks": partition.blocks}
+
+    def test_the_block_data_is_built_once_and_read_only(self, monkeypatch):
+        partition = nc_partition(2, 3)
+        lap = laplacian_matrix(nc_graph(2, 3))
+        built, make = [], quotient._BlockData
+        monkeypatch.setattr(quotient, "_BlockData", lambda *arrays: built.append(1) or make(*arrays))
+        for call in (quotient_matrix, is_equitable, quotient_eigenvalues, quotient_matrix):
+            call(lap, partition)
+        assert built == [1]
+        data = partition._block_data
+        assert data.vertices.tolist() == list(range(10))
+        assert data.starts.tolist() == [0, 3, 5, 7]
+        assert data.sizes.tolist() == [3.0, 2.0, 2.0, 3.0]
+        assert np.array_equal(data.indicator, np.repeat(np.eye(4), [3, 2, 2, 3], axis=0))
+        for array in data:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_the_block_data_leaves_equality_hash_repr_and_pickling_alone(self):
+        partition, fresh = nc_partition(2, 3), nc_partition(2, 3)
+        before = (hash(partition), repr(partition), pickle.dumps(partition))
+        assert is_equitable(laplacian_matrix(nc_graph(2, 3)), partition)
+        assert "_block_data" in vars(partition) and "_block_data" not in vars(fresh)
+        assert partition == fresh and (hash(partition), repr(partition)) == before[:2]
+        assert pickle.dumps(partition) == before[2]
+        copy = pickle.loads(pickle.dumps(partition))
+        assert copy == partition and vars(copy) == {"blocks": partition.blocks}
+        assert not copy._block_data.indicator.flags.writeable
+        # a matrix of the wrong order still gets the same error once the data exists
+        with pytest.raises(ValueError, match="^partition of order 10 for a matrix of order 4$"):
+            quotient_matrix(laplacian_matrix(path_graph(4)), partition)
 
     @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
     def test_direct_construction_is_checked_before_any_quotient(self, call):

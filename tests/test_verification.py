@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -72,6 +73,17 @@ class TestVerifyCase:
         expected = sorted([0.0, 12.0, 12.0, 16 - 2 * 2**0.5, 14.0, 14.0, 16.0, 16 + 2 * 2**0.5])
         np.testing.assert_allclose(sorted(report.closed_form.expanded()), expected, atol=1e-9)
         assert report.errata_flags
+
+    def test_an_nc_case_peaks_below_three_matrices(self):
+        # order 48; a symmetry check that held two V x V temporaries took it to 59,642 B
+        verify_case("nc", 12, 12, "laplacian")  # warm-up: builds and caches the round plans
+        tracemalloc.start()
+        try:
+            verify_case("nc", 12, 12, "laplacian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 48 * 48 * 8
 
     def test_unknown_family_or_kind(self):
         with pytest.raises(ValueError):
