@@ -426,10 +426,10 @@ def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     mean.  Raises ValueError unless grouping_tol is finite and non-negative.
     """
     _check_tol("grouping_tol", grouping_tol, zero_ok=True)
-    vals = [float(v) for v in values]
-    if any(not math.isfinite(v) for v in vals):
+    vals = list(map(float, values))
+    if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")
-    if any(b < a for a, b in zip(vals, vals[1:])):
+    if any(map(operator.lt, vals[1:], vals)):  # some value below the one before it
         raise ValueError("values must be sorted ascending")
     pairs: list[tuple[float, int]] = []
     group: list[float] = []

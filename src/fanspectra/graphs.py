@@ -119,7 +119,7 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         integral = _is_integer(u) and _is_integer(v)  # a bool is named as given, not as 0 or 1
         if not integral and not _is_pair(edge):  # like (0, [1, 2]); asked only here: ~1 us
             raise ValueError(f"edge {edge!r} is not a pair of vertices")
-        if u == v:
+        if integral and u == v:  # (True, 1) and (1.0, 1) compare equal but are no self-loop
             raise ValueError(f"self-loop at vertex {u}")
         if integral and u > v:
             u, v = v, u
@@ -208,7 +208,7 @@ def _hops(g: Graph) -> np.ndarray:
     hops = g.adjacency.astype(np.min_scalar_type(-max(g.vertex_count, 1)))
     hops *= 1 - UNREACHABLE  # 1 where adjacent, UNREACHABLE elsewhere
     hops += UNREACHABLE
-    np.fill_diagonal(hops, 0)
+    hops.reshape(-1)[:: g.vertex_count + 1] = 0
     unreached = hops == UNREACHABLE
     left = np.count_nonzero(unreached)
     adjacency = g.adjacency.astype(np.float32)

@@ -17,7 +17,13 @@ Every builder starts from one of the graph's two read-only arrays: A
 and L from a fresh float64 copy of its 0/1 adjacency, which is the graph
 itself, and the distance kinds from a fresh float64 copy of its hop
 matrix, which that BFS fills once per graph.  Each builder then works in
-place on its copy.
+place on its copy and writes its diagonal, if it has one, as one strided
+assignment on the flat view, x.reshape(-1)[:: V + 1] = values, which is
+what np.fill_diagonal does after its Python-level checks.
+
+``build_matrix`` dispatches through one table built at import.  Its
+entries look the builder names up when they run, so a builder rebound on
+this module (a test double, a tracer) is the one that gets called.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     lap = adjacency_matrix(g)
     degrees = lap.sum(axis=1)
     np.negative(lap, out=lap)  # keeps the -0.0 off-diagonals that the matrix command prints
-    np.fill_diagonal(lap, degrees)
+    lap.reshape(-1)[:: len(lap) + 1] = degrees
     return lap
 
 
@@ -64,7 +70,10 @@ def transmission_vector(g: Graph) -> np.ndarray:
 
 
 def transmission_matrix(g: Graph) -> np.ndarray:
-    return np.diag(transmission_vector(g))
+    sums = transmission_vector(g)
+    tr = np.zeros((len(sums), len(sums)))
+    tr.reshape(-1)[:: len(sums) + 1] = sums
+    return tr
 
 
 # The builders below overwrite the fresh copy that distance_matrix returns.
@@ -74,13 +83,13 @@ def distance_laplacian(g: Graph) -> np.ndarray:
     d = distance_matrix(g)
     sums = d.sum(axis=1)
     np.negative(d, out=d)
-    np.fill_diagonal(d, sums)
+    d.reshape(-1)[:: len(d) + 1] = sums
     return d
 
 
 def distance_signless_laplacian(g: Graph) -> np.ndarray:
     d = distance_matrix(g)
-    np.fill_diagonal(d, d.sum(axis=1))
+    d.reshape(-1)[:: len(d) + 1] = d.sum(axis=1)
     return d
 
 
@@ -95,8 +104,18 @@ def generalized_distance(g: Graph, t: float) -> np.ndarray:
     d = distance_matrix(g)
     sums = d.sum(axis=1)
     np.multiply(d, 1.0 - t, out=d)
-    np.fill_diagonal(d, t * sums)
+    d.reshape(-1)[:: len(d) + 1] = t * sums
     return d
+
+
+_BUILDERS = {
+    MatrixKind.ADJACENCY: lambda g: adjacency_matrix(g),
+    MatrixKind.LAPLACIAN: lambda g: laplacian_matrix(g),
+    MatrixKind.DISTANCE: lambda g: distance_matrix(g),
+    MatrixKind.TRANSMISSION: lambda g: transmission_matrix(g),
+    MatrixKind.DISTANCE_LAPLACIAN: lambda g: distance_laplacian(g),
+    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: lambda g: distance_signless_laplacian(g),
+}
 
 
 def build_matrix(g: Graph, kind: MatrixKind | str, t: float | None = None) -> np.ndarray:
@@ -106,12 +125,4 @@ def build_matrix(g: Graph, kind: MatrixKind | str, t: float | None = None) -> np
         if t is None:
             raise ValueError("generalized-distance requires the blend parameter t")
         return generalized_distance(g, t)
-    builder = {
-        MatrixKind.ADJACENCY: adjacency_matrix,
-        MatrixKind.LAPLACIAN: laplacian_matrix,
-        MatrixKind.DISTANCE: distance_matrix,
-        MatrixKind.TRANSMISSION: transmission_matrix,
-        MatrixKind.DISTANCE_LAPLACIAN: distance_laplacian,
-        MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: distance_signless_laplacian,
-    }[kind]
-    return builder(g)
+    return _BUILDERS[kind](g)

@@ -41,7 +41,12 @@ class _BlockData(NamedTuple):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered nonempty blocks that hold each of the vertices 0..N-1 exactly once."""
+    """Ordered nonempty blocks that hold each of the vertices 0..N-1 exactly once.
+
+    Each block is any iterable of integer vertices, stored as a tuple of Python
+    ints.  A ``range`` block is copied as it is, without a per-vertex check, since
+    its elements are Python ints already; the canonical partitions pass ranges.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
 
@@ -50,7 +55,10 @@ class Partition:
         # would silently make ((0, 2.9), (1,)) the partition {0, 2}, {1}, and a bool
         # would pass as 0 or 1
         try:
-            blocks = tuple(tuple(map(_vertex, block)) for block in self.blocks)
+            blocks = tuple(
+                tuple(block) if isinstance(block, range) else tuple(map(_vertex, block))
+                for block in self.blocks
+            )
         except TypeError:
             raise ValueError("partition blocks must hold integer vertices") from None
         if not all(blocks):

@@ -117,7 +117,10 @@ def compare_spectra(a, b) -> float:
 
 def _contained(quotient: Spectrum, full: np.ndarray, tol: float = DEFAULT_CASE_TOL) -> bool:
     """True iff every quotient eigenvalue lies within tol of some value of the full spectrum."""
-    return all(float(np.min(np.abs(full - value))) <= tol for value in quotient.expanded())
+    values = quotient.expanded()
+    if not values:
+        return True
+    return bool(np.abs(np.subtract.outer(values, full)).min(axis=1).max() <= tol)
 
 
 @dataclass(frozen=True)

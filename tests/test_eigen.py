@@ -685,13 +685,22 @@ class TestGrouping:
         spectrum = group_multiplicities(vals)
         assert [k for _, k in spectrum.pairs] == [1, 1, 2, 1, 1, 1]
 
-    def test_requires_sorted_input(self):
-        with pytest.raises(ValueError):
-            group_multiplicities([2.0, 1.0])
+    @pytest.mark.parametrize(
+        "values", [[2.0, 1.0], [0.0, 1.0, 3.0, 2.0], [0.0, 0.0, -1e-300], np.array([1.0, 0.5])]
+    )
+    def test_requires_sorted_input(self, values):
+        # the descending pair first, last or alone
+        with pytest.raises(ValueError, match="^values must be sorted ascending$"):
+            group_multiplicities(values)
 
-    def test_requires_finite_values(self):
-        with pytest.raises(ValueError):
-            group_multiplicities([0.0, float("nan")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_requires_finite_values(self, bad, where):
+        values = [0.0, 1.0, 2.0, 3.0, 4.0]
+        values[where] = bad
+        # checked before the order, so a non-finite value that also breaks it is named as such
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            group_multiplicities(values)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, -5e-324])
     def test_grouping_tol_must_be_finite_and_non_negative(self, tol):

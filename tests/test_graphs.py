@@ -368,6 +368,12 @@ class TestValidationAndExport:
             ([(2, 0), (1, 1), (1, 1.5)], "self-loop at vertex 1"),
             ([(0, 1), (-1, 2), (0, 2**70)], r"edge \(-1, 2\) is invalid"),
             ([(0, 1), (0, 2**70)], rf"edge \(0, {2**70}\) is invalid"),
+            # ends that compare equal but are not two integers: no self-loop
+            ([(True, 1)], r"edge \(True, 1\) is invalid for a graph on 3 vertices$"),
+            ([(1.0, 1)], r"edge \(1.0, 1\) is invalid for a graph on 3 vertices$"),
+            ([(1, 1.0)], r"edge \(1, 1.0\) is invalid for a graph on 3 vertices$"),
+            ([(0, 1), (np.True_, 1), (2, 2)], r"edge \(True, 1\) is invalid"),
+            ([(0, 1), (2, 2), (1.0, 1)], "self-loop at vertex 2$"),
         ],
     )
     def test_names_the_first_bad_edge_in_input_order(self, edges, message):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanspectra import graphs
+from fanspectra import graphs, matrices
 from fanspectra.graphs import (
     DisconnectedGraphError,
     generalized_fan,
@@ -195,6 +195,77 @@ class TestDispatch:
     def test_generalized_distance_requires_t(self):
         with pytest.raises(ValueError):
             build_matrix(path_graph(3), MatrixKind.GENERALIZED_DISTANCE)
+
+    @pytest.mark.parametrize("graph", [generalized_fan(3, 4), nc_graph(2, 3)], ids=["fan", "nc"])
+    @pytest.mark.parametrize("kind", list(MatrixKind), ids=[kind.value for kind in MatrixKind])
+    @pytest.mark.parametrize("as_string", [False, True], ids=["member", "string"])
+    def test_build_matrix_returns_the_builders_own_array(self, graph, kind, as_string):
+        builders = {
+            MatrixKind.ADJACENCY: adjacency_matrix,
+            MatrixKind.LAPLACIAN: laplacian_matrix,
+            MatrixKind.DISTANCE: distance_matrix,
+            MatrixKind.TRANSMISSION: transmission_matrix,
+            MatrixKind.DISTANCE_LAPLACIAN: distance_laplacian,
+            MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: distance_signless_laplacian,
+            MatrixKind.GENERALIZED_DISTANCE: lambda g: generalized_distance(g, 0.3),
+        }
+        built = build_matrix(graph, kind.value if as_string else kind, t=0.3)
+        own = builders[kind](graph)
+        assert built.dtype == own.dtype == np.float64
+        assert np.array_equal(built, own)
+        assert np.array_equal(np.signbit(built), np.signbit(own))
+
+    def test_build_matrix_looks_the_builder_up_when_called(self, monkeypatch):
+        # a builder rebound on the module, as a test double or a tracer does, is the one called
+        calls = []
+        monkeypatch.setattr(matrices, "distance_matrix", lambda g: calls.append(g) or "double")
+        g = path_graph(3)
+        assert build_matrix(g, "distance") == "double"
+        assert calls == [g]
+
+
+class TestDiagonalWrites:
+    # each builder writes its diagonal as one strided assignment on its flat view;
+    # these are the np.fill_diagonal and np.diag forms it replaced, bit for bit
+    @staticmethod
+    def reference(g, kind):
+        if kind == "laplacian":
+            a = adjacency_matrix(g)
+            x = np.negative(a)
+            np.fill_diagonal(x, a.sum(axis=1))
+            return x
+        d = distance_matrix(g)
+        sums = d.sum(axis=1)
+        if kind == "transmission":
+            return np.diag(sums)
+        if kind == "distance-laplacian":
+            x, diagonal = np.negative(d), sums
+        elif kind == "distance-signless-laplacian":
+            x, diagonal = d, sums
+        else:  # generalized-distance at t = 0.3
+            x, diagonal = d * (1.0 - 0.3), 0.3 * sums
+        np.fill_diagonal(x, diagonal)
+        return x
+
+    @pytest.mark.parametrize(
+        "graph", [generalized_fan(3, 4), nc_graph(2, 3), path_graph(1), path_graph(5)],
+        ids=["fan", "nc", "K1", "P5"],
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "laplacian", "transmission", "distance-laplacian", "distance-signless-laplacian",
+            "generalized-distance",
+        ],
+    )
+    def test_each_diagonal_matches_fill_diagonal_bit_for_bit(self, graph, kind):
+        built, want = build_matrix(graph, kind, t=0.3), self.reference(graph, kind)
+        assert built.flags.c_contiguous and built.dtype == want.dtype
+        assert np.array_equal(built, want)
+        assert np.array_equal(np.signbit(built), np.signbit(want))  # the -0.0 off-diagonals
+
+    def test_the_empty_graph_has_an_empty_laplacian(self):
+        assert laplacian_matrix(graphs.make_graph(0, [])).shape == (0, 0)
 
 
 class TestDistanceMemo:

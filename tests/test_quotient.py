@@ -110,6 +110,35 @@ class TestPartitionValidation:
         with pytest.raises(ValueError, match="^partition of order 10 for a matrix of order 4$"):
             quotient_matrix(laplacian_matrix(path_graph(4)), partition)
 
+    @pytest.mark.parametrize(
+        "ranges, lists",
+        [
+            ([range(3), range(3, 5), range(5, 7), range(7, 10)], [[0, 1, 2], [3, 4], [5, 6], [7, 8, 9]]),
+            ([range(0, 6, 2), range(1, 6, 2)], [[0, 2, 4], [1, 3, 5]]),  # stepped
+            ([range(5, 1, -2), [0, 1, 2], range(4, 7, 2)], [[5, 3], [0, 1, 2], [4, 6]]),  # mixed
+        ],
+    )
+    def test_range_blocks_make_the_same_partition_as_lists(self, ranges, lists):
+        from_ranges, from_lists = Partition(ranges), Partition(lists)
+        assert from_ranges == from_lists and hash(from_ranges) == hash(from_lists)
+        assert repr(from_ranges) == repr(from_lists)
+        assert all(type(v) is int for block in from_ranges.blocks for v in block)
+        copy = pickle.loads(pickle.dumps(from_ranges))
+        assert copy == from_lists and pickle.dumps(from_ranges) == pickle.dumps(from_lists)
+        for got, want in zip(from_ranges._block_data, from_lists._block_data):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.5])
+    def test_list_blocks_beside_ranges_are_still_checked_per_vertex(self, bad):
+        with pytest.raises(ValueError, match="^partition blocks must hold integer vertices$"):
+            Partition([range(2), [bad]])
+
+    def test_an_empty_range_block_is_still_rejected(self):
+        with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
+            Partition([range(2), range(0)])
+        with pytest.raises(ValueError, match=r"^partition must cover vertices 0\.\.2 exactly once$"):
+            Partition([range(2), range(1, 2)])
+
     @pytest.mark.parametrize("call", [quotient_matrix, is_equitable, quotient_eigenvalues])
     def test_direct_construction_is_checked_before_any_quotient(self, call):
         # once an IndexError from inside numpy, which the CLI does not map to exit 3

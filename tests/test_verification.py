@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fanspectra.closed_forms import fan_distance_laplacian_as_stated, fan_laplacian_spectrum
-from fanspectra.eigen import symmetric_eigenvalues
+from fanspectra.eigen import Spectrum, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan
 from fanspectra.matrices import laplacian_matrix
 from fanspectra.verify import (
@@ -20,6 +20,7 @@ from fanspectra.verify import (
     SpectrumSizeMismatch,
     UnsupportedCombination,
     VerificationReport,
+    _contained,
     closed_form,
     compare_spectra,
     random_graph,
@@ -55,6 +56,23 @@ class TestCompareSpectra:
         for a, b in ((values, [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], values)):
             with pytest.raises(ValueError, match="^values must be finite$"):
                 compare_spectra(a, b)
+
+
+class TestContainment:
+    FULL = np.array([0.0, 1.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("gap, contained", [(0.0, True), (0.25, True), (0.5, False)])
+    def test_a_quotient_value_must_lie_within_tol_of_the_full_spectrum(self, gap, contained):
+        # 0.25 = tol exactly (every value here is a dyadic fraction) is in, 2 * tol is out
+        for value in (1.0 + gap, 3.0 + gap, 0.0 - gap):
+            quotient = Spectrum(((0.0, 1), (value, 2)))
+            assert _contained(quotient, self.FULL, tol=0.25) is contained
+
+    def test_an_empty_quotient_is_contained(self):
+        assert _contained(Spectrum(()), self.FULL, tol=0.25) is True
+
+    def test_a_nan_is_not_contained(self):
+        assert _contained(Spectrum(((math.nan, 1),)), self.FULL, tol=0.25) is False
 
 
 class TestVerifyCase:
