@@ -43,8 +43,9 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: a read-only int8 copy of its adjacency, which
-    must be a square, symmetric 0/1 matrix with a zero diagonal."""
+    """Simple undirected graph: a read-only, C-ordered int8 copy of its
+    adjacency, which must be a square, symmetric 0/1 matrix with a zero
+    diagonal."""
 
     adjacency: np.ndarray
 
@@ -58,7 +59,9 @@ class Graph:
         not_real = np.iscomplexobj(a) or a.dtype == object and any(map(np.iscomplexobj, a.flat))
         if stray or not binary or not_real:
             raise ValueError("adjacency must be symmetric, with entries 0 or 1 and a zero diagonal")
-        a = a.astype(np.int8)
+        # C order even for a transposed or Fortran-ordered input: every array copied
+        # from this one keeps it, and the diagonal writes on their flat views need it
+        a = a.astype(np.int8, order="C")
         a.setflags(write=False)  # unlike a.flags.writeable = False, makes no flags object
         object.__setattr__(self, "adjacency", a)
 

@@ -17,9 +17,12 @@ Every builder starts from one of the graph's two read-only arrays: A
 and L from a fresh float64 copy of its 0/1 adjacency, which is the graph
 itself, and the distance kinds from a fresh float64 copy of its hop
 matrix, which that BFS fills once per graph.  Each builder then works in
-place on its copy and writes its diagonal, if it has one, as one strided
-assignment on the flat view, x.reshape(-1)[:: V + 1] = values, which is
-what np.fill_diagonal does after its Python-level checks.
+place on its copy; L, Tr - D, Tr + D and the blend write their diagonal
+as one strided assignment on the flat view, x.reshape(-1)[:: V + 1] =
+values, which is what np.fill_diagonal does after its Python-level
+checks.  That reshape is a view, not a lost copy, only because the copy
+is C-ordered: Graph stores its adjacency in C order, and astype keeps
+it.  Tr stays on np.diag, which a strided write speeds up by under 2 us.
 
 ``build_matrix`` dispatches through one table built at import.  Its
 entries look the builder names up when they run, so a builder rebound on
@@ -70,10 +73,7 @@ def transmission_vector(g: Graph) -> np.ndarray:
 
 
 def transmission_matrix(g: Graph) -> np.ndarray:
-    sums = transmission_vector(g)
-    tr = np.zeros((len(sums), len(sums)))
-    tr.reshape(-1)[:: len(sums) + 1] = sums
-    return tr
+    return np.diag(transmission_vector(g))
 
 
 # The builders below overwrite the fresh copy that distance_matrix returns.

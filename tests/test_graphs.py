@@ -319,6 +319,19 @@ class TestTraversal:
             expected = max(eccentricity - 1, 0)
         assert self._products(monkeypatch, g) == expected
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose], ids=["fortran", "transposed"])
+    @pytest.mark.parametrize(
+        "g", [generalized_fan(3, 4), nc_graph(3, 4), path_graph(5), null_graph(3)], ids=["fan", "nc", "P5", "null"]
+    )
+    def test_the_input_layout_does_not_change_the_hops(self, g, layout):
+        # the graph keeps its adjacency in C order, which the hop matrix's diagonal write needs
+        other = Graph(layout(g.adjacency))
+        assert other.adjacency.flags.c_contiguous and other == g
+        assert other._distances.flags.c_contiguous
+        assert np.array_equal(other._distances, g._distances)
+        expected = [reference_distances(g, source) for source in range(g.vertex_count)]
+        assert other._distances.tolist() == expected
+
     def test_large_order_rows_are_int16(self):
         # order 130 does not fit int8, so the hop rows are int16
         hops = path_graph(130)._distances

@@ -225,8 +225,8 @@ class TestDispatch:
 
 
 class TestDiagonalWrites:
-    # each builder writes its diagonal as one strided assignment on its flat view;
-    # these are the np.fill_diagonal and np.diag forms it replaced, bit for bit
+    # each builder but Tr writes its diagonal as one strided assignment on its flat view;
+    # these are the np.fill_diagonal forms it replaced, bit for bit, and Tr's np.diag
     @staticmethod
     def reference(g, kind):
         if kind == "laplacian":
@@ -248,8 +248,17 @@ class TestDiagonalWrites:
         return x
 
     @pytest.mark.parametrize(
-        "graph", [generalized_fan(3, 4), nc_graph(2, 3), path_graph(1), path_graph(5)],
-        ids=["fan", "nc", "K1", "P5"],
+        "graph",
+        [
+            generalized_fan(3, 4),
+            nc_graph(2, 3),
+            path_graph(1),
+            path_graph(5),
+            # a transposed or Fortran-ordered input is stored in C order, so the flat view is a view
+            graphs.Graph(np.asfortranarray(nc_graph(2, 3).adjacency)),
+            graphs.Graph(generalized_fan(3, 4).adjacency.T),
+        ],
+        ids=["fan", "nc", "K1", "P5", "nc-fortran", "fan-transposed"],
     )
     @pytest.mark.parametrize(
         "kind",
