@@ -15,7 +15,6 @@ from .closed_forms import (
     join_laplacian_spectrum,
     nc_distance_laplacian_spectrum,
     nc_laplacian_spectrum,
-    path_laplacian_spectrum,
 )
 from .eigen import (
     JacobiConvergenceError,
@@ -31,7 +30,6 @@ from .graphs import (
     join,
     make_graph,
     nc_graph,
-    null_graph,
     path_graph,
     to_dot,
     to_edge_list,
@@ -56,7 +54,6 @@ from .quotient import (
     nc_partition,
     quotient_eigenvalues,
     quotient_matrix,
-    side_partition,
 )
 from .verify import (
     CASE_KINDS,

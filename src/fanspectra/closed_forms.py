@@ -95,12 +95,6 @@ def _path_values(n: int) -> list[float]:
     return [2.0 - 2.0 * math.cos(math.pi * j / n) for j in range(1, n)]
 
 
-def path_laplacian_spectrum(n: int) -> ClosedFormSpectrum:
-    """Laplacian eigenvalues of the n-vertex path: 2 - 2 cos(pi j / n), j = 0..n-1."""
-    (n,) = _check_sizes("path spectrum", 1, n=n)
-    return _spectrum("path-laplacian", [], [(_path_values(n), 0, 1, 1)])
-
-
 def _consume_zero(spectrum_like, order: int, what: str) -> list[float]:
     """Expand a full Laplacian spectrum, check it contains 0 (to 1e-6), and drop one copy."""
     values = _sorted_values(spectrum_like)

@@ -54,7 +54,9 @@ halves together, which are orthogonally similar to the whole, end within its
 target.  A member at its target is frozen: its phases are exactly 1 + 0i, so it
 is permuted with the rest but never rotated, and it ends with the diagonal it
 would reach alone, bit for bit.  Order 2 stays whole: one exact rotation
-finishes it, and a split would only pay a second setup.
+finishes it, and the halves would only add their writes.  A matrix solved whole
+is a stack of one member, so every solve has the one setup and teardown of
+_diagonal around the one run of _jacobi.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
@@ -102,7 +104,7 @@ class Multiset:
         return [v for v, k in self.pairs for _ in range(k)]
 
     def total(self) -> float:
-        return float(sum(v * k for v, k in self.pairs))
+        return float(_left_sum(v * k for v, k in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,12 @@ class Spectrum(Multiset):
     """A numeric multiset and the tolerance its values were grouped with."""
 
     grouping_tol: float = DEFAULT_GROUPING_TOL
+
+
+def _left_sum(values):
+    """values added left to right from 0, as CPython's sum adds floats through 3.11:
+    3.12's sum compensates the rounding, which moves the last bit of some means."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _check_tol(name: str, value: float, zero_ok: bool) -> None:
@@ -166,11 +174,11 @@ def _sorted_values(spectrum_like) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _round_plan(m: int, members: int = 1) -> np.ndarray:
-    """The flat gather index that moves an m x m matrix to the next round's
-    slots, a permutation of range(m*m), which every round at order m reads;
-    for a stack of members, each but the last followed by m pad entries, the
-    index of the whole stack, which maps every pad entry to itself.
+def _round_plan(m: int, members: int) -> np.ndarray:
+    """The flat gather index that moves a stack of members m x m matrices, each but
+    the last followed by m pad entries, to the next round's slots, which every round
+    at that order and size reads: each member's permutation of its m*m entries, and
+    every pad entry mapped to itself.
 
     A round rotates slots 2i and 2i+1, which sit at circle-method table
     positions i and m-1-i; position 0 stays, the others move one place on,
@@ -181,10 +189,7 @@ def _round_plan(m: int, members: int = 1) -> np.ndarray:
     slot_at = {place: k for k, place in enumerate(position)}
     came_from = [0, m - 1, *range(1, m - 1)]  # position j takes position j-1's player
     source = np.array([slot_at[came_from[place]] for place in position], dtype=np.intp)
-    plan = (source[:, None] * m + source).ravel()
-    if members == 1:
-        return plan
-    member = np.concatenate([plan, np.arange(m * m, m * (m + 1))])
+    member = np.concatenate([(source[:, None] * m + source).ravel(), np.arange(m * m, m * (m + 1))])
     return (np.arange(members)[:, None] * member.size + member).ravel()[:-m]
 
 
@@ -238,81 +243,63 @@ def symmetric_eigenvalues(
     # work on 2**-exponent times the matrix so that no square over- or underflows
     exponent = math.frexp(scale)[1]
     n = a.shape[0]
-    if n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1]):
-        values = _reversal_diagonal(a, exponent, convergence_tol)
-    else:
-        values = _whole_diagonal(a, exponent, convergence_tol)
+    split = n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1])
+    values = _diagonal(a, exponent, convergence_tol, 2 if split else 1)
     values.sort()  # after the solver's buffers are freed: sorting allocates
     return np.ldexp(values, exponent, out=values)
 
 
-def _whole_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
-    """The diagonal, unsorted, that Jacobi sweeps reduce 2**-exponent * a to."""
-    n = a.shape[0]
-    m = n + n % 2  # an odd order gets a zero row and column, and they stay zero
-    work, spare = np.zeros(m * m), np.empty(m * m)
-    work.reshape(m, m)[:n, :n] = a
-    np.ldexp(work, -1 - exponent, out=work)
-    spare.reshape(m, m)[...] = work.reshape(m, m).T
-    np.add(work, spare, work)  # the exact symmetric part
-    _jacobi(work, spare, m, exponent, convergence_tol)
-    return work[: n * (m + 1) : m + 1].copy()
+def _stack(buffer: np.ndarray, members: int, m: int) -> np.ndarray:
+    """buffer's members as one (members, m, m) view: member i's rows start at i * m * (m + 1)."""
+    if members == 1:  # the strided constructor leaves a 56-byte buffer record on buffer
+        return buffer.reshape(1, m, m)
+    return np.ndarray((members, m, m), np.float64, buffer, 0, (8 * m * (m + 1), 8 * m, 8))
 
 
-def _reversal_diagonal(a: np.ndarray, exponent: int, convergence_tol: float) -> np.ndarray:
-    """The eigenvalues of 2**-exponent * a, unsorted, for an order-2k a equal to its
-    reversal: those of B + CJ and of B - CJ, solved in one run as a stack of two
-    members, each at its own power of two.
+def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int) -> np.ndarray:
+    """The eigenvalues of 2**-exponent * a, unsorted: the diagonal Jacobi sweeps reduce it
+    to, solved as one member, or for an order-2k a equal to its reversal as two, B + CJ
+    and B - CJ, each at its own power of two, in one run.
 
     B = a[:k, :k] and CJ is a[:k, k:] with its columns reversed.  With J the order-k
     reversal, a = [[B, CJ J], [J CJ, J B J]], and the orthogonal Q = [[I, J], [I, -J]] / sqrt 2
-    gives Q a Q^T = diag(B + CJ, B - CJ).
+    gives Q a Q^T = diag(B + CJ, B - CJ).  Each member is scaled and added to its transpose
+    as the whole would be, so B and CJ are taken from a's symmetric part, which the solver
+    reads and which equals its reversal too: its top-right block with the columns reversed
+    is the symmetric part of CJ.  Every operand is contiguous and below 1.
     """
-    k = a.shape[0] // 2
-    m = k + k % 2
+    k = a.shape[0] // members
+    m = k + k % 2  # an odd order gets a zero row and column, and they stay zero
     # member 1 starts after m pad entries, at m * (m + 1), a multiple of the pair stride
-    work, spare = np.zeros(m * (2 * m + 1)), np.zeros(m * (2 * m + 1))
-    halves, off_norm = _write_halves(a, exponent, work, spare, k, m)
-    _jacobi(work, spare, m, exponent, convergence_tol, halves, off_norm)
-    values = work[:: m + 1].reshape(2, m)[:, :k].copy()  # each member's diagonal in turn
-    np.ldexp(values, np.array(halves)[:, None], out=values)
-    return values.reshape(-1)
-
-
-def _write_halves(
-    a: np.ndarray, exponent: int, work: np.ndarray, spare: np.ndarray, k: int, m: int
-) -> tuple[tuple[int, int], float]:
-    """Write B + CJ and B - CJ of 2**-exponent * a into the two members of the stack
-    work, each scaled to its own power of two; return those powers and the whole's
-    off-norm over sqrt 2, in 2**-exponent times the input's units.
-
-    B and CJ are taken from a's symmetric part, which the solver reads and which equals
-    its reversal too: its top-right block with the columns reversed is the symmetric
-    part of CJ.  Every operand is contiguous and below 1, with the bits of the whole
-    solve's symmetric part.
-    """
-    start = m * (m + 1)  # member 1's
-    b, cj = work[: m * m].reshape(m, m), work[start:].reshape(m, m)
-    b_scratch, cj_scratch = spare[: m * m].reshape(m, m), spare[start:].reshape(m, m)
-    b[:k, :k] = a[:k, :k]
-    cj[:k, :k] = a[:k, : k - 1 : -1]
+    work, spare = np.zeros(members * m * (m + 1) - m), np.zeros(members * m * (m + 1) - m)
+    rows = _stack(work, members, m)
+    rows[0, :k, :k] = a[:k, :k]
+    if members == 2:
+        rows[1, :k, :k] = a[:k, : k - 1 : -1]
     np.ldexp(work, -1 - exponent, out=work)
-    b_scratch[...] = b.T
-    cj_scratch[...] = cj.T
-    np.add(work, spare, work)
-    # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
-    b_scratch[...] = b
-    b_scratch.reshape(-1)[:: m + 1] = 0.0
-    b_off, cj_all = b_scratch[:k, :k], cj[:k, :k]
-    off_norm = math.sqrt(float(np.vdot(b_off, b_off)) + float(np.vdot(cj_all, cj_all)))
-    np.subtract(b, cj, b_scratch)
-    np.add(b, cj, b)
-    cj[...] = b_scratch
-    # max |x| as two reductions: np.abs would take a third member-size buffer
-    halves = tuple(math.frexp(max(float(x.max()), -float(x.min())))[1] for x in (b, cj))
-    np.ldexp(b, -halves[0], out=b)
-    np.ldexp(cj, -halves[1], out=cj)
-    return halves, off_norm
+    _stack(spare, members, m)[...] = rows.transpose(0, 2, 1)
+    np.add(work, spare, work)  # the exact symmetric part
+    shifts, off_norm = (0,), None
+    if members == 2:
+        b, cj, scratch = rows[0], rows[1], spare[: m * m].reshape(m, m)
+        # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
+        scratch[...] = b
+        spare[: m * m : m + 1] = 0.0
+        b_off, cj_all = scratch[:k, :k], cj[:k, :k]
+        off_norm = math.sqrt(float(np.vdot(b_off, b_off)) + float(np.vdot(cj_all, cj_all)))
+        np.subtract(b, cj, scratch)
+        np.add(b, cj, b)
+        cj[...] = scratch
+        # max |x| as two reductions: np.abs would take a third member-size buffer
+        shifts = tuple(math.frexp(max(float(x.max()), -float(x.min())))[1] for x in (b, cj))
+        np.ldexp(rows, -np.array(shifts)[:, None, None], out=rows)
+        del b, cj, scratch, b_off, cj_all
+    del rows  # only work and spare stay alive through the run
+    _jacobi(work, spare, m, exponent, convergence_tol, shifts, off_norm)
+    values = work[:: m + 1].reshape(members, m)[:, :k].flatten()  # each member's diagonal in turn
+    if members == 2:
+        np.ldexp(values, np.repeat(shifts, k), out=values)
+    return values
 
 
 def _jacobi(
@@ -321,8 +308,8 @@ def _jacobi(
     m: int,
     exponent: int,
     convergence_tol: float,
-    shifts=(0,),
-    off_norm: float | None = None,
+    shifts: tuple[int, ...],
+    off_norm: float | None,
 ) -> None:
     """Run Jacobi sweeps in place on one symmetric matrix of even order m, or on a
     stack of them, until each has reached its target.
@@ -331,8 +318,8 @@ def _jacobi(
     start at i * m * (m + 1), and each but the last is followed by m pad entries, zero
     in work and in spare, which is scratch of work's size.  Member i holds
     2**-(exponent + shifts[i]) times its part of the input, and stops at convergence_tol
-    times off_norm (in 2**-exponent times the input's units), or by default times its
-    own initial off-norm.  The rounds run over the members from the first to the last
+    times off_norm (in 2**-exponent times the input's units), or when that is None times
+    its own initial off-norm.  The rounds run over the members from the first to the last
     not yet at its target: one outside that span is permuted with the rest (and each
     round transposes it) but never rotated, so each member of a stack of two ends with
     the diagonal it would reach alone, bit for bit.  The diagnostics are in the input's
@@ -348,16 +335,12 @@ def _jacobi(
     gap, twice_apq, norm = pivot.real, pivot.imag, modulus.real
     gap_floor = np.full(members * h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
     live_pivot, live_modulus, live_floor = pivot, modulus, gap_floor
-    phase = pivot.view(np.float64)  # c_0, s_0, c_1, s_1, ...: a member's row of its phase table
-    if members == 1:
-        rows_work, rows_spare = work.reshape(m, m), spare.reshape(m, m)
-        work_t = rows_work.T
-        gather = _round_plan(m)
-    else:  # the rounds write the members' rows alone, so the pads stay zero
-        rows_work = np.ndarray((members, m, m), np.float64, work, 0, (8 * block, 8 * m, 8))
-        rows_spare = np.ndarray((members, m, m), np.float64, spare, 0, (8 * block, 8 * m, 8))
-        work_t, phase = rows_work.transpose(0, 2, 1), phase.reshape(members, 1, m)
-        gather = _round_plan(m, members)
+    # c_0, s_0, c_1, s_1, ...: each member's row of its phase table
+    phase = pivot.view(np.float64).reshape(members, 1, m)
+    # the rounds write the members' rows alone, so the pads stay zero
+    rows_work, rows_spare = _stack(work, members, m), _stack(spare, members, m)
+    work_t = rows_work.transpose(0, 2, 1)
+    gather = _round_plan(m, members)
     subtract, add, hypot, copysign, divide, multiply = (
         np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply
     )
@@ -384,7 +367,7 @@ def _jacobi(
                 )
             if sweeps:  # the floor of member i's pairs in the next sweep
                 floor = max(_GAP_FLOOR, _FLOOR_SHARE * remaining)
-                (gap_floor if members == 1 else gap_floor[i * h : (i + 1) * h]).fill(floor)
+                gap_floor[i * h : (i + 1) * h].fill(floor)
             first, last = min(first, i), i
         if first > last:
             break
@@ -435,9 +418,9 @@ def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> 
     group: list[float] = []
     for v in vals:
         if group and v - group[0] > grouping_tol:
-            pairs.append((sum(group) / len(group), len(group)))
+            pairs.append((_left_sum(group) / len(group), len(group)))
             group = []
         group.append(v)
     if group:
-        pairs.append((sum(group) / len(group), len(group)))
+        pairs.append((_left_sum(group) / len(group), len(group)))
     return Spectrum(tuple(pairs), grouping_tol)

@@ -8,7 +8,7 @@ the canonical equitable partitions depend on them.
 * ``generalized_fan(m, n)``: the n path vertices first (0..n-1), then the
   m hub vertices (n..n+m-1).  Every hub is adjacent to every path vertex;
   hubs are pairwise non-adjacent.  Equal, as a labeled graph, to
-  ``join(path_graph(n), null_graph(m))``.
+  ``join(path_graph(n), make_graph(m, []))``.
 * ``nc_graph(m, n)``: two generalized fans glued hub-to-hub.  Index
   layout: [0, n) first path, [n, n+m) first hubs, [n+m, n+2m) second
   hubs, [n+2m, 2n+2m) second path.  Hub i of the first copy is joined to
@@ -22,6 +22,11 @@ edges are read from it.  Graphs are immutable and all operations are pure,
 so values can be shared freely across threads.  A graph's one memo, its
 all-pairs hop distances, is computed at most once: two threads that race
 on first use each store an equal read-only value, so it needs no lock.
+
+Removed, as nothing in the package called them: ``null_graph(m)`` (build
+``make_graph(m, [])``), ``Graph.edges`` (``frozenset(g.sorted_edges())``),
+``quotient.side_partition(n1, n2)`` (``fan_partition(n2, n1)``) and
+``closed_forms.path_laplacian_spectrum`` (the fan forms keep its values).
 """
 
 from __future__ import annotations
@@ -72,10 +77,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency)) // 2
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Each edge as (u, v) with u < v, ascending: np.nonzero reads row by row."""
@@ -141,12 +142,6 @@ def _is_pair(entry) -> bool:
         return np.shape(entry) == (2,)
     except ValueError:  # ragged, like (0, [1, 2])
         return False
-
-
-def null_graph(m: int) -> Graph:
-    """Graph on m >= 1 vertices with no edges."""
-    (m,) = _check_sizes("null_graph", 1, m=m)
-    return Graph(np.zeros((m, m), np.int8))
 
 
 def path_graph(n: int) -> Graph:

@@ -120,9 +120,15 @@ _BUILDERS = {
 
 def build_matrix(g: Graph, kind: MatrixKind | str, t: float | None = None) -> np.ndarray:
     """Dispatch a builder by kind; t is consumed only by generalized-distance."""
-    kind = MatrixKind(kind)
-    if kind is MatrixKind.GENERALIZED_DISTANCE:
-        if t is None:
-            raise ValueError("generalized-distance requires the blend parameter t")
-        return generalized_distance(g, t)
-    return _BUILDERS[kind](g)
+    try:  # a str enum: "laplacian" hashes and compares equal to MatrixKind.LAPLACIAN
+        builder = _BUILDERS.get(kind)
+    except TypeError:  # unhashable: MatrixKind(kind) names it
+        builder = None
+    if builder is None:  # only a miss pays for the conversion and its ValueError
+        kind = MatrixKind(kind)
+        if kind is MatrixKind.GENERALIZED_DISTANCE:
+            if t is None:
+                raise ValueError("generalized-distance requires the blend parameter t")
+            return generalized_distance(g, t)
+        builder = _BUILDERS[kind]
+    return builder(g)

@@ -101,12 +101,6 @@ def _consecutive(*sizes: int) -> list[range]:
     return [range(*bounds) for bounds in itertools.pairwise((0, *itertools.accumulate(sizes)))]
 
 
-def side_partition(n1: int, n2: int) -> Partition:
-    """Two blocks: the first n1 indices, then the next n2."""
-    n1, n2 = _check_integers(n1=n1, n2=n2)
-    return Partition(_consecutive(n1, n2))
-
-
 def fan_partition(m: int, n: int) -> Partition:
     """Path block then hub block, matching the fan's vertex ordering."""
     m, n = _check_integers(m=m, n=n)
@@ -171,6 +165,7 @@ def quotient_eigenvalues(
     _check_symmetric(a, float(np.abs(a).max(initial=0.0)))
     rows = _row_sums(a, partition)
     data = partition._block_data
-    upper = np.triu((data.indicator.T @ rows) / np.sqrt(np.outer(data.sizes, data.sizes)))
-    c = upper + np.triu(upper, 1).T
+    c = (data.indicator.T @ rows) / np.sqrt(np.outer(data.sizes, data.sizes))
+    # the upper triangle and its mirror; adding 0.0 turns -0.0 into +0.0, as summing the two did
+    c = np.where(np.tri(len(c), k=-1, dtype=bool), c.T, c) + 0.0
     return group_multiplicities(symmetric_eigenvalues(c), grouping_tol=grouping_tol)

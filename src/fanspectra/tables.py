@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .closed_forms import fan_laplacian_spectrum
-from .eigen import symmetric_eigenvalues
+from .eigen import _left_sum, symmetric_eigenvalues
 from .graphs import generalized_fan
 from .matrices import adjacency_matrix
 
@@ -80,7 +80,7 @@ def _check_cell(reference, computed_exact, trace: float) -> CellCheck:
     note = ""
     if not ok:
         note = (
-            f"reference values {list(reference)} (sum {sum(reference):g}) disagree with "
+            f"reference values {list(reference)} (sum {_left_sum(reference):g}) disagree with "
             f"the recomputed values {list(computed)} (matrix trace {trace:g})"
         )
     return CellCheck(reference, computed, ok, note)

@@ -65,23 +65,19 @@ def record_runs(patch, read=lambda member: None):
     that equals its reversal), where reads maps each member's flat offset to read(member)
     at each off-norm taken of it: once on its scaled input, then after each sweep that
     rotated it."""
-    runs, off_norm = [], eigen._off_norm
+    runs, off_norm, diagonal = [], eigen._off_norm, eigen._diagonal
 
     def recording(work, spare, m, start=0):
         member = work[start : start + m * m].reshape(m, m)
         runs[-1][2].setdefault(start, []).append(read(member))
         return off_norm(work, spare, m, start)
 
-    def opening(solve, members):
-        def opened(a, *args):
-            runs.append((members, len(a) // members, {}))
-            return solve(a, *args)
-
-        return opened
+    def opened(a, exponent, convergence_tol, members):
+        runs.append((members, len(a) // members, {}))
+        return diagonal(a, exponent, convergence_tol, members)
 
     patch.setattr(eigen, "_off_norm", recording)
-    patch.setattr(eigen, "_whole_diagonal", opening(eigen._whole_diagonal, 1))
-    patch.setattr(eigen, "_reversal_diagonal", opening(eigen._reversal_diagonal, 2))
+    patch.setattr(eigen, "_diagonal", opened)
     return runs
 
 
@@ -260,7 +256,7 @@ class TestSymmetricEigenvalues:
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_each_sweep_rotates_every_pair_once_and_restores_the_order(self, m):
-        source = _round_plan(m)[:: m + 1] // m
+        source = _round_plan(m, 1)[:: m + 1] // m
         slots = np.arange(m)  # slots[k] = the index held in slot k
         met = []
         for _ in range(m - 1):
@@ -272,7 +268,7 @@ class TestRoundRobinSchedule:
     @pytest.mark.parametrize("m", [2, 4, 6, 10, 16])
     def test_the_gather_is_a_permutation(self, m):
         # the pivots move with the rest: no entry is copied from elsewhere or dropped
-        gather = _round_plan(m)
+        gather = _round_plan(m, 1)
         assert np.array_equal(np.sort(gather), np.arange(m * m))
         source = gather[:: m + 1] // m
         assert np.array_equal(gather, (source[:, None] * m + source).ravel())
@@ -283,7 +279,7 @@ class TestRoundRobinSchedule:
         gather, block = _round_plan(m, members), m * (m + 1)
         assert np.array_equal(np.sort(gather), np.arange((members - 1) * block + m * m))
         for i in range(members):
-            assert np.array_equal(gather[i * block :][: m * m], _round_plan(m) + i * block)
+            assert np.array_equal(gather[i * block :][: m * m], _round_plan(m, 1) + i * block)
             pad = np.arange(i * block + m * m, min((i + 1) * block, gather.size))
             assert np.array_equal(gather[pad], pad)
 
@@ -377,7 +373,7 @@ class TestRoundLoop:
     @staticmethod
     def _split(matrix):
         exponent = math.frexp(float(np.abs(matrix).max()))[1]
-        return eigen._reversal_diagonal(matrix, exponent, eigen.DEFAULT_CONVERGENCE_TOL)
+        return eigen._diagonal(matrix, exponent, eigen.DEFAULT_CONVERGENCE_TOL, 2)
 
     @pytest.mark.parametrize("m, n", [(4, 4), (12, 12)])  # orders 16 and 48
     @pytest.mark.parametrize("split", [False, True])
@@ -410,12 +406,12 @@ class TestRoundLoop:
     def test_the_cached_plan_is_one_gather_and_shared_safely(self):
         # the gap floor changes each sweep and the pivots each round, so both are
         # the solve's own; the plan is the gather alone, and no solve writes it
-        plan = _round_plan(16)
+        plan = _round_plan(16, 1)
         assert isinstance(plan, np.ndarray) and plan.shape == (256,) and plan.dtype == np.intp
         before = plan.copy()
         matrices = [random_symmetric(3, seed=1), shuffled_nc_laplacian(4, 4), random_symmetric(3, seed=2)]
         interleaved = [symmetric_eigenvalues(a) for a in matrices]
-        assert np.array_equal(_round_plan(16), before)
+        assert np.array_equal(_round_plan(16, 1), before)
         for a, values in zip(matrices, interleaved):
             _round_plan.cache_clear()
             assert np.array_equal(symmetric_eigenvalues(a), values)
@@ -654,6 +650,12 @@ class TestGrouping:
         spectrum = group_multiplicities([1.0, 1.0 + 4e-7, 1.0 + 8e-7], grouping_tol=1e-6)
         assert spectrum.pairs == ((1.0 + 4e-7, 3),)
 
+    def test_a_group_mean_adds_left_to_right_on_every_python(self):
+        # a group of the 2..6 sweep: CPython's sum through 3.11 adds left to right and gives
+        # 13.0, 3.12's compensated sum gives 12.999999999999998
+        group = [12.999999999999995, 12.999999999999996, 13.000000000000004]
+        assert group_multiplicities(group).pairs == ((13.0, 3),)
+
     def test_a_chain_of_small_gaps_does_not_merge_past_the_tolerance(self):
         # 101 values 0.4e-6 apart span 40e-6; each gap is within 1e-6
         values = [i * 4e-7 for i in range(101)]
@@ -727,6 +729,10 @@ class TestSpectrumType:
         assert s.pairs == ((0.0, 2), (1.5, 1))
         assert s.order == 3
         assert s.total() == 1.5
+
+    def test_a_total_adds_left_to_right_on_every_python(self):
+        # (0.1 + 0.2) + 0.3 rounds twice; a compensated sum (CPython 3.12's) gives 0.6
+        assert Multiset(((0.1, 1), (0.2, 1), (0.3, 1))).total() == 0.6000000000000001
 
     def test_both_spectrum_types_share_the_multiset_members(self):
         closed = ClosedFormSpectrum(((0.0, 1), (2.0, 2)), "test")

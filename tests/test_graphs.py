@@ -16,7 +16,6 @@ from fanspectra.graphs import (
     join,
     make_graph,
     nc_graph,
-    null_graph,
     path_graph,
     to_dot,
     to_edge_list,
@@ -43,13 +42,18 @@ def reference_nc_edges(m, n):
 def reference_join_edges(g1, g2):
     """The join's edges one by one: g1's, g2's shifted past g1, and every cross pair."""
     shift = g1.vertex_count
-    edges = set(g1.edges)
-    for u, v in g2.edges:
+    edges = set(g1.sorted_edges())
+    for u, v in g2.sorted_edges():
         edges.add((u + shift, v + shift))
     for u in range(g1.vertex_count):
         for v in range(g2.vertex_count):
             edges.add((u, v + shift))
     return edges
+
+
+def edge_set(graph):
+    """The graph's edges as a set of (u, v) pairs with u < v."""
+    return frozenset(graph.sorted_edges())
 
 
 def reference_adjacency(order, edges):
@@ -68,7 +72,7 @@ def row_sum_degrees(graph):
 def reference_distances(graph, source):
     """Independent oracle: frontier-expansion shortest paths on a dict adjacency."""
     neighbors = {v: set() for v in range(graph.vertex_count)}
-    for u, v in graph.edges:
+    for u, v in graph.sorted_edges():
         neighbors[u].add(v)
         neighbors[v].add(u)
     seen = {source: 0}
@@ -84,35 +88,34 @@ def reference_distances(graph, source):
 
 class TestBasicFamilies:
     def test_null_graph(self):
-        g = null_graph(3)
+        # the graph on m vertices with no edges, built from an empty edge list
+        g = make_graph(3, [])
         assert g.vertex_count == 3
-        assert g.edge_count == 0
-        assert row_sum_degrees(null_graph(5)) == [0, 0, 0, 0, 0]
+        assert g.edge_count == 0 and g.sorted_edges() == []
+        assert row_sum_degrees(make_graph(5, [])) == [0, 0, 0, 0, 0]
 
     def test_null_graph_single_vertex(self):
-        assert null_graph(1).vertex_count == 1
+        assert make_graph(1, []).vertex_count == 1
 
     def test_path_graph(self):
-        assert path_graph(4).edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert path_graph(4).sorted_edges() == [(0, 1), (1, 2), (2, 3)]
         assert path_graph(1).edge_count == 0
-        assert path_graph(2).edges == frozenset({(0, 1)})
+        assert path_graph(2).sorted_edges() == [(0, 1)]
         assert row_sum_degrees(path_graph(3)) == [1, 2, 1]
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_empty_parameters(self, bad):
-        with pytest.raises(ValueError, match=r"^null_graph requires m >= 1$"):
-            null_graph(bad)
         with pytest.raises(ValueError, match=r"^path_graph requires n >= 1$"):
             path_graph(bad)
 
     def test_join_counts(self):
-        g = join(null_graph(3), path_graph(4))
+        g = join(make_graph(3, []), path_graph(4))
         assert g.vertex_count == 7
         assert g.edge_count == 3 + 3 * 4
 
     def test_join_of_single_vertices_is_an_edge(self):
-        g = join(null_graph(1), null_graph(1))
-        assert g.edges == frozenset({(0, 1)})
+        g = join(make_graph(1, []), make_graph(1, []))
+        assert g.sorted_edges() == [(0, 1)]
 
     def test_join_requires_nonempty(self):
         with pytest.raises(ValueError):
@@ -134,11 +137,11 @@ class TestFan:
     def test_2_2_is_complete_minus_hub_edge(self):
         # hand enumeration: path edge, plus both hubs joined to both path vertices
         expected = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
-        assert generalized_fan(2, 2).edges == frozenset(expected)
+        assert edge_set(generalized_fan(2, 2)) == frozenset(expected)
 
     @given(m=st.integers(1, 8), n=st.integers(1, 8))
     def test_equals_join_of_path_and_null(self, m, n):
-        assert generalized_fan(m, n) == join(path_graph(n), null_graph(m))
+        assert generalized_fan(m, n) == join(path_graph(n), make_graph(m, []))
 
     @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
     def test_parameter_validation(self, m, n):
@@ -172,23 +175,23 @@ class TestNcGraph:
     @given(m=st.integers(2, 6), n=st.integers(2, 6))
     def test_first_copy_is_the_fan(self, m, n):
         g = nc_graph(m, n)
-        first = frozenset(e for e in g.edges if max(e) < n + m)
-        assert first == generalized_fan(m, n).edges
+        first = frozenset(e for e in g.sorted_edges() if max(e) < n + m)
+        assert first == edge_set(generalized_fan(m, n))
 
     @given(m=st.integers(2, 6), n=st.integers(2, 6))
     def test_mirrored_second_copy_is_the_fan(self, m, n):
         g = nc_graph(m, n)
         top = 2 * (m + n) - 1
-        second = [e for e in g.edges if min(e) >= n + m]
+        second = [e for e in g.sorted_edges() if min(e) >= n + m]
         relabeled = frozenset(
             (min(top - u, top - v), max(top - u, top - v)) for u, v in second
         )
-        assert relabeled == generalized_fan(m, n).edges
+        assert relabeled == edge_set(generalized_fan(m, n))
 
     def test_matching_edges(self):
         g = nc_graph(3, 4)
         for i in range(3):
-            assert (4 + i, 7 + i) in g.edges
+            assert (4 + i, 7 + i) in g.sorted_edges()
 
     def test_construction_is_deterministic(self):
         assert nc_graph(4, 5) == nc_graph(4, 5)
@@ -208,13 +211,13 @@ class TestBuildersAgainstReferences:
         for n in range(2, 13):
             g = nc_graph(m, n)
             reference = frozenset(reference_nc_edges(m, n))
-            assert g.vertex_count == 2 * (m + n) and g.edges == reference
+            assert g.vertex_count == 2 * (m + n) and edge_set(g) == reference
             assert np.array_equal(adjacency_matrix(g), reference_adjacency(g.vertex_count, reference))
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_fan_joins(self, m):
         for n in range(2, 13):
-            path, hubs = path_graph(n), null_graph(m)
+            path, hubs = path_graph(n), make_graph(m, [])
             builds = [
                 (join(path, hubs), path, hubs),
                 (join(hubs, path), hubs, path),
@@ -222,7 +225,7 @@ class TestBuildersAgainstReferences:
             ]
             for g, first, second in builds:
                 reference = frozenset(reference_join_edges(first, second))
-                assert g.vertex_count == m + n and g.edges == reference
+                assert g.vertex_count == m + n and edge_set(g) == reference
                 assert np.array_equal(adjacency_matrix(g), reference_adjacency(m + n, reference))
 
     @pytest.mark.parametrize("seed", range(40))
@@ -232,7 +235,7 @@ class TestBuildersAgainstReferences:
         g2 = random_graph(int(rng.integers(1, 13)), rng)
         g = join(g1, g2)
         reference = frozenset(reference_join_edges(g1, g2))
-        assert g.vertex_count == g1.vertex_count + g2.vertex_count and g.edges == reference
+        assert g.vertex_count == g1.vertex_count + g2.vertex_count and edge_set(g) == reference
         assert np.array_equal(adjacency_matrix(g), reference_adjacency(g.vertex_count, reference))
 
 
@@ -251,7 +254,7 @@ class TestTraversal:
         assert (hops[:4, 10:14] == 3).all() and (hops[10:14, :4] == 3).all()
 
     def test_unreachable_marker(self):
-        assert null_graph(2)._distances.tolist() == [[0, UNREACHABLE], [UNREACHABLE, 0]]
+        assert make_graph(2, [])._distances.tolist() == [[0, UNREACHABLE], [UNREACHABLE, 0]]
 
     @given(
         g=st.one_of(
@@ -293,8 +296,8 @@ class TestTraversal:
             (generalized_fan(1, 2), 0),  # the triangle
             *[(path_graph(n), max(n - 2, 0)) for n in [1, 2, 3, 10, 130]],
             # disconnected: every level up to the first empty one, which takes a product
-            (null_graph(2), 0),  # no level 2 in a 2-vertex graph
-            (null_graph(3), 1),
+            (make_graph(2, []), 0),  # no level 2 in a 2-vertex graph
+            (make_graph(3, []), 1),
             (make_graph(5, [(0, 1), (1, 2), (3, 4)]), 2),
             (make_graph(5, [(0, 1), (1, 2), (2, 3)]), 3),
             (make_graph(4, [(0, 1), (1, 2), (2, 3)]), 2),  # connected again: no empty level
@@ -321,7 +324,7 @@ class TestTraversal:
 
     @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose], ids=["fortran", "transposed"])
     @pytest.mark.parametrize(
-        "g", [generalized_fan(3, 4), nc_graph(3, 4), path_graph(5), null_graph(3)], ids=["fan", "nc", "P5", "null"]
+        "g", [generalized_fan(3, 4), nc_graph(3, 4), path_graph(5), make_graph(3, [])], ids=["fan", "nc", "P5", "null"]
     )
     def test_the_input_layout_does_not_change_the_hops(self, g, layout):
         # the graph keeps its adjacency in C order, which the hop matrix's diagonal write needs
@@ -345,12 +348,12 @@ class TestTraversal:
         assert g._distances.dtype == np.int8
         assert "_distances" in vars(g)
         assert hash(g) == before
-        assert g == make_graph(5, g.edges) and hash(g) == hash(make_graph(5, g.edges))
+        assert g == make_graph(5, g.sorted_edges()) and hash(g) == hash(make_graph(5, g.sorted_edges()))
 
     def test_connectivity(self):
         with pytest.raises(DisconnectedGraphError):
-            distance_matrix(null_graph(2))
-        for g in (null_graph(1), nc_graph(2, 2), generalized_fan(1, 1)):
+            distance_matrix(make_graph(2, []))
+        for g in (make_graph(1, []), nc_graph(2, 2), generalized_fan(1, 1)):
             assert UNREACHABLE not in distance_matrix(g)
 
 
@@ -452,7 +455,6 @@ class TestValidationAndExport:
             (lambda s: nc_graph(s, 3), "m"),
             (lambda s: nc_graph(3, s), "n"),
             (path_graph, "n"),
-            (null_graph, "m"),
             (lambda s: generalized_fan(2, s), "n"),
             (lambda s: generalized_fan(s, 2), "m"),
         ],
@@ -475,7 +477,6 @@ class TestValidationAndExport:
         assert nc_graph(integer(70), integer(70)).vertex_count == 280
         assert generalized_fan(integer(100), integer(100)) == generalized_fan(100, 100)
         assert path_graph(integer(100)) == path_graph(100)
-        assert null_graph(integer(100)) == null_graph(100)
 
     @pytest.mark.parametrize("integer", [np.int64, np.int8, np.uint8])
     def test_accepts_a_numpy_integer_vertex_count(self, integer):
@@ -508,7 +509,7 @@ class TestValidationAndExport:
 
     def test_normalizes_duplicate_and_reversed_edges(self):
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
-        assert g.edges == frozenset({(0, 2), (0, 1)})
+        assert g.sorted_edges() == [(0, 1), (0, 2)]
 
     def test_reads_edges_from_a_one_shot_iterator(self):
         edges = [(2, 0), (0, 2), (1, 0)]
@@ -529,7 +530,7 @@ class TestValidationAndExport:
         assert text == "0 1\n0 3\n1 2\n1 3\n2 3\n"
 
     def test_dot_lists_isolated_vertices(self):
-        text = to_dot(null_graph(2), name="pair")
+        text = to_dot(make_graph(2, []), name="pair")
         assert "graph pair {" in text
         assert "  0;" in text and "  1;" in text
         assert "--" not in text

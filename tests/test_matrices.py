@@ -15,8 +15,8 @@ from fanspectra.graphs import (
     DisconnectedGraphError,
     generalized_fan,
     join,
+    make_graph,
     nc_graph,
-    null_graph,
     path_graph,
 )
 from fanspectra.matrices import (
@@ -42,7 +42,7 @@ def floyd_warshall(graph):
     big = float("inf")
     d = np.full((n, n), big)
     np.fill_diagonal(d, 0.0)
-    for u, v in graph.edges:
+    for u, v in graph.sorted_edges():
         d[u, v] = d[v, u] = 1.0
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
@@ -69,7 +69,7 @@ class TestAdjacencyAndLaplacian:
     def test_adjacency_row_sums_are_degrees(self):
         m, n = 3, 4
         degrees = np.zeros(2 * (m + n))
-        for u, v in nc_graph(m, n).edges:
+        for u, v in nc_graph(m, n).sorted_edges():
             degrees[[u, v]] += 1
         assert np.array_equal(adjacency_matrix(nc_graph(m, n)).sum(axis=1), degrees)
 
@@ -78,7 +78,7 @@ class TestAdjacencyAndLaplacian:
         assert np.trace(laplacian_matrix(g)) == 2 * g.edge_count == 30
 
     def test_null_graph_laplacian_is_zero(self):
-        assert not laplacian_matrix(null_graph(4)).any()
+        assert not laplacian_matrix(make_graph(4, [])).any()
 
     @given(m=st.integers(1, 6), n=st.integers(1, 6))
     def test_laplacian_rows_sum_to_zero(self, m, n):
@@ -94,7 +94,7 @@ class TestDistanceFamily:
         for op in (distance_matrix, transmission_vector, distance_laplacian,
                    distance_signless_laplacian):
             with pytest.raises(DisconnectedGraphError):
-                op(null_graph(2))
+                op(make_graph(2, []))
 
     def test_nc_block_pattern(self):
         m, n = 3, 4
@@ -195,6 +195,30 @@ class TestDispatch:
     def test_generalized_distance_requires_t(self):
         with pytest.raises(ValueError):
             build_matrix(path_graph(3), MatrixKind.GENERALIZED_DISTANCE)
+
+    @pytest.mark.parametrize(
+        "kind", [MatrixKind.GENERALIZED_DISTANCE, "generalized-distance"], ids=["member", "string"]
+    )
+    def test_generalized_distance_without_t_names_the_blend_parameter(self, kind):
+        with pytest.raises(ValueError, match="^generalized-distance requires the blend parameter t$"):
+            build_matrix(path_graph(3), kind)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["", "Laplacian", "laplacian ", "generalized distance", 3, 2.5, None, b"laplacian",
+         ["laplacian"], (["laplacian"],), {"laplacian": 1}],
+        ids=["empty", "capitalized", "padded", "spaced", "int", "float", "none", "bytes",
+             "list", "tuple-of-list", "dict"],
+    )
+    def test_a_bad_kind_raises_as_the_enum_does(self, kind):
+        # the table is asked first, and only a miss converts: a bad kind, an unhashable one
+        # included, gets MatrixKind's own error, whatever t is
+        with pytest.raises(ValueError) as expected:
+            MatrixKind(kind)
+        for t in (None, 0.5):
+            with pytest.raises(ValueError) as caught:
+                build_matrix(path_graph(3), kind, t=t)
+            assert type(caught.value) is type(expected.value) and str(caught.value) == str(expected.value)
 
     @pytest.mark.parametrize("graph", [generalized_fan(3, 4), nc_graph(2, 3)], ids=["fan", "nc"])
     @pytest.mark.parametrize("kind", list(MatrixKind), ids=[kind.value for kind in MatrixKind])
@@ -311,7 +335,7 @@ class TestDistanceMemo:
             g._distances[0, 1] = 5
 
     def test_disconnected_raises_on_every_call(self):
-        g = null_graph(3)
+        g = make_graph(3, [])
         for _ in range(2):
             with pytest.raises(DisconnectedGraphError):
                 distance_matrix(g)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fanspectra import quotient
 from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
-from fanspectra.matrices import distance_laplacian, laplacian_matrix
+from fanspectra.matrices import MatrixKind, build_matrix, distance_laplacian, laplacian_matrix
 from fanspectra.quotient import (
     EQUITABLE_TOL,
     NotEquitableError,
@@ -21,7 +21,6 @@ from fanspectra.quotient import (
     nc_partition,
     quotient_eigenvalues,
     quotient_matrix,
-    side_partition,
 )
 
 
@@ -163,20 +162,20 @@ class TestPartitionValidation:
 
     @pytest.mark.parametrize("size", [2.5, "3", True, np.True_])
     @pytest.mark.parametrize(
-        "build", [side_partition, fan_partition, nc_partition, lambda a, b: side_partition(b, a)]
+        "build", [fan_partition, nc_partition]
     )
     def test_canonical_partitions_reject_a_size_that_is_not_an_integer(self, build, size):
         with pytest.raises(ValueError, match="must be an integer, got"):
             build(size, 2)
 
     @pytest.mark.parametrize("integer", [np.uint8, np.int8])
-    @pytest.mark.parametrize("build", [side_partition, fan_partition, nc_partition])
+    @pytest.mark.parametrize("build", [fan_partition, nc_partition])
     def test_narrow_numpy_sizes_give_the_python_int_partition(self, build, integer):
         # the block bounds are sums of the sizes: 70 + 70 + 70 once wrapped around in uint8
         assert build(integer(70), integer(70)) == build(70, 70)
 
     def test_canonical_partitions_reject_an_empty_block(self):
-        for build in (side_partition, fan_partition, nc_partition):
+        for build in (fan_partition, nc_partition):
             with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
                 build(0, 2)
 
@@ -190,9 +189,9 @@ class TestQuotientMatrix:
     def test_join_side_partition_on_distance_laplacian(self):
         # (path of 3) joined with (2 hubs): blocks of sizes 3 and 2
         g = generalized_fan(2, 3)
-        q = quotient_matrix(distance_laplacian(g), side_partition(3, 2))
+        q = quotient_matrix(distance_laplacian(g), fan_partition(2, 3))
         assert np.array_equal(q, [[2, -2], [-3, 3]])
-        assert side_partition(3, 2).block_sizes == (3, 2)
+        assert fan_partition(2, 3).block_sizes == (3, 2)
 
     def test_nc_laplacian_quotient_entries(self):
         m, n = 3, 4
@@ -270,6 +269,31 @@ class TestBitIdentityOnTheFamilies:
                 assert pairs == symmetrised_quotient_pairs(matrix, partition), (m, n)
 
 
+    @pytest.mark.parametrize("kind", list(MatrixKind), ids=[kind.value for kind in MatrixKind])
+    @pytest.mark.parametrize("family", sorted(FAMILY_GRIDS))
+    def test_c_is_the_upper_triangle_and_its_mirror_bit_for_bit(self, monkeypatch, family, kind):
+        # C was the upper triangle plus its strict part transposed; that sum turned -0.0
+        # into +0.0, and C now adds 0.0 to one select for the same bits
+        solved = []
+        monkeypatch.setattr(quotient, "symmetric_eigenvalues", lambda c: solved.append(c) or symmetric_eigenvalues(c))
+        graph, canonical, params = FAMILY_GRIDS[family]
+        checked = 0
+        for m in params[:5]:
+            for n in params[:5]:
+                matrix, partition = build_matrix(graph(m, n), kind, t=0.3), canonical(m, n)
+                if not is_equitable(matrix, partition):
+                    continue
+                quotient_eigenvalues(matrix, partition)
+                data = partition._block_data
+                sums = data.indicator.T @ quotient._row_sums(matrix, partition)
+                upper = np.triu(sums / np.sqrt(np.outer(data.sizes, data.sizes)))
+                expected = upper + np.triu(upper, 1).T
+                assert solved[-1].tobytes() == expected.tobytes(), (m, n)
+                assert not np.signbit(solved[-1][solved[-1] == 0.0]).any()
+                checked += 1
+        assert checked > 0
+
+
 class TestEquitability:
     def test_singleton_is_always_equitable(self):
         lap = laplacian_matrix(path_graph(3))
@@ -330,7 +354,7 @@ class TestComplexInput:
 class TestQuotientEigenvalues:
     def test_join_quotient_spectrum(self):
         g = generalized_fan(2, 3)
-        spectrum = quotient_eigenvalues(distance_laplacian(g), side_partition(3, 2))
+        spectrum = quotient_eigenvalues(distance_laplacian(g), fan_partition(2, 3))
         np.testing.assert_allclose(spectrum.expanded(), [0.0, 5.0], atol=1e-10)
 
     def test_nc_laplacian_quotient_at_2_2(self):
