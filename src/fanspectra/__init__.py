@@ -8,7 +8,6 @@ dense symmetric eigensolver.
 """
 
 from .closed_forms import (
-    ClosedFormSpectrum,
     fan_distance_laplacian_spectrum,
     fan_laplacian_spectrum,
     join_distance_laplacian_spectrum,

@@ -13,9 +13,9 @@ fans with matched hubs).  Closed forms exist for the laplacian and
 distance-laplacian kinds; every other kind is numeric only.  The family
 and ``quotient`` kind choices, graph builders, canonical partitions and
 closed forms all come from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
-and positive.  Before any graph is built, m and n must be at most
-``verify.MAX_SWEEP_PARAM`` (64) and ``--t``, when given, must lie in
-(0, 1), whatever the kind.
+and positive, and ``--convergence-tol`` finite, positive and below 1.  Before
+any graph is built, m and n must be at most ``verify.MAX_SWEEP_PARAM`` (64)
+and ``--t``, when given, must lie in (0, 1), whatever the kind.
 
 Exit codes: 0 success; 1 verify sweep found failing cases; 2 usage
 errors; 3 invalid parameter values; 4 unsupported family/kind/mode
@@ -27,7 +27,8 @@ whatever the size of its output.
 
 Output is deterministic: text uses 6 significant digits, JSON full
 precision; verify's JSON comes from ``verify.reports_to_json``, and
-nothing reads it back.  Only ``export -o`` writes a file (exit 3 if it cannot).
+nothing reads it back; it and ``spectrum``'s closed payload are written by
+``eigen.record``.  Only ``export -o`` writes a file (exit 3 if it cannot).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .eigen import (
     DEFAULT_GROUPING_TOL,
     JacobiConvergenceError,
     group_multiplicities,
+    record,
     symmetric_eigenvalues,
 )
 from .graphs import DisconnectedGraphError, to_dot, to_edge_list
@@ -113,7 +115,7 @@ def _cmd_spectrum(args) -> int:
     closed = numeric = None
     if args.mode != "numeric":
         closed = closed_form(args.family, args.kind)(args.m, args.n)
-        payload["closed"] = asdict(closed)
+        payload["closed"] = record(closed)
     if args.mode != "closed":
         matrix = build_matrix(graph, args.kind, t=args.t)
         raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol)

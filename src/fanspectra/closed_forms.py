@@ -1,9 +1,9 @@
 """Closed-form spectra for fan graphs and hub-matched fan pairs.
 
-Every function returns an explicit eigenvalue multiset whose total
-multiplicity equals the vertex count of the target graph.  Three of the
-stated closed forms are internally inconsistent; the corrected multiset
-is returned and the discrepancy recorded in ``errata_notes``:
+Every function returns an ``eigen.Spectrum`` tagged with its ``source``,
+whose total multiplicity equals the vertex count of the target graph.
+Three of the stated closed forms are internally inconsistent; the corrected
+multiset is returned and the discrepancy recorded in ``errata_notes``:
 
 * fan distance Laplacian: the stated multiset carries m+n+1 values for
   an (m+n)-vertex graph.  Substituting the null-graph and path Laplacian
@@ -41,9 +41,8 @@ computes the quotient, and the tests check the stated ones against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .eigen import Multiset, _check_sizes, _sorted_values, group_multiplicities
+from .eigen import Spectrum, _check_sizes, _sorted_values, group_multiplicities
 
 MERGE_TOL = 1e-9
 
@@ -61,15 +60,7 @@ NC_DISTANCE_LAPLACIAN_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ClosedFormSpectrum(Multiset):
-    """Eigenvalue multiset produced by a closed form, with provenance tag."""
-
-    source: str
-    errata_notes: tuple[str, ...] = field(default=())
-
-
-def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> ClosedFormSpectrum:
+def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> Spectrum:
     """The one skeleton of every closed form: 0, each (value, multiplicity) term,
     both roots of x^2 - b x + c for each integer (b, c) of quadratics, and
     offset + scale * v with multiplicity k for each base value v of each
@@ -87,7 +78,8 @@ def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> ClosedF
     for base, offset, scale, k in parts:
         values += [offset + scale * v for v in base for _ in range(k)]
     values.sort()
-    return ClosedFormSpectrum(group_multiplicities(values, MERGE_TOL).pairs, source, errata)
+    pairs = group_multiplicities(values, MERGE_TOL).pairs
+    return Spectrum(pairs, source=source, errata_notes=tuple(errata))
 
 
 def _path_values(n: int) -> list[float]:
@@ -105,7 +97,7 @@ def _consume_zero(spectrum_like, order: int, what: str) -> list[float]:
     return values[1:]
 
 
-def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectrum:
+def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> Spectrum:
     """Laplacian spectrum of a join from the two parts' full Laplacian spectra.
 
     The result is {0, n1+n2} together with every nonzero-slot eigenvalue
@@ -117,7 +109,7 @@ def join_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectru
     return _spectrum("join-laplacian", [(n1 + n2, 1)], [(rest1, n2, 1, 1), (rest2, n1, 1, 1)])
 
 
-def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFormSpectrum:
+def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> Spectrum:
     """Distance Laplacian spectrum of a join from the parts' Laplacian spectra.
 
     Valid for arbitrary simple parts because a join has diameter <= 2:
@@ -131,7 +123,7 @@ def join_distance_laplacian_spectrum(spec1, n1: int, spec2, n2: int) -> ClosedFo
     return _spectrum("join-distance-laplacian", [(n1 + n2, 1)], parts)
 
 
-def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
+def fan_laplacian_spectrum(m: int, n: int) -> Spectrum:
     """Laplacian spectrum of the (m, n) fan, the join of P_n and m K_1.
 
     {0, m+n}, n with multiplicity m-1, and m + 2 - 2 cos(pi j / n) for
@@ -141,7 +133,7 @@ def fan_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     return _spectrum("fan-laplacian", [(m + n, 1), (n, m - 1)], [(_path_values(n), m, 1, 1)])
 
 
-def fan_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
+def fan_distance_laplacian_spectrum(m: int, n: int) -> Spectrum:
     """Distance Laplacian spectrum of the (m, n) fan (corrected form).
 
     {0, m+n}, n+2m with multiplicity m-1, and m + 2n - 2 + 2 cos(pi j / n)
@@ -168,7 +160,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     return sorted(values)
 
 
-def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
+def nc_laplacian_spectrum(m: int, n: int) -> Spectrum:
     """Laplacian spectrum of the hub-matched fan pair (corrected form).
 
     m + 2(1 - cos(pi j / n)) twice for j = 1..n-1, n and n+2 each with
@@ -181,7 +173,7 @@ def nc_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
     return _spectrum("nc-laplacian", terms, parts, [(m + n + 2, 2 * m)], (NC_LAPLACIAN_NOTE,))
 
 
-def nc_distance_laplacian_spectrum(m: int, n: int) -> ClosedFormSpectrum:
+def nc_distance_laplacian_spectrum(m: int, n: int) -> Spectrum:
     """Distance Laplacian spectrum of the hub-matched fan pair (corrected form).
 
     5n + 3m - lambda_j twice over the nonzero path Laplacian eigenvalues,

@@ -60,6 +60,8 @@ _diagonal around the one run of _jacobi.
 
 ``group_multiplicities`` is the package's one rule for grouping values
 into multiplicities; the closed forms group their contributions with it.
+``Spectrum`` is the one multiset type, numeric or closed form, and ``record``
+the one rule that writes it to JSON, leaving out each field that is None.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,14 +89,14 @@ class JacobiConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Multiset:
-    """Eigenvalue multiset: ascending (value, multiplicity) pairs.
-
-    ``Spectrum`` (numeric) and ``ClosedFormSpectrum`` extend it with their
-    own provenance fields.
-    """
+class Spectrum:
+    """Eigenvalue multiset, ascending (value, multiplicity) pairs, and its provenance:
+    a numeric spectrum's grouping_tol or a closed form's source and errata_notes."""
 
     pairs: tuple[tuple[float, int], ...]
+    grouping_tol: float | None = None
+    source: str | None = None
+    errata_notes: tuple[str, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -107,11 +109,10 @@ class Multiset:
         return float(_left_sum(v * k for v, k in self.pairs))
 
 
-@dataclass(frozen=True)
-class Spectrum(Multiset):
-    """A numeric multiset and the tolerance its values were grouped with."""
-
-    grouping_tol: float = DEFAULT_GROUPING_TOL
+def record(value) -> dict:
+    """asdict of a dataclass with each field that is None left out, at any depth: a closed
+    form writes pairs, source and errata_notes (() as []), a numeric one pairs and grouping_tol."""
+    return asdict(value, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 def _left_sum(values):
@@ -230,7 +231,8 @@ def symmetric_eigenvalues(
     rotation.  Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
-    convergence_tol that is not finite and positive.
+    convergence_tol that is not finite, positive and below 1 (from 1 on, the
+    input meets the stopping test, and its diagonal is no spectrum).
     """
     a = _real_square(matrix)
     # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
@@ -238,6 +240,8 @@ def symmetric_eigenvalues(
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     _check_tol("convergence_tol", convergence_tol, zero_ok=False)
+    if convergence_tol >= 1.0:
+        raise ValueError("convergence_tol must be below 1")
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows

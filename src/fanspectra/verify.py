@@ -20,13 +20,12 @@ random graph pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .closed_forms import (
-    ClosedFormSpectrum,
     fan_distance_laplacian_spectrum,
     fan_laplacian_spectrum,
     join_distance_laplacian_spectrum,
@@ -36,7 +35,7 @@ from .closed_forms import (
 )
 from .eigen import (
     Spectrum, _check_integers, _check_sizes, _check_tol, _is_integer, _sorted_values,
-    group_multiplicities, symmetric_eigenvalues,
+    group_multiplicities, record, symmetric_eigenvalues,
 )
 from .graphs import Graph, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
@@ -62,7 +61,7 @@ class Family:
     graph: Callable[[int, int], Graph]
     partition: Callable[[int, int], Partition]
     min_param: int  # the smallest m and n the family is defined for
-    closed_forms: dict[str, Callable[[int, int], ClosedFormSpectrum]]
+    closed_forms: dict[str, Callable[[int, int], Spectrum]]
 
 
 # The entries call this module's names when they run, not the functions bound
@@ -98,7 +97,7 @@ CASES = {
 CASE_KINDS = tuple(CASES)
 
 
-def closed_form(family: str, kind: str) -> Callable[[int, int], ClosedFormSpectrum]:
+def closed_form(family: str, kind: str) -> Callable[[int, int], Spectrum]:
     """The closed form of a case; UnsupportedCombination if the table has none."""
     row = FAMILIES.get(family)
     if row is None or kind not in row.closed_forms:
@@ -129,7 +128,7 @@ class VerificationReport:
     m: int
     n: int
     kind: str
-    closed_form: ClosedFormSpectrum
+    closed_form: Spectrum
     numeric: Spectrum
     max_abs_deviation: float
     trace_residual: float
@@ -195,6 +194,8 @@ def sweep(
     for lo, hi in ((m_low, m_high), (n_low, n_high)):
         if not (1 <= lo <= hi <= MAX_SWEEP_PARAM):
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")
+    if isinstance(kinds, str):  # tuple() would read it one character at a time
+        raise ValueError(f"kinds must be a sequence of case kinds, not the string {kinds!r}")
     kinds = tuple(kinds)
     if not kinds:
         raise ValueError("no case kind requested")
@@ -218,7 +219,7 @@ def sweep(
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2)
+    return json.dumps([record(r) for r in reports], indent=2)
 
 
 # --- randomized join checks ------------------------------------------------

@@ -77,6 +77,15 @@ class TestSpectrumCommand:
         assert code == 3 and not out
         assert "tol must be finite" in err
 
+    @pytest.mark.parametrize("tol", ["1", "2", "1e300"])
+    def test_a_convergence_tol_of_one_or_more_exits_3(self, capsys, tol):
+        # the diagonal would print as the spectrum: 3.0,4 and 4.0,1, the fan's degrees
+        code, out, err = run(
+            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "numeric",
+            "--format", "csv", "--convergence-tol", tol,
+        )
+        assert (code, out, err) == (3, "", "error: convergence_tol must be below 1\n")
+
     def test_generalized_distance_needs_t(self, capsys):
         code, _, err = run(
             capsys, "spectrum", "fan", "2", "3", "generalized-distance", "--mode", "numeric"
@@ -142,6 +151,11 @@ class TestQuotientCommand:
         code, out, err = run(capsys, "quotient", "nc", "3", "4", "laplacian", "--grouping-tol", "nan")
         assert code == 3 and not out
         assert "grouping_tol" in err
+
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    def test_a_convergence_tol_of_one_or_more_exits_3(self, capsys, tol):
+        code, out, err = run(capsys, "quotient", "nc", "3", "3", "laplacian", "--convergence-tol", tol)
+        assert (code, out, err) == (3, "", "error: convergence_tol must be below 1\n")
 
     def test_adjacency_has_no_canonical_quotient(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ rotation kernel itself; everything downstream of this module relies on
 the Jacobi solver alone.
 """
 
+import json
 import math
 import re
 import tracemalloc
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from fanspectra import eigen
 from fanspectra.closed_forms import (
-    ClosedFormSpectrum,
     fan_distance_laplacian_spectrum,
     fan_laplacian_spectrum,
     nc_distance_laplacian_spectrum,
@@ -24,10 +24,10 @@ from fanspectra.closed_forms import (
 )
 from fanspectra.eigen import (
     JacobiConvergenceError,
-    Multiset,
     Spectrum,
     _round_plan,
     group_multiplicities,
+    record,
     symmetric_eigenvalues,
 )
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
@@ -223,6 +223,16 @@ class TestSymmetricEigenvalues:
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="^convergence_tol must be finite and positive$"):
             symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
+    def test_convergence_tol_must_be_below_one(self, tol):
+        # at 1 or more the input meets the stopping test before any sweep, and its
+        # diagonal, the fan's vertex degrees here, would come back as the eigenvalues
+        matrix = laplacian_matrix(generalized_fan(2, 3))
+        with pytest.raises(ValueError, match="^convergence_tol must be below 1$"):
+            symmetric_eigenvalues(matrix, convergence_tol=tol)
+        below = symmetric_eigenvalues(matrix, convergence_tol=math.nextafter(1.0, 0.0))
+        assert below.size == 5 and not np.array_equal(below, np.sort(np.diag(matrix)))
 
     def test_diagnostics_are_in_the_units_of_the_input(self, monkeypatch):
         monkeypatch.setattr(eigen, "SWEEP_CAP", 1)
@@ -732,12 +742,46 @@ class TestSpectrumType:
 
     def test_a_total_adds_left_to_right_on_every_python(self):
         # (0.1 + 0.2) + 0.3 rounds twice; a compensated sum (CPython 3.12's) gives 0.6
-        assert Multiset(((0.1, 1), (0.2, 1), (0.3, 1))).total() == 0.6000000000000001
+        assert Spectrum(((0.1, 1), (0.2, 1), (0.3, 1))).total() == 0.6000000000000001
 
-    def test_both_spectrum_types_share_the_multiset_members(self):
-        closed = ClosedFormSpectrum(((0.0, 1), (2.0, 2)), "test")
-        numeric = Spectrum(((0.0, 1), (2.0, 2)))
+    def test_closed_and_numeric_spectra_share_the_multiset_members(self):
+        closed = Spectrum(((0.0, 1), (2.0, 2)), source="test", errata_notes=())
+        numeric = Spectrum(((0.0, 1), (2.0, 2)), 1e-6)
         for s in (closed, numeric):
-            assert isinstance(s, Multiset)
             assert (s.order, s.expanded(), s.total()) == (3, [0.0, 2.0, 2.0], 4.0)
             assert [v for v, _ in s.pairs] == [0.0, 2.0]
+
+    def test_a_closed_and_a_numeric_spectrum_with_equal_pairs_differ(self):
+        pairs = ((0.0, 1), (3.0, 1))
+        closed = Spectrum(pairs, source="test", errata_notes=())
+        numeric = group_multiplicities([0.0, 3.0])
+        assert numeric.pairs == closed.pairs
+        assert numeric != closed
+        assert numeric == Spectrum(pairs, 1e-6) and closed == Spectrum(pairs, source="test", errata_notes=())
+
+
+class TestRecord:
+    def test_a_closed_form_writes_pairs_source_and_errata_notes(self):
+        fan = record(fan_laplacian_spectrum(2, 3))
+        assert list(fan) == ["pairs", "source", "errata_notes"]
+        assert fan["source"] == "fan-laplacian"
+        assert json.loads(json.dumps(fan))["errata_notes"] == []  # () is not None
+        noted = record(fan_distance_laplacian_spectrum(2, 3))
+        assert list(noted) == ["pairs", "source", "errata_notes"] and len(noted["errata_notes"]) == 1
+
+    def test_a_numeric_spectrum_writes_pairs_and_grouping_tol(self):
+        numeric = record(group_multiplicities([0.0, 1.0, 1.0]))
+        assert numeric == {"pairs": ((0.0, 1), (1.0, 2)), "grouping_tol": 1e-6}
+        assert list(numeric) == ["pairs", "grouping_tol"]
+
+    def test_a_field_that_is_none_is_left_out(self):
+        assert record(Spectrum(((1.0, 2),))) == {"pairs": ((1.0, 2),)}
+        assert list(record(Spectrum((), source="s"))) == ["pairs", "source"]
+        text = json.dumps(record(Spectrum((), errata_notes=(), grouping_tol=0.0)))
+        assert text == '{"pairs": [], "grouping_tol": 0.0, "errata_notes": []}'
+
+    def test_a_verification_report_writes_each_spectrum_by_the_rule(self):
+        (report,) = sweep((2, 2), (3, 3), kinds=("nc-laplacian",))
+        written = record(report)
+        assert list(written["closed_form"]) == ["pairs", "source", "errata_notes"]
+        assert list(written["numeric"]) == ["pairs", "grouping_tol"]

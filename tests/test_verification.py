@@ -200,6 +200,12 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"no requested case .*nc needs m, n >= 2"):
             sweep((1, 1), (1, 5), kinds=("nc-laplacian",))
 
+    def test_a_bare_string_of_kinds_is_rejected_whole(self):
+        # read one character at a time, it would fail as "unknown case kind 'f'"
+        message = "^kinds must be a sequence of case kinds, not the string 'fan-laplacian'$"
+        with pytest.raises(ValueError, match=message):
+            sweep((2, 3), (2, 3), kinds="fan-laplacian")
+
     def test_an_empty_kinds_request_is_rejected(self):
         for m_range in ((2, 3), (1, 1)):
             with pytest.raises(ValueError, match=r"^no case kind requested$"):
@@ -225,6 +231,12 @@ class TestSerialization:
         text = reports_to_json(sweep((2, 6), (2, 6)))
         assert len(text) == 148_690
         assert hashlib.sha256(text.encode()).hexdigest().startswith("95b8ea4f4969d977")
+
+    def test_the_2_12_sweep_json_is_pinned(self):
+        # the default verify grid: all 484 reports, each spectrum written by the one record rule
+        text = reports_to_json(sweep((2, 12), (2, 12)))
+        assert len(text) == 923_177
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("42641e750155898a")
 
 
 class TestRandomJoins:
