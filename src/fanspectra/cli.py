@@ -12,8 +12,9 @@ Families are ``fan`` (m hubs joined to an n-path) and ``nc`` (two such
 fans with matched hubs).  Closed forms exist for the laplacian and
 distance-laplacian kinds; every other kind is numeric only.  The family
 and ``quotient`` kind choices, graph builders, canonical partitions and
-closed forms all come from the case table ``verify.FAMILIES``.  ``verify --tol`` must be finite
-and positive, and ``--convergence-tol`` finite, positive and below 1.  Before
+closed forms all come from the case table ``verify.FAMILIES``.  ``verify --tol`` and
+``--convergence-tol`` must be finite and positive, the latter at most 1e-12, and
+``--grouping-tol``, an absolute group width, finite and non-negative.  Before
 any graph is built, m and n must be at most ``verify.MAX_SWEEP_PARAM`` (64)
 and ``--t``, when given, must lie in (0, 1), whatever the kind.
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .eigen import (
     DEFAULT_CONVERGENCE_TOL,
-    DEFAULT_GROUPING_TOL,
+    GROUPING_SCALE,
     JacobiConvergenceError,
     group_multiplicities,
     record,
@@ -300,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("n", type=int)
 
     def add_tols(p):
-        p.add_argument("--grouping-tol", type=float, default=DEFAULT_GROUPING_TOL)
-        p.add_argument("--convergence-tol", type=float, default=DEFAULT_CONVERGENCE_TOL)
+        width = f"absolute group width (default {GROUPING_SCALE:g} x max(1, max |value|))"
+        p.add_argument("--grouping-tol", type=float, default=None, help=width)
+        stop = "Jacobi stopping share of the initial off-diagonal norm, at most %(default)g"
+        p.add_argument("--convergence-tol", type=float, default=DEFAULT_CONVERGENCE_TOL, help=stop)
 
     p = sub.add_parser("spectrum", help="spectrum of a family matrix")
     add_family_args(p)

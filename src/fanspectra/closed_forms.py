@@ -29,7 +29,7 @@ part's nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
 2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).
 Only the skeleton turns integers into doubles (no symbolic layer).  Values
 a formula gives through two routes are grouped by
-``eigen.group_multiplicities`` at ``MERGE_TOL`` = 1e-9, the same rule that
+``eigen.group_multiplicities`` at its default width, the same rule that
 groups numeric spectra.  Which family and kind each closed form belongs to
 is recorded once, in the case table ``verify.FAMILIES``.
 
@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 
 from .eigen import Spectrum, _check_sizes, _sorted_values, group_multiplicities
-
-MERGE_TOL = 1e-9
 
 FAN_DISTANCE_LAPLACIAN_NOTE = (
     "stated multiset has m+n+1 entries for an (m+n)-vertex graph; corrected via the "
@@ -64,7 +62,7 @@ def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> Spectru
     """The one skeleton of every closed form: 0, each (value, multiplicity) term,
     both roots of x^2 - b x + c for each integer (b, c) of quadratics, and
     offset + scale * v with multiplicity k for each base value v of each
-    (base, offset, scale, k) part, grouped by group_multiplicities at MERGE_TOL.
+    (base, offset, scale, k) part, grouped by group_multiplicities at its default width.
 
     Every quadratic here has real roots: its discriminant is a sum of squares,
     (m+n+2)^2 - 8m = (m+n-2)^2 + 8n for L and
@@ -78,7 +76,7 @@ def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> Spectru
     for base, offset, scale, k in parts:
         values += [offset + scale * v for v in base for _ in range(k)]
     values.sort()
-    pairs = group_multiplicities(values, MERGE_TOL).pairs
+    pairs = group_multiplicities(values).pairs
     return Spectrum(pairs, source=source, errata_notes=tuple(errata))
 
 

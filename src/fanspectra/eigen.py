@@ -58,8 +58,8 @@ finishes it, and the halves would only add their writes.  A matrix solved whole
 is a stack of one member, so every solve has the one setup and teardown of
 _diagonal around the one run of _jacobi.
 
-``group_multiplicities`` is the package's one rule for grouping values
-into multiplicities; the closed forms group their contributions with it.
+``group_multiplicities`` is the package's one rule for grouping values into
+multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide.
 ``Spectrum`` is the one multiset type, numeric or closed form, and ``record``
 the one rule that writes it to JSON, leaving out each field that is None.
 """
@@ -74,7 +74,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 DEFAULT_CONVERGENCE_TOL = 1e-12
-DEFAULT_GROUPING_TOL = 1e-6
+GROUPING_SCALE = 1e-11  # the default group width per unit of max(1, max|v|)
 SWEEP_CAP = 100
 # The least gap floor (the working copy's largest entry is in [1/2, 1)): t = 0
 # when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level between equal
@@ -231,8 +231,8 @@ def symmetric_eigenvalues(
     rotation.  Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, or for a
-    convergence_tol that is not finite, positive and below 1 (from 1 on, the
-    input meets the stopping test, and its diagonal is no spectrum).
+    convergence_tol that is not finite, positive and at most DEFAULT_CONVERGENCE_TOL,
+    the tightness that group_multiplicities' default width assumes.
     """
     a = _real_square(matrix)
     # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
@@ -240,8 +240,8 @@ def symmetric_eigenvalues(
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     _check_tol("convergence_tol", convergence_tol, zero_ok=False)
-    if convergence_tol >= 1.0:
-        raise ValueError("convergence_tol must be below 1")
+    if convergence_tol > DEFAULT_CONVERGENCE_TOL:
+        raise ValueError(f"convergence_tol must be at most {DEFAULT_CONVERGENCE_TOL:g}")
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
@@ -404,20 +404,24 @@ def _jacobi(
         sweeps += 1
 
 
-def group_multiplicities(values, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
-    """Merge ascending values into groups no wider than grouping_tol.
+def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
+    """Merge ascending values into groups no wider than grouping_tol, an absolute
+    width, by default GROUPING_SCALE * max(1, max|v|), which the result records.
 
     A value joins the current group while it lies within grouping_tol of
     the group's first value, so a chain of small gaps cannot grow a group
     past that width.  The representative of each group is its arithmetic
     mean.  Raises ValueError unless grouping_tol is finite and non-negative.
     """
-    _check_tol("grouping_tol", grouping_tol, zero_ok=True)
+    if grouping_tol is not None:
+        _check_tol("grouping_tol", grouping_tol, zero_ok=True)
     vals = list(map(float, values))
     if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")
     if any(map(operator.lt, vals[1:], vals)):  # some value below the one before it
         raise ValueError("values must be sorted ascending")
+    if grouping_tol is None:  # max|v| is at one end of the sorted values
+        grouping_tol = GROUPING_SCALE * (max(1.0, -vals[0], vals[-1]) if vals else 1.0)
     pairs: list[tuple[float, int]] = []
     group: list[float] = []
     for v in vals:

@@ -22,11 +22,6 @@ edges are read from it.  Graphs are immutable and all operations are pure,
 so values can be shared freely across threads.  A graph's one memo, its
 all-pairs hop distances, is computed at most once: two threads that race
 on first use each store an equal read-only value, so it needs no lock.
-
-Removed, as nothing in the package called them: ``null_graph(m)`` (build
-``make_graph(m, [])``), ``Graph.edges`` (``frozenset(g.sorted_edges())``),
-``quotient.side_partition(n1, n2)`` (``fan_partition(n2, n1)``) and
-``closed_forms.path_laplacian_spectrum`` (the fan forms keep its values).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import (
-    DEFAULT_GROUPING_TOL, Spectrum, _check_integers, _check_symmetric, _real_square,
+    Spectrum, _check_integers, _check_symmetric, _real_square,
     group_multiplicities, symmetric_eigenvalues,
 )
 
@@ -148,7 +148,7 @@ def is_equitable(matrix: np.ndarray, partition: Partition) -> bool:
 
 
 def quotient_eigenvalues(
-    matrix: np.ndarray, partition: Partition, grouping_tol: float = DEFAULT_GROUPING_TOL
+    matrix: np.ndarray, partition: Partition, grouping_tol: float | None = None
 ) -> Spectrum:
     """Eigenvalues of the quotient of a symmetric matrix under an equitable partition.
 

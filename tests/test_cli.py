@@ -77,14 +77,23 @@ class TestSpectrumCommand:
         assert code == 3 and not out
         assert "tol must be finite" in err
 
-    @pytest.mark.parametrize("tol", ["1", "2", "1e300"])
-    def test_a_convergence_tol_of_one_or_more_exits_3(self, capsys, tol):
-        # the diagonal would print as the spectrum: 3.0,4 and 4.0,1, the fan's degrees
+    @pytest.mark.parametrize("tol", ["1.1e-12", "0.5", "0.9", "1", "2", "1e300"])
+    def test_a_convergence_tol_above_the_default_exits_3(self, capsys, tol):
+        # at 0.9 the values would print up to 0.40 off, and from 1 on the fan's degrees
         code, out, err = run(
-            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "numeric",
+            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "both",
             "--format", "csv", "--convergence-tol", tol,
         )
-        assert (code, out, err) == (3, "", "error: convergence_tol must be below 1\n")
+        assert (code, out, err) == (3, "", "error: convergence_tol must be at most 1e-12\n")
+
+    def test_nc_31_63_adjacency_prints_its_two_close_simple_eigenvalues(self, capsys):
+        # 4.8e-9 apart: a width of 1e-6 would print them as -1.997589730904993,2
+        code, out, err = run(
+            capsys, "spectrum", "nc", "31", "63", "adjacency", "--mode", "numeric", "--format", "csv"
+        )
+        assert code == 0 and not err
+        rows = [row for row in out.splitlines() if row.startswith("-1.9975897")]
+        assert [row.split(",")[1] for row in rows] == ["1", "1"]
 
     def test_generalized_distance_needs_t(self, capsys):
         code, _, err = run(
@@ -152,10 +161,10 @@ class TestQuotientCommand:
         assert code == 3 and not out
         assert "grouping_tol" in err
 
-    @pytest.mark.parametrize("tol", ["1", "2"])
-    def test_a_convergence_tol_of_one_or_more_exits_3(self, capsys, tol):
+    @pytest.mark.parametrize("tol", ["0.5", "1", "2"])
+    def test_a_convergence_tol_above_the_default_exits_3(self, capsys, tol):
         code, out, err = run(capsys, "quotient", "nc", "3", "3", "laplacian", "--convergence-tol", tol)
-        assert (code, out, err) == (3, "", "error: convergence_tol must be below 1\n")
+        assert (code, out, err) == (3, "", "error: convergence_tol must be at most 1e-12\n")
 
     def test_adjacency_has_no_canonical_quotient(self, capsys):
         with pytest.raises(SystemExit) as exc:

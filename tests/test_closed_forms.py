@@ -20,7 +20,6 @@ from fanspectra.closed_forms import (
 )
 from fanspectra.closed_forms import (
     FAN_DISTANCE_LAPLACIAN_NOTE,
-    MERGE_TOL,
     NC_DISTANCE_LAPLACIAN_NOTE,
     NC_LAPLACIAN_NOTE,
 )
@@ -360,7 +359,7 @@ class TestQuotientForms:
 
 def _grouped(contributions):
     values = sorted(float(v) for v, k in contributions for _ in range(k))
-    return group_multiplicities(values, MERGE_TOL).pairs
+    return group_multiplicities(values).pairs
 
 
 def _path_value(n, j):

@@ -5,6 +5,7 @@ rotation kernel itself; everything downstream of this module relies on
 the Jacobi solver alone.
 """
 
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,8 @@ from fanspectra.closed_forms import (
     nc_laplacian_spectrum,
 )
 from fanspectra.eigen import (
+    DEFAULT_CONVERGENCE_TOL,
+    GROUPING_SCALE,
     JacobiConvergenceError,
     Spectrum,
     _round_plan,
@@ -32,7 +35,7 @@ from fanspectra.eigen import (
 )
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
 from fanspectra.matrices import MatrixKind, build_matrix, distance_laplacian, laplacian_matrix
-from fanspectra.verify import sweep
+from fanspectra.verify import sweep, verify_case
 
 
 def random_symmetric(order, seed, scale=5.0):
@@ -224,15 +227,17 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError, match="^convergence_tol must be finite and positive$"):
             symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
 
-    @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
-    def test_convergence_tol_must_be_below_one(self, tol):
-        # at 1 or more the input meets the stopping test before any sweep, and its
-        # diagonal, the fan's vertex degrees here, would come back as the eigenvalues
+    @pytest.mark.parametrize("tol", [math.nextafter(1e-12, 1.0), 1e-9, 0.5, 0.9, 1.0, 2.0, 1e300])
+    def test_convergence_tol_must_be_at_most_the_default(self, tol):
+        # the default grouping width assumes values at least this tight: at 0.9 the
+        # fan's values would be up to 0.40 off, and from 1 on its vertex degrees
         matrix = laplacian_matrix(generalized_fan(2, 3))
-        with pytest.raises(ValueError, match="^convergence_tol must be below 1$"):
+        with pytest.raises(ValueError, match="^convergence_tol must be at most 1e-12$"):
             symmetric_eigenvalues(matrix, convergence_tol=tol)
-        below = symmetric_eigenvalues(matrix, convergence_tol=math.nextafter(1.0, 0.0))
-        assert below.size == 5 and not np.array_equal(below, np.sort(np.diag(matrix)))
+        exact = np.linalg.eigvalsh(matrix)
+        for tighter in (DEFAULT_CONVERGENCE_TOL, 1e-14):
+            values = symmetric_eigenvalues(matrix, convergence_tol=tighter)
+            assert np.max(np.abs(values - exact)) <= 1e-12
 
     def test_diagnostics_are_in_the_units_of_the_input(self, monkeypatch):
         monkeypatch.setattr(eigen, "SWEEP_CAP", 1)
@@ -495,6 +500,14 @@ class TestOracleRegressionGuards:
             numeric = [k for _, k in report.numeric.pairs]
             assert numeric == [k for _, k in report.closed_form.pairs], (report.case_tag, report.m, report.n)
 
+    @pytest.mark.parametrize("family", ["fan", "nc"])
+    @pytest.mark.parametrize("kind", ["laplacian", "distance-laplacian"])
+    def test_large_cases_keep_their_closed_form_multiplicities(self, kind, family):
+        # up to order 256 (nc(64, 64)), each grouped at its own default width
+        for m, n in itertools.product((16, 64), repeat=2):
+            report = verify_case(family, m, n, kind)
+            assert [k for _, k in report.numeric.pairs] == [k for _, k in report.closed_form.pairs], (m, n)
+
     @pytest.mark.parametrize("builder", [laplacian_matrix, distance_laplacian])
     def test_the_largest_grid_matrices_match_lapack(self, builder):
         # nc(12, 12), order 48, solved as two halves: 4.6e-14 for L and 6.4e-13 for
@@ -723,6 +736,31 @@ class TestGrouping:
         spectrum = group_multiplicities([1.0, 1.0, 1.0 + 1e-15], grouping_tol=0.0)
         assert spectrum.pairs == ((1.0, 2), (1.0 + 1e-15, 1))
 
+    @pytest.mark.parametrize(
+        "values, width",
+        [([], 1.0), ([0.5, 0.5], 1.0), ([-1.0, 0.0, 1.0], 1.0), ([0.0, 44.0], 44.0),
+         ([-300.0, 2.0], 300.0), ([-3.0, -2.0], 3.0)],
+    )
+    def test_the_default_width_scales_with_the_largest_magnitude(self, values, width):
+        # max(1, max|v|), read off whichever end of the sorted values is larger in magnitude
+        assert group_multiplicities(values).grouping_tol == GROUPING_SCALE * width
+
+    def test_an_explicit_width_is_absolute(self):
+        # 5e-8 apart, beyond the default width at 1000, 1e-8, and within an explicit 1e-7
+        values = [1000.0, 1000.0 + 5e-8]
+        assert group_multiplicities(values).pairs == ((1000.0, 1), (1000.0 + 5e-8, 1))
+        merged = group_multiplicities(values, grouping_tol=1e-7)
+        assert (merged.order, len(merged.pairs), merged.grouping_tol) == (2, 1, 1e-7)
+
+    def test_nc_31_63_adjacency_keeps_its_two_close_simple_eigenvalues(self):
+        # -1.99758973330 and -1.99758972851 are 4.8e-9 apart, about ten times the
+        # default width there (spectral radius about 44); a width of 1e-6 would merge them
+        spectrum = group_multiplicities(symmetric_eigenvalues(build_matrix(nc_graph(31, 63), "adjacency")))
+        close = [(v, k) for v, k in spectrum.pairs if abs(v + 1.99759) < 1e-5]
+        assert [k for _, k in close] == [1, 1]
+        assert 4e-9 < close[1][0] - close[0][0] < 6e-9
+        assert 4e-10 < spectrum.grouping_tol < 5e-10
+
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=30)
     def test_multiplicities_cover_the_input(self, seed):
@@ -757,7 +795,8 @@ class TestSpectrumType:
         numeric = group_multiplicities([0.0, 3.0])
         assert numeric.pairs == closed.pairs
         assert numeric != closed
-        assert numeric == Spectrum(pairs, 1e-6) and closed == Spectrum(pairs, source="test", errata_notes=())
+        assert numeric == Spectrum(pairs, GROUPING_SCALE * 3.0)
+        assert closed == Spectrum(pairs, source="test", errata_notes=())
 
 
 class TestRecord:
@@ -771,7 +810,7 @@ class TestRecord:
 
     def test_a_numeric_spectrum_writes_pairs_and_grouping_tol(self):
         numeric = record(group_multiplicities([0.0, 1.0, 1.0]))
-        assert numeric == {"pairs": ((0.0, 1), (1.0, 2)), "grouping_tol": 1e-6}
+        assert numeric == {"pairs": ((0.0, 1), (1.0, 2)), "grouping_tol": GROUPING_SCALE}
         assert list(numeric) == ["pairs", "grouping_tol"]
 
     def test_a_field_that_is_none_is_left_out(self):
