@@ -27,11 +27,14 @@ factor x^2 - b x + c, and offset + scale * v for every base value v of each
 part, with integer offset and scale.  The bases are float lists: a join
 part's nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
 2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).
-Only the skeleton turns integers into doubles (no symbolic layer).  Values
-a formula gives through two routes are grouped by
-``eigen.group_multiplicities`` at its default width, the same rule that
-groups numeric spectra.  Which family and kind each closed form belongs to
-is recorded once, in the case table ``verify.FAMILIES``.
+Only the skeleton turns integers into doubles (no symbolic layer).  It
+never lists a value once per copy: each term, root and part value is one
+(value, multiplicity) atom, and the atoms are grouped by
+``eigen.group_multiplicities``' rule at its default width, the rule that
+groups numeric spectra, so values a formula gives through two routes merge.
+A group's mean still adds every copy left to right from 0.  Which family and
+kind each closed form belongs to is recorded once, in the case table
+``verify.FAMILIES``.
 
 The paper's 4x4 quotients and quartics are not typed here:
 ``quotient_matrix(laplacian_matrix(nc_graph(m, n)), nc_partition(m, n))``
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from .eigen import Spectrum, _check_sizes, _sorted_values, group_multiplicities
+from .eigen import Spectrum, _check_sizes, _group_atoms, _sorted_values
 
 FAN_DISTANCE_LAPLACIAN_NOTE = (
     "stated multiset has m+n+1 entries for an (m+n)-vertex graph; corrected via the "
@@ -62,21 +65,21 @@ def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> Spectru
     """The one skeleton of every closed form: 0, each (value, multiplicity) term,
     both roots of x^2 - b x + c for each integer (b, c) of quadratics, and
     offset + scale * v with multiplicity k for each base value v of each
-    (base, offset, scale, k) part, grouped by group_multiplicities at its default width.
+    (base, offset, scale, k) part.  Each is one (value, multiplicity) atom, computed
+    once; the atoms of multiplicity > 0 are grouped by group_multiplicities' rule at
+    its default width, and give the pairs it gives over every copy, bit for bit.
 
     Every quadratic here has real roots: its discriminant is a sum of squares,
     (m+n+2)^2 - 8m = (m+n-2)^2 + 8n for L and
     (9(m+n)-4)^2 - 4c = (3(n-m)+4)^2 + 4mn for D^L."""
-    values = [0.0]
-    for value, k in terms:
-        values += [float(value)] * k
+    atoms = [(0.0, 1)] + [(float(value), k) for value, k in terms if k]
     for b, c in quadratics:
         b, root = float(b), math.sqrt(float(b) * float(b) - 4.0 * float(c))
-        values += [(b - root) / 2.0, (b + root) / 2.0]
+        atoms += [((b - root) / 2.0, 1), ((b + root) / 2.0, 1)]
     for base, offset, scale, k in parts:
-        values += [offset + scale * v for v in base for _ in range(k)]
-    values.sort()
-    pairs = group_multiplicities(values).pairs
+        atoms += [(offset + scale * v, k) for v in base if k]
+    atoms.sort()
+    pairs = _group_atoms(*zip(*atoms)).pairs
     return Spectrum(pairs, source=source, errata_notes=tuple(errata))
 
 

@@ -59,7 +59,8 @@ is a stack of one member, so every solve has the one setup and teardown of
 _diagonal around the one run of _jacobi.
 
 ``group_multiplicities`` is the package's one rule for grouping values into
-multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide.
+multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide,
+one loop over (value, multiplicity) atoms, ``_group_atoms``.
 ``Spectrum`` is the one multiset type, numeric or closed form, and ``record``
 the one rule that writes it to JSON, leaving out each field that is None.
 """
@@ -67,6 +68,7 @@ the one rule that writes it to JSON, leaving out each field that is None.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -411,24 +413,38 @@ def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
     A value joins the current group while it lies within grouping_tol of
     the group's first value, so a chain of small gaps cannot grow a group
     past that width.  The representative of each group is its arithmetic
-    mean.  Raises ValueError unless grouping_tol is finite and non-negative.
+    mean, its values added left to right from 0.  Raises ValueError unless
+    grouping_tol is finite and non-negative.  Closed forms group by the same
+    loop, _group_atoms, over (value, multiplicity) atoms: no value is listed
+    once per copy, and a mean still adds every copy.
     """
     if grouping_tol is not None:
         _check_tol("grouping_tol", grouping_tol, zero_ok=True)
-    vals = list(map(float, values))
-    if not all(map(math.isfinite, vals)):
+    return _group_atoms(list(map(float, values)), itertools.repeat(1), grouping_tol)
+
+
+def _group_atoms(values, counts, grouping_tol: float | None = None) -> Spectrum:
+    """group_multiplicities' rule over ascending values (a list or tuple) with their
+    multiplicities in counts, read in step: a mean adds every copy, left to right
+    from 0, since v * k can round differently (0.1 six times adds up to 0.6, and
+    0.1 * 6 is 0.6000000000000001).  ValueError for a value not finite or out of order."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
-    if any(map(operator.lt, vals[1:], vals)):  # some value below the one before it
+    if any(map(operator.lt, values[1:], values)):  # some value below the one before it
         raise ValueError("values must be sorted ascending")
     if grouping_tol is None:  # max|v| is at one end of the sorted values
-        grouping_tol = GROUPING_SCALE * (max(1.0, -vals[0], vals[-1]) if vals else 1.0)
+        grouping_tol = GROUPING_SCALE * (max(1.0, -values[0], values[-1]) if values else 1.0)
     pairs: list[tuple[float, int]] = []
-    group: list[float] = []
-    for v in vals:
-        if group and v - group[0] > grouping_tol:
-            pairs.append((_left_sum(group) / len(group), len(group)))
-            group = []
-        group.append(v)
-    if group:
-        pairs.append((_left_sum(group) / len(group), len(group)))
+    first, total, count = values[0] if values else 0.0, 0, 0
+    for v, k in zip(values, counts):
+        if v - first > grouping_tol:
+            pairs.append((total / count, count))
+            first, total, count = v, 0, 0
+        count += k
+        total += v
+        while k > 1:
+            total += v
+            k -= 1
+    if count:
+        pairs.append((total / count, count))
     return Spectrum(tuple(pairs), grouping_tol)

@@ -277,7 +277,16 @@ class TestExportCommand:
 
 
 class TestNonConvergence:
-    # no real input fails to converge, even at --convergence-tol 1e-300, so the solver is replaced
+    def test_a_tolerance_below_roundoff_exits_6(self, capsys):
+        # the solve stops near 5.8e-16 against a 4e-300 target, so it runs out of sweeps
+        code, out, err = run(
+            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "numeric",
+            "--convergence-tol", "1e-300",
+        )
+        assert code == 6 and out == ""
+        assert err.startswith("error: no convergence after 100 sweeps")
+
+    # a replaced solver takes other commands to the same exit, without 100 sweeps each
     @pytest.mark.parametrize(
         "argv", [["spectrum", "nc", "2", "2", "laplacian"], ["quotient", "fan", "2", "3", "laplacian"]]
     )

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stated
@@ -22,8 +22,9 @@ from fanspectra.closed_forms import (
     FAN_DISTANCE_LAPLACIAN_NOTE,
     NC_DISTANCE_LAPLACIAN_NOTE,
     NC_LAPLACIAN_NOTE,
+    _spectrum,
 )
-from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
+from fanspectra.eigen import GROUPING_SCALE, group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, nc_graph, path_graph
 from fanspectra.matrices import distance_laplacian, laplacian_matrix
 from fanspectra.verify import MAX_SWEEP_PARAM
@@ -483,3 +484,79 @@ class TestBitIdentity:
             assert spectrum.pairs == reference(spec1, n1, spec2, n2), (spec1, spec2)
             assert (spectrum.source, spectrum.errata_notes) == (source, ())
 
+
+# The skeleton groups (value, multiplicity) atoms; listing every copy and grouping the
+# numeric way must give the same pairs, bit for bit.
+
+
+def _every_copy(terms, parts, quadratics):
+    values = [0.0]
+    for value, k in terms:
+        values += [float(value)] * k
+    for b, c in quadratics:
+        values += _roots(float(b), float(c))
+    for base, offset, scale, k in parts:
+        values += [offset + scale * v for v in base for _ in range(k)]
+    return group_multiplicities(sorted(values)).pairs
+
+
+def _hex(pairs):
+    return [(value.hex(), k) for value, k in pairs]
+
+
+_BASE_VALUE = st.one_of(
+    st.floats(-40, 40, allow_nan=False),
+    st.integers(-3, 40).map(float),  # at offset 0 and scale 1, the value of a term
+    st.sampled_from([-0.0, 0.1, 1 / 3]),
+)
+_TERMS = st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 5)), max_size=4)
+_PARTS = st.lists(
+    st.tuples(
+        st.lists(_BASE_VALUE, max_size=6),
+        st.sampled_from([0, 0, 1, 7, -3]),
+        st.sampled_from([1, 1, -1, 2, -2]),
+        st.integers(0, 3),
+    ),
+    max_size=3,
+)
+# x^2 - b x + c with c <= b^2 / 4, so both roots are real
+_QUADRATICS = st.lists(
+    st.integers(-20, 40).flatmap(lambda b: st.tuples(st.just(b), st.integers(-50, b * b // 4))),
+    max_size=2,
+)
+
+
+@st.composite
+def _skeletons(draw):
+    """Random skeleton inputs, with one more part whose value lies a drawn share of the
+    default width above a value already listed: just inside or just outside its group."""
+    terms, parts, quadratics = draw(_TERMS), draw(_PARTS), draw(_QUADRATICS)
+    values = [v for v, _ in _every_copy(terms, parts, quadratics)]
+    width = GROUPING_SCALE * max(1.0, *map(abs, values))
+    share = draw(st.sampled_from([0.0, 0.5, 0.999, 1.001, 1.5, -0.999, -1.001]))
+    near = draw(st.sampled_from(values)) + share * width
+    return terms, parts + [([near], 0, 1, draw(st.integers(0, 3)))], quadratics
+
+
+class TestAtoms:
+    @given(_skeletons())
+    @example(([], [([0.1], 0, 1, 3)], []))  # 0.1 three times: a mean of 0.10000000000000002
+    @example(([], [([0.1], 0, 1, 3), ([0.1], 0, 1, 3)], []))  # six: 0.6 added, not 2 * 0.3...04
+    @example(([(3, 2), (5, 0)], [([3.0, -0.0, 2.0], 0, 1, 2)], [(5, 6)]))  # roots 2 and 3: merges
+    @example(([(1, 1)], [([1.0 + 0.9e-11, 1.0 + 1.1e-11], 0, 1, 1)], []))  # inside, then outside
+    @settings(max_examples=300, deadline=None)
+    def test_atoms_group_as_every_copy_would(self, skeleton):
+        terms, parts, quadratics = skeleton
+        spectrum = _spectrum("test", terms, parts, quadratics)
+        assert _hex(spectrum.pairs) == _hex(_every_copy(terms, parts, quadratics))
+        expected = sum(k for _, k in terms) + 2 * len(quadratics) + 1
+        assert spectrum.order == expected + sum(len(base) * k for base, _, _, k in parts)
+
+    def test_a_non_integer_atom_adds_each_copy(self):
+        assert _spectrum("test", [], [([0.1], 0, 1, 3)]).pairs == ((0.0, 1), (0.10000000000000002, 3))
+        six = _spectrum("test", [], [([0.1], 0, 1, 3), ([0.1], 0, 1, 3)])
+        assert six.pairs == ((0.0, 1), (0.6 / 6, 6))
+
+    def test_a_value_that_is_not_finite_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            _spectrum("test", [], [([1e308], 0, 10, 1)])
