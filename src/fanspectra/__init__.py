@@ -43,7 +43,6 @@ from .matrices import (
     generalized_distance,
     laplacian_matrix,
     transmission_matrix,
-    transmission_vector,
 )
 from .quotient import (
     NotEquitableError,

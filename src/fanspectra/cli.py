@@ -15,8 +15,9 @@ and ``quotient`` kind choices, graph builders, canonical partitions and
 closed forms all come from the case table ``verify.FAMILIES``.  ``verify --tol`` and
 ``--convergence-tol`` must be finite and positive, the latter at most 1e-12, and
 ``--grouping-tol``, an absolute group width, finite and non-negative.  Before
-any graph is built, m and n must be at most ``verify.MAX_SWEEP_PARAM`` (64)
-and ``--t``, when given, must lie in (0, 1), whatever the kind.
+any graph is built, m and n must be at most ``verify.MAX_SWEEP_PARAM`` (64),
+both tolerances must hold whatever the mode, and ``--t``, when given, must lie
+in (0, 1), whatever the kind.
 
 Exit codes: 0 success; 1 verify sweep found failing cases; 2 usage
 errors; 3 invalid parameter values; 4 unsupported family/kind/mode
@@ -26,9 +27,9 @@ of the output is dropped, nothing goes to stderr, and the command exits
 with the status it would have had (0, or 1 for a failing verify),
 whatever the size of its output.
 
-Output is deterministic: text uses 6 significant digits, JSON full
-precision; verify's JSON comes from ``verify.reports_to_json``, and
-nothing reads it back; it and ``spectrum``'s closed payload are written by
+Output is deterministic: text uses 6 significant digits, JSON full precision;
+verify's JSON comes from ``verify.reports_to_json``, and nothing reads it back;
+it, ``spectrum``'s closed payload and the ``tables`` rows are written by
 ``eigen.record``.  Only ``export -o`` writes a file (exit 3 if it cannot).
 """
 
@@ -39,7 +40,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from .eigen import (
     DEFAULT_CONVERGENCE_TOL,
     GROUPING_SCALE,
     JacobiConvergenceError,
+    _check_convergence_tol,
+    _check_tol,
     group_multiplicities,
     record,
     symmetric_eigenvalues,
@@ -102,10 +104,10 @@ def _case(args) -> dict:
     return {"family": args.family, "m": args.m, "n": args.n, "kind": args.kind}
 
 
-def _group_deviations(closed, numeric) -> list[float]:
-    """Per closed-form group, the max gap against the numeric values at the
-    same sorted positions."""
-    gaps = [abs(c - v) for c, v in zip(closed.expanded(), numeric.expanded())]
+def _group_deviations(closed, raw: list[float]) -> list[float]:
+    """Per closed-form group, the max gap against the solver's ascending values
+    at the same sorted positions."""
+    gaps = [abs(c - v) for c, v in zip(closed.expanded(), raw)]
     ends = itertools.accumulate(k for _, k in closed.pairs)
     return [max(gaps[end - k : end]) for (_, k), end in zip(closed.pairs, ends)]
 
@@ -119,19 +121,19 @@ def _cmd_spectrum(args) -> int:
         payload["closed"] = record(closed)
     if args.mode != "closed":
         matrix = build_matrix(graph, args.kind, t=args.t)
-        raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol)
+        raw = symmetric_eigenvalues(matrix, convergence_tol=args.convergence_tol).tolist()
         numeric = group_multiplicities(raw, grouping_tol=args.grouping_tol)
         payload["numeric"] = {"pairs": numeric.pairs}
     both = args.mode == "both"
-    if both:
-        payload["max_abs_deviation"] = compare_spectra(closed, numeric)
+    if both:  # against the solver's own values, as verify_case compares them
+        payload["max_abs_deviation"] = compare_spectra(closed, raw)
     if args.format == "json":
         _print(json.dumps(payload))
         return 0
 
     # one row per closed-form group when there is a closed form
     pairs = (numeric if closed is None else closed).pairs
-    deviations = _group_deviations(closed, numeric) if both else [None] * len(pairs)
+    deviations = _group_deviations(closed, raw) if both else [None] * len(pairs)
     if args.format == "csv":
         _print("value,multiplicity" + (",deviation" if both else ""))
         for (v, k), d in zip(pairs, deviations):
@@ -213,7 +215,7 @@ def _cmd_tables(args) -> int:
             "note: reference column headers are swapped; keys shown are the true (m, n)",
         ]
     if args.format == "json":
-        _print(json.dumps([asdict(row) for row in rows]))
+        _print(json.dumps([record(row) for row in rows]))
         return 0
     if args.format == "csv":
         _print("key,column,ok,computed,reference")
@@ -365,12 +367,16 @@ _EXIT_CODES = (
 
 
 def _check_args(args) -> None:
-    """Reject sizes above the cap and a blend parameter outside (0, 1); the
-    lower size bounds stay with the graph builders."""
+    """Reject sizes above the cap, bad tolerances in every mode and a blend parameter
+    outside (0, 1) for every kind; the lower size bounds stay with the graph builders."""
     for name in ("m", "n"):
         value = getattr(args, name, None)
         if value is not None and value > MAX_SWEEP_PARAM:
             raise ValueError(f"{name}={value} exceeds the maximum of {MAX_SWEEP_PARAM}")
+    if hasattr(args, "convergence_tol"):
+        _check_convergence_tol(args.convergence_tol)
+    if getattr(args, "grouping_tol", None) is not None:
+        _check_tol("grouping_tol", args.grouping_tol, zero_ok=True)
     if getattr(args, "t", None) is not None:
         _check_blend(args.t)
 

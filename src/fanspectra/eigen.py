@@ -129,6 +129,13 @@ def _check_tol(name: str, value: float, zero_ok: bool) -> None:
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
 
 
+def _check_convergence_tol(convergence_tol: float) -> None:
+    """ValueError unless convergence_tol is finite, positive and at most DEFAULT_CONVERGENCE_TOL."""
+    _check_tol("convergence_tol", convergence_tol, zero_ok=False)
+    if convergence_tol > DEFAULT_CONVERGENCE_TOL:
+        raise ValueError(f"convergence_tol must be at most {DEFAULT_CONVERGENCE_TOL:g}")
+
+
 def _is_integer(value) -> bool:
     """Whether value is an int or a numpy integer but not a bool, which would pass as 0 or 1."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -241,9 +248,7 @@ def symmetric_eigenvalues(
     scale = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    _check_tol("convergence_tol", convergence_tol, zero_ok=False)
-    if convergence_tol > DEFAULT_CONVERGENCE_TOL:
-        raise ValueError(f"convergence_tol must be at most {DEFAULT_CONVERGENCE_TOL:g}")
+    _check_convergence_tol(convergence_tol)
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows

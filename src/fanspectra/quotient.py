@@ -4,8 +4,8 @@ A ``Partition`` is checked once, when it is built: its nonempty blocks
 hold each of the vertices 0..N-1 exactly once.  The quotient of a real
 square matrix M of order N averages each block row: b[i][j] = (sum of
 the entries of block M_ij) / |block i|.  The partition is equitable when
-every row inside a block has the same sum toward every other block; then
-the quotient's eigenvalues are a subset of M's.
+every row inside a block has the same sum toward every other block, up to
+EQUITABLE_TOL * max|m_ij|; then the quotient's eigenvalues are among M's.
 """
 
 from __future__ import annotations
@@ -137,14 +137,17 @@ def quotient_matrix(matrix: np.ndarray, partition: Partition) -> np.ndarray:
 
 
 def is_equitable(matrix: np.ndarray, partition: Partition) -> bool:
-    """True iff within every block pair all row sums agree to within EQUITABLE_TOL."""
+    """True iff within every block pair all row sums agree to within EQUITABLE_TOL * max|a_ij|."""
     rows = _row_sums(matrix, partition)
     # the rows block by block, then one max - min per block and column (every
     # block is nonempty, so each reduceat segment is exactly one block)
     data = partition._block_data
     grouped = rows[data.vertices]
     spread = np.maximum.reduceat(grouped, data.starts) - np.minimum.reduceat(grouped, data.starts)
-    return not (spread > EQUITABLE_TOL).any()
+    if not spread.any():  # max|a_ij| is read only when some spread is nonzero
+        return True
+    a = np.asarray(matrix, dtype=float)  # two reductions: np.abs would make a V x V temporary
+    return not (spread > EQUITABLE_TOL * max(float(a.max()), -float(a.min()))).any()
 
 
 def quotient_eigenvalues(

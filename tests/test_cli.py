@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fanspectra
 from fanspectra.cli import KIND_CHOICES, build_parser, main
 from fanspectra.eigen import JacobiConvergenceError
-from fanspectra.verify import CASES
+from fanspectra.verify import CASES, verify_case
 
 
 def run(capsys, *argv):
@@ -85,6 +85,45 @@ class TestSpectrumCommand:
             "--format", "csv", "--convergence-tol", tol,
         )
         assert (code, out, err) == (3, "", "error: convergence_tol must be at most 1e-12\n")
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--convergence-tol", "5"], "convergence_tol must be at most 1e-12"),
+            (["--grouping-tol", "nan"], "grouping_tol must be finite and non-negative"),
+        ],
+    )
+    def test_closed_mode_checks_the_tolerances_too(self, capsys, option, message):
+        # closed mode runs no solver, yet a bad tolerance is a bad parameter in every mode
+        code, out, err = run(
+            capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "closed", *option
+        )
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "family, m, n, kind",
+        [
+            ("fan", 2, 3, "laplacian"),
+            ("fan", 5, 7, "distance-laplacian"),
+            ("nc", 3, 2, "laplacian"),
+            ("nc", 8, 8, "distance-laplacian"),
+        ],
+    )
+    def test_both_mode_reports_the_deviation_that_verify_reports(self, capsys, family, m, n, kind):
+        # both compare the closed form with the solver's own values, not the grouped means
+        code, out, _ = run(capsys, "spectrum", family, str(m), str(n), kind, "--format", "json")
+        assert code == 0
+        report = verify_case(family, m, n, kind)
+        assert json.loads(out)["max_abs_deviation"] == report.max_abs_deviation
+
+    def test_a_wide_grouping_tol_does_not_move_the_deviation(self, capsys):
+        # one group of every value: against its mean a correct closed form was up to 3.2 off
+        argv = ["spectrum", "fan", "2", "3", "laplacian", "--grouping-tol", "1e300", "--format"]
+        code, out, _ = run(capsys, *argv, "json")
+        assert code == 0 and json.loads(out)["max_abs_deviation"] < 1e-8
+        code, out, _ = run(capsys, *argv, "csv")
+        deviations = [float(row.split(",")[2]) for row in out.splitlines()[1:]]  # plain float reprs
+        assert code == 0 and len(deviations) == 3 and max(deviations) < 1e-8
 
     def test_nc_31_63_adjacency_prints_its_two_close_simple_eigenvalues(self, capsys):
         # 4.8e-9 apart: a width of 1e-6 would print them as -1.997589730904993,2

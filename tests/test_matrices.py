@@ -29,7 +29,6 @@ from fanspectra.matrices import (
     generalized_distance,
     laplacian_matrix,
     transmission_matrix,
-    transmission_vector,
 )
 from fanspectra.verify import random_graph
 
@@ -91,8 +90,8 @@ class TestDistanceFamily:
         assert np.array_equal(distance_matrix(path_graph(3)), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_disconnected_is_an_error(self):
-        for op in (distance_matrix, transmission_vector, distance_laplacian,
-                   distance_signless_laplacian):
+        for op in (distance_matrix, transmission_matrix, distance_laplacian,
+                   distance_signless_laplacian, lambda g: generalized_distance(g, 0.3)):
             with pytest.raises(DisconnectedGraphError):
                 op(make_graph(2, []))
 
@@ -140,10 +139,10 @@ class TestDistanceFamily:
 
 class TestTransmissionAndBlends:
     def test_path_transmissions(self):
-        assert np.array_equal(transmission_vector(path_graph(3)), [3, 2, 3])
+        assert np.array_equal(np.diag(transmission_matrix(path_graph(3))), [3, 2, 3])
 
     def test_nc_2_2_transmissions(self):
-        tr = transmission_vector(nc_graph(2, 2))
+        tr = np.diag(transmission_matrix(nc_graph(2, 2)))
         assert list(tr) == [13, 13, 12, 12, 12, 12, 13, 13]
 
     def test_transmission_matrix_is_diagonal(self):
@@ -195,6 +194,11 @@ class TestDispatch:
     def test_generalized_distance_requires_t(self):
         with pytest.raises(ValueError):
             build_matrix(path_graph(3), MatrixKind.GENERALIZED_DISTANCE)
+
+    def test_the_builder_itself_names_a_missing_blend_parameter(self):
+        # checked before the 0 < t < 1 comparison, which would raise a TypeError for None
+        with pytest.raises(ValueError, match="^generalized-distance requires the blend parameter t$"):
+            generalized_distance(path_graph(3), None)
 
     @pytest.mark.parametrize(
         "kind", [MatrixKind.GENERALIZED_DISTANCE, "generalized-distance"], ids=["member", "string"]

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from fanspectra import quotient
 from fanspectra.eigen import group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan, make_graph, nc_graph, path_graph
-from fanspectra.matrices import MatrixKind, build_matrix, distance_laplacian, laplacian_matrix
+from fanspectra.matrices import (
+    MatrixKind, adjacency_matrix, build_matrix, distance_laplacian, laplacian_matrix,
+)
 from fanspectra.quotient import (
     EQUITABLE_TOL,
     NotEquitableError,
@@ -324,10 +326,23 @@ class TestEquitability:
         assert not is_equitable(laplacian_matrix(path_graph(4)), ALTERNATE)
 
     def test_a_spread_of_exactly_the_tolerance_is_equitable(self):
-        # vertices 0 and 1 share a block; their row sums toward block {2} are 0 and d
-        for d, equitable in ((EQUITABLE_TOL, True), (2 * EQUITABLE_TOL, False)):
-            a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, d], [0.0, d, 0.0]])
-            assert is_equitable(a, Partition([[0, 1], [2]])) == equitable
+        # the tolerance is EQUITABLE_TOL times max|a_ij|, here the entry `scale` between
+        # the singleton blocks {2} and {3}; vertices 0 and 1 share a block, and their row
+        # sums toward block {2} are 0 and d, exactly, since scale is a power of two
+        for scale in (2.0**-40, 1.0, 2.0**40):
+            for d, equitable in ((EQUITABLE_TOL * scale, True), (2 * EQUITABLE_TOL * scale, False)):
+                a = np.zeros((4, 4))
+                a[1, 2] = a[2, 1] = d
+                a[2, 3] = a[3, 2] = scale
+                assert is_equitable(a, Partition([[0, 1], [2], [3]])) == equitable, (scale, d)
+
+    def test_a_scaled_down_matrix_is_judged_as_the_unscaled_one(self):
+        # at an absolute 1e-9 every spread of 1e-12 * A passed, and the quotient's
+        # 6.67e-13 was returned, though no eigenvalue of the matrix is near it
+        a = adjacency_matrix(generalized_fan(2, 3))
+        assert not is_equitable(a, fan_partition(2, 3))
+        with pytest.raises(NotEquitableError):
+            quotient_eigenvalues(1e-12 * a, fan_partition(2, 3))
 
 
 class TestNonFiniteInput:
