@@ -5,9 +5,10 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 14 array calls (8 build the rotations, 6 apply them)
-into buffers made once per solve, with its ufuncs bound once per solve and
-the gather cached once per order, so it allocates nothing.  At the orders
+is a fixed sequence of 14 array calls (8 build the rotations, 6 apply them),
+and one masked write once a member of a stack has stopped (below), into
+buffers made once per solve, with its ufuncs bound once per solve and the
+gather cached once per order, so it allocates nothing.  At the orders
 verified here its cost is those calls, not their arithmetic, so each call
 passes its output positionally and takes array operands, never Python floats.
 Each pair (2i, 2i+1) gets the rotation J = [[c, s], [-s, c]] (Golub & Van
@@ -51,12 +52,12 @@ whole flat buffer, in which the pads stay zero and the gather maps each pad entr
 to itself.  The stopping rule is the whole matrix's: each member stops at
 convergence_tol times the whole's initial off-norm over sqrt 2, so the two
 halves together, which are orthogonally similar to the whole, end within its
-target.  A member at its target is frozen: its phases are exactly 1 + 0i, so it
-is permuted with the rest but never rotated, and it ends with the diagonal it
-would reach alone, bit for bit.  Order 2 stays whole: one exact rotation
-finishes it, and the halves would only add their writes.  A matrix solved whole
-is a stack of one member, so every solve has the one setup and teardown of
-_diagonal around the one run of _jacobi.
+target.  A member at its target is frozen wherever it sits in the stack: a mask over
+the pairs writes its phases as exactly 1 + 0i in every later round, so it is permuted
+with the rest but never rotated, and it ends with the diagonal it would reach alone,
+bit for bit.  Order 2 stays whole: one exact rotation finishes it, and the halves
+would only add their writes.  A matrix solved whole is a stack of one member, so
+every solve has the one setup and teardown of _diagonal around the one _jacobi run.
 
 ``group_multiplicities`` is the package's one rule for grouping values into
 multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide,
@@ -84,6 +85,8 @@ SWEEP_CAP = 100
 _GAP_FLOOR = 2.0**-52
 # A later sweep's gap floor is this share of the off-norm the previous sweep left.
 _FLOOR_SHARE = 0.01
+_UNIT_PHASE = np.array(1.0 + 0.0j)  # the phase of every pair of a member at its target
+_UNIT_PHASE.flags.writeable = False
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -330,43 +333,45 @@ def _jacobi(
     in work and in spare, which is scratch of work's size.  Member i holds
     2**-(exponent + shifts[i]) times its part of the input, and stops at convergence_tol
     times off_norm (in 2**-exponent times the input's units), or when that is None times
-    its own initial off-norm.  The rounds run over the members from the first to the last
-    not yet at its target: one outside that span is permuted with the rest (and each
-    round transposes it) but never rotated, so each member of a stack of two ends with
-    the diagonal it would reach alone, bit for bit.  The diagnostics are in the input's
-    units.
+    its own initial off-norm.  The rounds run over every pair of every member: in each
+    round after a member stops, one masked write sets its phases to 1 + 0i, so it is
+    permuted with the rest (and each round transposes it) but never rotated, and each
+    member of a stack of any size ends with the diagonal it would reach alone, bit for
+    bit.  The diagnostics are in the input's units.
     """
     members, h, block = len(shifts), m // 2, m * (m + 1)
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next, across members too
     app, apq, aqq = work[::step], work[1::step], work[m + 1 :: step]
-    # one pivot u per pair, normalised in place to c + i s; the modulus's imaginary
-    # part stays zero
+    # one pivot u per pair, normalised in place to c + i s; the modulus stays real
     pivot, modulus = np.empty(members * h, np.complex128), np.zeros(members * h, np.complex128)
     gap, twice_apq, norm = pivot.real, pivot.imag, modulus.real
     gap_floor = np.full(members * h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
-    live_pivot, live_modulus, live_floor = pivot, modulus, gap_floor
+    stopped = np.zeros(members * h, bool)  # the pairs of the members at their target
     # c_0, s_0, c_1, s_1, ...: each member's row of its phase table
     phase = pivot.view(np.float64).reshape(members, 1, m)
     # the rounds write the members' rows alone, so the pads stay zero
     rows_work, rows_spare = _stack(work, members, m), _stack(spare, members, m)
     work_t = rows_work.transpose(0, 2, 1)
     gather = _round_plan(m, members)
-    subtract, add, hypot, copysign, divide, multiply = (
-        np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply
+    subtract, add, hypot, copysign, divide, multiply, copyto = (
+        np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply, np.copyto
     )
 
     initial, targets = [], []  # each member's, in its own units
-    low, high, sweeps = 0, members, 0  # the rounds run over the members low to high - 1
+    sweeps = 0
     while True:
-        first, last = high, low - 1  # the first and last member not yet at its target
-        for i in range(low, high):
+        running = 0  # the members not yet at their target
+        for i in range(members):
+            if sweeps and stopped[i * h]:  # frozen since an earlier sweep; order 0 has no pairs
+                continue
             remaining = _off_norm(work, spare, m, i * block)
             if not sweeps:
                 initial.append(remaining)
                 reference = remaining if off_norm is None else math.ldexp(off_norm, -shifts[i])
                 targets.append(convergence_tol * reference)
             if remaining <= targets[i]:
+                stopped[i * h : (i + 1) * h] = True
                 continue
             if sweeps == SWEEP_CAP:
                 units = exponent + shifts[i]
@@ -379,29 +384,23 @@ def _jacobi(
             if sweeps:  # the floor of member i's pairs in the next sweep
                 floor = max(_GAP_FLOOR, _FLOOR_SHARE * remaining)
                 gap_floor[i * h : (i + 1) * h].fill(floor)
-            first, last = min(first, i), i
-        if first > last:
+            running += 1
+        if not running:
             break
-        if first != low or last + 1 != high:
-            # the members outside the new span have stopped: their phases stay 1 + 0i
-            low, high = first, last + 1
-            pivot[: low * h] = pivot[high * h :] = 1.0
-            live = slice(low * h, high * h)
-            live_pivot, live_modulus, live_floor = pivot[live], modulus[live], gap_floor[live]
-            gap, twice_apq, norm = live_pivot.real, live_pivot.imag, live_modulus.real
-            span = work[low * block : high * block]
-            app, apq, aqq = span[::step], span[1::step], span[m + 1 :: step]
+        frozen = running < members
         for _ in range(m - 1):
             # u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq, with d = a_qq - a_pp
             # and the floor f, so Im u / Re u is the tangent of the angle that zeroes a_pq
             subtract(aqq, app, gap)
             add(apq, apq, twice_apq)
             hypot(gap, twice_apq, norm)
-            hypot(norm, live_floor, norm)
+            hypot(norm, gap_floor, norm)
             copysign(norm, gap, norm)
             add(gap, norm, gap)
             hypot(gap, twice_apq, norm)
-            divide(live_pivot, live_modulus, live_pivot)  # c + i s, or -(c + i s): the same J^T A J
+            divide(pivot, modulus, pivot)  # c + i s, or -(c + i s): the same J^T A J
+            if frozen:  # the stopped members are permuted with the rest but never rotated
+                copyto(pivot, _UNIT_PHASE, "no", stopped)
             rows_spare[...] = phase  # the phase table, in the free buffer
             multiply(pairs_work, pairs_spare, pairs_work)  # A J
             rows_spare[...] = work_t  # J^T A

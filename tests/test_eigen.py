@@ -95,16 +95,18 @@ def solve_reading(monkeypatch, matrix, read=lambda work: None):
 @pytest.fixture(scope="module")
 def grid_sweep():
     """The reports of the 2..12 verify grid, the Jacobi runs it made, the rounds they ran
-    (a round of a stack counted once), and the sweeps its members of order 2 and 4 took."""
+    (a round of a stack counted once), the sweeps its members of order 2 and 4 took, and
+    the runs of two members that stopped at different sweeps."""
     with pytest.MonkeyPatch.context() as patch:
         runs = record_runs(patch)
         reports = sweep((2, 12), (2, 12))
-    rounds = small_sweeps = 0
+    rounds = small_sweeps = uneven = 0
     for _, order, reads in runs:
         sweeps = [len(seen) - 1 for seen in reads.values()]
         rounds += (order + order % 2 - 1) * max(sweeps)  # the run sweeps until its last member stops
         small_sweeps += sum(sweeps) if order in (2, 4) else 0
-    return reports, len(runs), rounds, small_sweeps
+        uneven += len(set(sweeps)) > 1
+    return reports, len(runs), rounds, small_sweeps, uneven
 
 
 class TestSymmetricEigenvalues:
@@ -440,6 +442,11 @@ class TestOracleRegressionGuards:
         assert grid_sweep[1] == 968
         assert 0 < grid_sweep[2] <= 36_290
 
+    def test_the_grid_runs_stacks_with_a_member_frozen(self, grid_sweep):
+        # 97 of the grid's 484 two-member runs stop one member sweeps before the other,
+        # which then runs 1,376 of the 35,930 rounds beside a frozen member
+        assert grid_sweep[4] > 0
+
     def test_the_grid_s_order_2_and_4_solves_take_no_extra_sweeps(self, grid_sweep):
         # 735 sweeps, counted per member: the order-2 halves of the nc quotients and
         # the order-4 halves of nc(2, 2) among them; a first-sweep floor of 1% of the
@@ -647,6 +654,26 @@ class TestStackedRun:
         assert (members, order) == (2, 4) and len(reads[0]) == 1 and len(reads[1]) > 2
         assert {1.0, 2.0, 3.0, 4.0} <= set(values.tolist())  # permuted, never rotated
         assert np.max(np.abs(values - np.linalg.eigvalsh(a))) <= 1e-14 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("stopped", [0, 1, 2])  # first, middle and last
+    def test_a_member_at_its_target_anywhere_in_a_stack_is_frozen(self, stopped):
+        # a stack of three laid out as _diagonal lays out two; the shared target is 1e-12,
+        # and the near-diagonal member starts at 1e-13 sqrt 30 off its diagonal.  Rotated
+        # between its equal diagonal entries, a stopped member in the middle of the stack
+        # would end 5e-13 from the diagonal it reaches alone
+        m = 6
+        members = [random_symmetric(m, seed=seed) for seed in (1, 2, 3)]
+        members = [a / (1.01 * np.max(np.abs(a))) for a in members]  # entries below 1
+        members[stopped] = 0.5 * np.eye(m) + 1e-13 * (np.ones((m, m)) - np.eye(m))
+        work = np.zeros(3 * m * (m + 1) - m)
+        for i, a in enumerate(members):
+            work[i * m * (m + 1) :][: m * m] = a.ravel()
+        eigen._jacobi(work, np.zeros_like(work), m, 0, 1e-12, (0, 0, 0), 1.0)
+        for i, a in enumerate(members):
+            alone = a.flatten()
+            eigen._jacobi(alone, np.empty_like(alone), m, 0, 1e-12, (0,), 1.0)
+            stacked = work[i * m * (m + 1) :][: m * m]
+            assert stacked[:: m + 1].tobytes() == alone[:: m + 1].tobytes()
 
     def test_a_stack_out_of_sweeps_reports_the_failing_member_in_input_units(self, monkeypatch):
         # B + CJ's one coupling sits on the first round's pair and is zeroed in one sweep,
