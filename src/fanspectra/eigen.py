@@ -69,7 +69,6 @@ the one rule that writes it to JSON, leaving out each field that is None.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -78,6 +77,8 @@ import numpy as np
 
 DEFAULT_CONVERGENCE_TOL = 1e-12
 GROUPING_SCALE = 1e-11  # the default group width per unit of max(1, max|v|)
+# Below this max|v|, a group's sum of copies overflows only past 2**64 additions.
+_SUM_SAFE = 2.0**960
 SWEEP_CAP = 100
 # The least gap floor (the working copy's largest entry is in [1/2, 1)): t = 0
 # when a_pq = 0 = a_qq - a_pp, and an a_pq at roundoff level between equal
@@ -242,9 +243,11 @@ def symmetric_eigenvalues(
     stopping rule for the two together; order 2 is solved whole, in one exact
     rotation.  Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
     do not get there, and ValueError for complex or non-finite input,
-    for input with max|a - a^T| above 1e-10 * max|a|, or for a
+    for input with max|a - a^T| above 1e-10 * max|a|, for a
     convergence_tol that is not finite, positive and at most DEFAULT_CONVERGENCE_TOL,
-    the tightness that group_multiplicities' default width assumes.
+    the tightness that group_multiplicities' default width assumes, or for a
+    spectrum that leaves float64 (an eigenvalue of magnitude 2**1024 or more, which
+    finite entries near the largest double can give).
     """
     a = _real_square(matrix)
     # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
@@ -260,6 +263,8 @@ def symmetric_eigenvalues(
     split = n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1])
     values = _diagonal(a, exponent, convergence_tol, 2 if split else 1)
     values.sort()  # after the solver's buffers are freed: sorting allocates
+    if n and math.frexp(max(-values[0], values[-1]))[1] + exponent > 1024:
+        raise ValueError("the spectrum leaves float64: an eigenvalue's magnitude exceeds its largest finite value")
     return np.ldexp(values, exponent, out=values)
 
 
@@ -417,27 +422,30 @@ def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
     A value joins the current group while it lies within grouping_tol of
     the group's first value, so a chain of small gaps cannot grow a group
     past that width.  The representative of each group is its arithmetic
-    mean, its values added left to right from 0.  Raises ValueError unless
-    grouping_tol is finite and non-negative.  Closed forms group by the same
-    loop, _group_atoms, over (value, multiplicity) atoms: no value is listed
-    once per copy, and a mean still adds every copy.
+    mean, its values added left to right from 0; where that sum overflows, it
+    is the sum of v / count over the copies, kept inside the group's range.
+    Raises ValueError unless grouping_tol is finite and non-negative.  Closed
+    forms group by the same loop, _group_atoms, over (value, multiplicity)
+    atoms: no value is listed once per copy, and a mean still adds every copy.
     """
     if grouping_tol is not None:
         _check_tol("grouping_tol", grouping_tol, zero_ok=True)
-    return _group_atoms(list(map(float, values)), itertools.repeat(1), grouping_tol)
+    values = list(map(float, values))
+    return _group_atoms(values, (1,) * len(values), grouping_tol)
 
 
 def _group_atoms(values, counts, grouping_tol: float | None = None) -> Spectrum:
-    """group_multiplicities' rule over ascending values (a list or tuple) with their
-    multiplicities in counts, read in step: a mean adds every copy, left to right
+    """group_multiplicities' rule over ascending values with their multiplicities in
+    counts, both lists or tuples, read in step: a mean adds every copy, left to right
     from 0, since v * k can round differently (0.1 six times adds up to 0.6, and
     0.1 * 6 is 0.6000000000000001).  ValueError for a value not finite or out of order."""
     if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
     if any(map(operator.lt, values[1:], values)):  # some value below the one before it
         raise ValueError("values must be sorted ascending")
-    if grouping_tol is None:  # max|v| is at one end of the sorted values
-        grouping_tol = GROUPING_SCALE * (max(1.0, -values[0], values[-1]) if values else 1.0)
+    big = max(1.0, -values[0], values[-1]) if values else 1.0  # max|v|: at one end
+    if grouping_tol is None:
+        grouping_tol = GROUPING_SCALE * big
     pairs: list[tuple[float, int]] = []
     first, total, count = values[0] if values else 0.0, 0, 0
     for v, k in zip(values, counts):
@@ -451,4 +459,25 @@ def _group_atoms(values, counts, grouping_tol: float | None = None) -> Spectrum:
             k -= 1
     if count:
         pairs.append((total / count, count))
+    if big >= _SUM_SAFE:
+        pairs = _finite_means(pairs, values, counts)
     return Spectrum(tuple(pairs), grouping_tol)
+
+
+def _finite_means(pairs, values, counts) -> list[tuple[float, int]]:
+    """pairs with each infinite mean, a sum of copies that overflowed, replaced by the
+    sum of v / count over the group's copies, held inside the group's range."""
+    fixed, start = [], 0
+    for mean, count in pairs:
+        end, seen = start, 0
+        while seen < count:
+            seen += counts[end]
+            end += 1
+        if not math.isfinite(mean):
+            mean = 0.0
+            for v, k in zip(values[start:end], counts[start:end]):
+                mean += v / count * k
+            mean = min(max(mean, values[start]), values[end - 1])
+        fixed.append((mean, count))
+        start = end
+    return fixed

@@ -22,6 +22,9 @@ edges are read from it.  Graphs are immutable and all operations are pure,
 so values can be shared freely across threads.  A graph's one memo, its
 all-pairs hop distances, is computed at most once: two threads that race
 on first use each store an equal read-only value, so it needs no lock.
+The hops come from one BFS from every source at once, one matrix product
+per level, in which each distance is the count of levels it lies beyond
+(``_hops``).
 """
 
 from __future__ import annotations
@@ -193,32 +196,44 @@ def _hops(g: Graph) -> np.ndarray:
     is exact.  So there is one product per level after the first, stopping
     once every pair is reached (a fan takes 1, an nc graph 2, a complete
     graph none) or at the first empty level, which a disconnected graph
-    needs; at most V - 2 products.  All V sources cost O(diameter * V^3)
-    flops: about 0.14 ms for the 136-vertex nc(34, 34), 0.06 ms for the
-    112-vertex fan(56, 56) and 7 ms for path_graph(128) with one BLAS thread
-    on a 2-vCPU x86-64 machine.
+    needs; at most V - 2 products.
+
+    Each distance is a running count: hops(u, v) is the number of levels
+    l >= 0 with d(u, v) > l.  Levels 0 and 1 are counted from the adjacency,
+    and each later level adds the mask of the pairs still unreached after it,
+    one pass.  A count never passes V - 1, which the dtype holds; the pairs
+    never reached get UNREACHABLE once, at the end.  The two product buffers
+    take turns, and each level's frontier is written over the product it came
+    from.  All V sources cost O(diameter * V^3) flops: about 0.14 ms for the
+    136-vertex nc(34, 34), 0.05 ms for the 112-vertex fan(56, 56) and 6 ms for
+    path_graph(128) with one BLAS thread on a 2-vCPU x86-64 machine.
     """
-    hops = g.adjacency.astype(np.min_scalar_type(-max(g.vertex_count, 1)))
-    hops *= 1 - UNREACHABLE  # 1 where adjacent, UNREACHABLE elsewhere
-    hops += UNREACHABLE
+    unreached = g.adjacency == 0  # the pairs at distance above 1, once the diagonal is cleared
+    unreached.reshape(-1)[:: g.vertex_count + 1] = False
+    # levels 0 and 1 counted: 0 on the diagonal, 1 where adjacent, 2 elsewhere
+    hops = np.add(unreached, 1, dtype=np.min_scalar_type(-max(g.vertex_count, 1)))
     hops.reshape(-1)[:: g.vertex_count + 1] = 0
-    unreached = hops == UNREACHABLE
     left = np.count_nonzero(unreached)
     adjacency = g.adjacency.astype(np.float32)
-    frontier, paths, reached = adjacency.copy(), np.empty_like(adjacency), np.empty_like(unreached)
+    frontier, reached = adjacency, np.empty_like(unreached)
+    buffers = np.empty_like(adjacency), np.empty_like(adjacency)  # each level's product, in turn
     for level in range(2, g.vertex_count):
         if not left:
             break
+        paths = buffers[level % 2]
         np.matmul(frontier, adjacency, out=paths)
         np.greater(paths, 0, out=reached)
         reached &= unreached
         found = np.count_nonzero(reached)
         if not found:
             break
-        hops[reached] = level
         unreached ^= reached
+        hops += unreached  # count this level for every pair beyond it
         left -= found
-        np.copyto(frontier, reached)
+        np.copyto(paths, reached)  # the next frontier, over the product it came from
+        frontier = paths
+    if left:  # disconnected: the pairs never reached
+        np.copyto(hops, UNREACHABLE, where=unreached)
     return hops
 
 

@@ -1,5 +1,6 @@
 """Closed-form spectrum tests with hand-frozen expected multisets."""
 
+import inspect
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stated
+from fanspectra import closed_forms
 from fanspectra.closed_forms import (
     fan_distance_laplacian_as_stated,
     fan_distance_laplacian_spectrum,
@@ -538,6 +540,31 @@ def _skeletons(draw):
     return terms, parts + [([near], 0, 1, draw(st.integers(0, 3)))], quadratics
 
 
+class TestCachedBases:
+    """The path bases each closed form reads, computed once per n."""
+
+    def test_the_bases_are_the_formula_bit_for_bit(self):
+        for n in range(1, 131):
+            cosines = [math.cos(math.pi * j / n) for j in range(1, n)]
+            assert list(map(float.hex, closed_forms._cosines(n))) == list(map(float.hex, cosines))
+            path = [2.0 - 2.0 * math.cos(math.pi * j / n) for j in range(1, n)]
+            assert list(map(float.hex, closed_forms._path_values(n))) == list(map(float.hex, path))
+
+    @pytest.mark.parametrize("base", ["_cosines", "_path_values"])
+    def test_a_base_is_a_tuple_kept_per_n(self, base):
+        get = getattr(closed_forms, base)
+        for n in (1, 2, 64, 130):
+            first = get(n)
+            assert type(first) is tuple and len(first) == n - 1
+            assert get(n) is first
+
+    def test_the_public_forms_stay_plain_functions(self):
+        # the benchmark's span recorder wraps plain module functions
+        for name in ("fan_laplacian_spectrum", "fan_distance_laplacian_spectrum", "nc_laplacian_spectrum",
+                     "nc_distance_laplacian_spectrum", "fan_distance_laplacian_as_stated"):
+            assert inspect.isfunction(getattr(closed_forms, name))
+
+
 class TestAtoms:
     @given(_skeletons())
     @example(([], [([0.1], 0, 1, 3)], []))  # 0.1 three times: a mean of 0.10000000000000002
@@ -560,3 +587,7 @@ class TestAtoms:
     def test_a_value_that_is_not_finite_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             _spectrum("test", [], [([1e308], 0, 10, 1)])
+
+    def test_an_atom_whose_copies_overflow_keeps_a_finite_mean(self):
+        # 1.7e308 added three times is inf; the mean is the value itself
+        assert _spectrum("test", [], [([1.7e308], 0, 1, 3)]).pairs == ((0.0, 1), (1.7e308, 3))

@@ -218,6 +218,26 @@ class TestSymmetricEigenvalues:
             np.testing.assert_allclose(symmetric_eigenvalues(a), [scale, 3 * scale], rtol=1e-9)
         np.testing.assert_array_equal(symmetric_eigenvalues(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.full((2, 2), 1e308),  # eigenvalue 2e308, past the largest double
+            np.full((2, 2), -1e308),
+            np.full((4, 4), 1e308),  # equal to its reversal: solved as two halves
+            1.5e308 * (np.eye(3, k=1) + np.eye(3, k=-1)),  # +-2.1e308 at both ends
+        ],
+        ids=["2x2", "2x2-negative", "4x4-split", "path-3"],
+    )
+    def test_a_spectrum_beyond_float64_is_a_named_error(self, matrix):
+        # before the scaled values are multiplied back, not an overflow warning in ldexp
+        with pytest.raises(ValueError, match="^the spectrum leaves float64"):
+            symmetric_eigenvalues(matrix)
+
+    def test_a_spectrum_at_the_top_of_float64_is_returned(self):
+        np.testing.assert_allclose(symmetric_eigenvalues(np.full((2, 2), 8e307)), [0.0, 1.6e308], atol=1e293)
+        big = np.finfo(float).max
+        assert symmetric_eigenvalues([[big, 0.0], [0.0, -big]]).tolist() == [-big, big]
+
     def test_sweep_cap_failure_carries_diagnostics(self, monkeypatch):
         monkeypatch.setattr(eigen, "SWEEP_CAP", 1)  # read when the solve runs
         a = random_symmetric(8, seed=3)
@@ -705,6 +725,33 @@ class TestGrouping:
         # 13.0, 3.12's compensated sum gives 12.999999999999998
         group = [12.999999999999995, 12.999999999999996, 13.000000000000004]
         assert group_multiplicities(group).pairs == ((13.0, 3),)
+
+    @pytest.mark.parametrize(
+        "values, grouping_tol",
+        [
+            ([1.7e308, 1.7e308], None),
+            ([-1.7e308] * 3, None),
+            ([1e308, 1e308, 1.5e308], None),  # 1.5e308 is a group of its own
+            ([1e308, 1.2e308, 1.7e308], 1e308),
+            ([np.finfo(float).max] * 5, None),
+            ([-np.finfo(float).max, -np.finfo(float).max, 1.0, np.finfo(float).max], 0.0),
+        ],
+    )
+    def test_a_group_whose_sum_overflows_has_a_finite_mean_inside_it(self, values, grouping_tol):
+        # adding the copies left to right overflows; the mean must not
+        spectrum = group_multiplicities(values, grouping_tol)
+        start = 0
+        for mean, count in spectrum.pairs:
+            group = values[start : start + count]
+            assert math.isfinite(mean) and group[0] <= mean <= group[-1]
+            start += count
+        assert start == len(values)
+
+    def test_an_overflowing_group_leaves_the_other_means_and_its_exact_ones_alone(self):
+        assert group_multiplicities([1.7e308, 1.7e308]).pairs == ((1.7e308, 2),)
+        # the 2..6 sweep's group still averages left to right, beside values near the top
+        group = [12.999999999999995, 12.999999999999996, 13.000000000000004]
+        assert group_multiplicities(group + [1.7e308, 1.7e308]).pairs == ((13.0, 3), (1.7e308, 2))
 
     def test_a_chain_of_small_gaps_does_not_merge_past_the_tolerance(self):
         # 101 values 0.4e-6 apart span 40e-6; each gap is within 1e-6

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanspectra import graphs
 from fanspectra.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -67,6 +68,14 @@ def reference_adjacency(order, edges):
 def row_sum_degrees(graph):
     """Vertex degrees as the adjacency's row sums."""
     return adjacency_matrix(graph).sum(axis=1).astype(int).tolist()
+
+
+def sparse_random_graph(seed):
+    """A seeded graph on 2..60 vertices with about 1.5 edges per vertex."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(2, 61))
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    return make_graph(order, [pair for pair in pairs if rng.random() < 3.0 / order])
 
 
 def reference_distances(graph, source):
@@ -334,6 +343,28 @@ class TestTraversal:
         assert np.array_equal(other._distances, g._distances)
         expected = [reference_distances(g, source) for source in range(g.vertex_count)]
         assert other._distances.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "g, dtype",
+        [
+            # sparse, so most are disconnected and have long shortest paths
+            *[(sparse_random_graph(seed), np.int8) for seed in range(24)],
+            *[(random_graph(order, np.random.default_rng(order)), np.int8) for order in (2, 7, 40, 128)],
+            (make_graph(0, []), np.int8),
+            (make_graph(1, []), np.int8),
+            (path_graph(128), np.int8),  # distance 127, the largest int8
+            (path_graph(129), np.int16),
+            (path_graph(256), np.int16),
+            (make_graph(129, [(0, 1)]), np.int16),  # UNREACHABLE written over level counts
+        ],
+        ids=[*(f"sparse{seed}" for seed in range(24)), "G2", "G7", "G40", "G128", "V0", "V1", "P128", "P129",
+             "P256", "V129-one-edge"],
+    )
+    def test_level_counts_match_an_independent_bfs(self, g, dtype):
+        # each hop is the number of levels l >= 0 with d(u, v) > l, UNREACHABLE where no path is
+        hops = graphs._hops(g)
+        assert hops.dtype == dtype and hops.flags.c_contiguous
+        assert hops.tolist() == [reference_distances(g, source) for source in range(g.vertex_count)]
 
     def test_large_order_rows_are_int16(self):
         # order 130 does not fit int8, so the hop rows are int16

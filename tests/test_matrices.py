@@ -253,8 +253,10 @@ class TestDispatch:
 
 
 class TestDiagonalWrites:
-    # each builder but Tr writes its diagonal as one strided assignment on its flat view;
-    # these are the np.fill_diagonal forms it replaced, bit for bit, and Tr's np.diag
+    # each builder takes its row sums as one BLAS product with the ones vector and writes
+    # w times them as one strided multiply on its flat view; these are the x.sum(axis=1)
+    # and np.fill_diagonal forms it replaced, bit for bit, and Tr's np.diag.  nc(64, 64)
+    # has V = 256, and path_graph(256) row sums up to 32,640
     @staticmethod
     def reference(g, kind):
         if kind == "laplacian":
@@ -285,8 +287,10 @@ class TestDiagonalWrites:
             # a transposed or Fortran-ordered input is stored in C order, so the flat view is a view
             graphs.Graph(np.asfortranarray(nc_graph(2, 3).adjacency)),
             graphs.Graph(generalized_fan(3, 4).adjacency.T),
+            nc_graph(64, 64),
+            path_graph(256),
         ],
-        ids=["fan", "nc", "K1", "P5", "nc-fortran", "fan-transposed"],
+        ids=["fan", "nc", "K1", "P5", "nc-fortran", "fan-transposed", "nc64", "P256"],
     )
     @pytest.mark.parametrize(
         "kind",
