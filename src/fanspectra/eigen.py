@@ -36,7 +36,10 @@ sweep has already zeroed, and the sweeps converge only linearly; with the
 floor such a pair gets a rotation near zero, while every other pair gets its
 exact one up to a second-order error.  A rotation shorter than the exact one
 never increases |a_pq|, so the off-norm never grows, and the stopping test
-still bounds the eigenvalue error.
+still bounds the eigenvalue error.  In floating point it stops falling at a
+roundoff floor, about 1e-16 of the scaled matrix; a sweep that does not lower it
+ends the solve at once with a named stall, since a target below that floor is
+never met (SWEEP_CAP stays the backstop).
 
 A matrix of even order 2k >= 4 that equals its reversal a[::-1, ::-1]
 exactly, as every matrix built from an nc graph does (the reversal swaps its
@@ -58,6 +61,10 @@ with the rest but never rotated, and it ends with the diagonal it would reach al
 bit for bit.  Order 2 stays whole: one exact rotation finishes it, and the halves
 would only add their writes.  A matrix solved whole is a stack of one member, so
 every solve has the one setup and teardown of _diagonal around the one _jacobi run.
+That fixed cost, with the checks, is about 17 us for a whole solve and 37 us for a
+split one at orders 2 to 20 (a diagonal input, which runs no sweep; in-process on a
+2-vCPU x86-64 machine); over the 2..12 verify grid the rounds take about 60% of a
+case's 780 us.
 
 ``group_multiplicities`` is the package's one rule for grouping values into
 multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide,
@@ -91,7 +98,8 @@ _UNIT_PHASE.flags.writeable = False
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Raised when the rotation sweeps fail to reach the requested tolerance."""
+    """Raised when the rotation sweeps fail to reach the requested tolerance: at the first
+    sweep that does not lower a member's off-norm (a stall), or after SWEEP_CAP sweeps."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,14 @@ class Spectrum:
         return [v for v, k in self.pairs for _ in range(k)]
 
     def total(self) -> float:
-        return float(_left_sum(v * k for v, k in self.pairs))
+        """The sum of v * k, left to right; where a product or a partial sum of finite pairs
+        overflows, their exactly rounded sum, taken in units of 2**64, which is inf only
+        when the sum itself leaves float64."""
+        total = float(_left_sum(v * k for v, k in self.pairs))
+        if math.isfinite(total) or not all(math.isfinite(v) for v, _ in self.pairs):
+            return total
+        units = math.fsum(math.ldexp(v, -64) * k for v, k in self.pairs)
+        return math.ldexp(units, 64) if abs(units) < 2.0**960 else math.copysign(math.inf, units)
 
 
 def record(value) -> dict:
@@ -174,13 +189,30 @@ def _real_square(matrix) -> np.ndarray:
     return a
 
 
+def _floats(values) -> list[float]:
+    """values as a new list of Python floats: a 1-D float64 array in one tolist, which
+    gives the same floats as one float() per element, anything else one float() each."""
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
+        return values.tolist()
+    return list(map(float, values))
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max|x| (0.0 for an empty x) from its first largest and least entries: a NaN is
+    both, so it shows.  argmax and argmin take no temporary and cost a fraction of a
+    max reduction's call."""
+    if not x.size:
+        return 0.0
+    return max(x.item(x.argmax()), -x.item(x.argmin()))
+
+
 def _sorted_values(spectrum_like) -> list[float]:
     """The one reader of outside spectra: a multiset's values with repeats, or a plain
     sequence's as floats, ascending; ValueError for a NaN, which sorts anywhere, or an inf."""
     if hasattr(spectrum_like, "expanded"):
         values = spectrum_like.expanded()  # already floats, and a new list
     else:
-        values = [float(v) for v in spectrum_like]
+        values = _floats(spectrum_like)
     if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
     values.sort()
@@ -224,10 +256,12 @@ def _off_norm(work: np.ndarray, spare: np.ndarray, m: int, start: int = 0) -> fl
 
 def _check_symmetric(a: np.ndarray, scale: float) -> None:
     """ValueError if max|a - a^T| exceeds 1e-10 * scale, where scale = max|a|.  Holds one
-    V x V temporary: a - a.T would hold two, as numpy copies the transposed operand too."""
+    V x V temporary: a - a.T would hold two, as numpy copies the transposed operand too.
+    a - a^T is antisymmetric, entry for entry (x - y rounds to -(y - x)), so its largest
+    entry is max|a - a^T|."""
     gap = a.T.copy()
     np.subtract(a, gap, out=gap)
-    if float(np.abs(gap, out=gap).max(initial=0.0)) > 1e-10 * scale:
+    if gap.size and gap.item(gap.argmax()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
 
 
@@ -241,8 +275,10 @@ def symmetric_eigenvalues(
     A matrix of even order 4 or more that equals its reversal exactly is
     solved as its two halves B + CJ and B - CJ, in one run and under the same
     stopping rule for the two together; order 2 is solved whole, in one exact
-    rotation.  Raises JacobiConvergenceError with diagnostics if SWEEP_CAP sweeps
-    do not get there, and ValueError for complex or non-finite input,
+    rotation.  Raises JacobiConvergenceError with diagnostics at the first sweep
+    that does not lower the off-norm (it has stalled at its roundoff floor, above
+    the target) or if SWEEP_CAP sweeps do not get there, and ValueError for
+    complex or non-finite input,
     for input with max|a - a^T| above 1e-10 * max|a|, for a
     convergence_tol that is not finite, positive and at most DEFAULT_CONVERGENCE_TOL,
     the tightness that group_multiplicities' default width assumes, or for a
@@ -250,29 +286,23 @@ def symmetric_eigenvalues(
     finite entries near the largest double can give).
     """
     a = _real_square(matrix)
-    # one pass for finiteness and scale: a NaN or inf entry makes the max non-finite
-    scale = float(np.abs(a).max(initial=0.0))
+    # one look for finiteness and scale: a NaN or inf entry makes max|a| non-finite
+    scale = _abs_max(a)
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    _check_convergence_tol(convergence_tol)
+    if convergence_tol != DEFAULT_CONVERGENCE_TOL:  # the default needs no check
+        _check_convergence_tol(convergence_tol)
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
     exponent = math.frexp(scale)[1]
-    n = a.shape[0]
-    split = n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and np.array_equal(a, a[::-1, ::-1])
+    n = len(a)
+    split = n >= 4 and n % 2 == 0 and a[0, 0] == a[-1, -1] and bool((a == a[::-1, ::-1]).all())
     values = _diagonal(a, exponent, convergence_tol, 2 if split else 1)
     values.sort()  # after the solver's buffers are freed: sorting allocates
     if n and math.frexp(max(-values[0], values[-1]))[1] + exponent > 1024:
         raise ValueError("the spectrum leaves float64: an eigenvalue's magnitude exceeds its largest finite value")
     return np.ldexp(values, exponent, out=values)
-
-
-def _stack(buffer: np.ndarray, members: int, m: int) -> np.ndarray:
-    """buffer's members as one (members, m, m) view: member i's rows start at i * m * (m + 1)."""
-    if members == 1:  # the strided constructor leaves a 56-byte buffer record on buffer
-        return buffer.reshape(1, m, m)
-    return np.ndarray((members, m, m), np.float64, buffer, 0, (8 * m * (m + 1), 8 * m, 8))
 
 
 def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int) -> np.ndarray:
@@ -285,22 +315,28 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
     gives Q a Q^T = diag(B + CJ, B - CJ).  Each member is scaled and added to its transpose
     as the whole would be, so B and CJ are taken from a's symmetric part, which the solver
     reads and which equals its reversal too: its top-right block with the columns reversed
-    is the symmetric part of CJ.  Every operand is contiguous and below 1.
+    is the symmetric part of CJ.  Every operand is contiguous and below 1.  Each member is
+    read and written through its own 2-D view, and scaled by a Python int: a strided stack
+    view would leave a buffer record on each buffer, and an int64 exponent array a cast.
     """
-    k = a.shape[0] // members
+    k = len(a) // members
     m = k + k % 2  # an odd order gets a zero row and column, and they stay zero
-    # member 1 starts after m pad entries, at m * (m + 1), a multiple of the pair stride
-    work, spare = np.zeros(members * m * (m + 1) - m), np.zeros(members * m * (m + 1) - m)
-    rows = _stack(work, members, m)
-    rows[0, :k, :k] = a[:k, :k]
-    if members == 2:
-        rows[1, :k, :k] = a[:k, : k - 1 : -1]
-    np.ldexp(work, -1 - exponent, out=work)
-    _stack(spare, members, m)[...] = rows.transpose(0, 2, 1)
-    np.add(work, spare, work)  # the exact symmetric part
+    block = m * (m + 1)  # member 1 starts after m pad entries, a multiple of the pair stride
+    work, spare = np.zeros(members * block - m), np.zeros(members * block - m)
+    b, scratch = work[: m * m].reshape(m, m), spare[: m * m].reshape(m, m)
+    b[:k, :k] = a[:k, :k]
     shifts, off_norm = (0,), None
-    if members == 2:
-        b, cj, scratch = rows[0], rows[1], spare[: m * m].reshape(m, m)
+    if members == 1:
+        np.ldexp(work, -1 - exponent, out=work)
+        scratch[...] = b.T
+        np.add(work, spare, work)  # the exact symmetric part
+    else:
+        cj = work[block:].reshape(m, m)
+        cj[:k, :k] = a[:k, : k - 1 : -1]
+        np.ldexp(work, -1 - exponent, out=work)
+        scratch[...] = b.T
+        spare[block:].reshape(m, m)[...] = cj.T
+        np.add(work, spare, work)  # the exact symmetric part
         # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
         scratch[...] = b
         spare[: m * m : m + 1] = 0.0
@@ -309,15 +345,17 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
         np.subtract(b, cj, scratch)
         np.add(b, cj, b)
         cj[...] = scratch
-        # max |x| as two reductions: np.abs would take a third member-size buffer
-        shifts = tuple(math.frexp(max(float(x.max()), -float(x.min())))[1] for x in (b, cj))
-        np.ldexp(rows, -np.array(shifts)[:, None, None], out=rows)
-        del b, cj, scratch, b_off, cj_all
-    del rows  # only work and spare stay alive through the run
+        shifts = math.frexp(_abs_max(b))[1], math.frexp(_abs_max(cj))[1]
+        np.ldexp(b, -shifts[0], out=b)
+        np.ldexp(cj, -shifts[1], out=cj)
+        del cj, b_off, cj_all
+    del b, scratch  # only work and spare stay alive through the run
     _jacobi(work, spare, m, exponent, convergence_tol, shifts, off_norm)
-    values = work[:: m + 1].reshape(members, m)[:, :k].flatten()  # each member's diagonal in turn
-    if members == 2:
-        np.ldexp(values, np.repeat(shifts, k), out=values)
+    if members == 1:
+        return work[: k * (m + 1) : m + 1].copy()
+    values = np.empty(2 * k)  # each member's diagonal in turn, at its power of two
+    np.ldexp(work[: k * (m + 1) : m + 1], shifts[0], out=values[:k])
+    np.ldexp(work[block :: m + 1][:k], shifts[1], out=values[k:])
     return values
 
 
@@ -342,7 +380,9 @@ def _jacobi(
     round after a member stops, one masked write sets its phases to 1 + 0i, so it is
     permuted with the rest (and each round transposes it) but never rotated, and each
     member of a stack of any size ends with the diagonal it would reach alone, bit for
-    bit.  The diagnostics are in the input's units.
+    bit.  A running member whose off-norm after a sweep is not below its value before
+    it has stalled: the run raises JacobiConvergenceError at once, naming the stall.
+    The diagnostics are in the input's units.
     """
     members, h, block = len(shifts), m // 2, m * (m + 1)
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
@@ -351,41 +391,52 @@ def _jacobi(
     # one pivot u per pair, normalised in place to c + i s; the modulus stays real
     pivot, modulus = np.empty(members * h, np.complex128), np.zeros(members * h, np.complex128)
     gap, twice_apq, norm = pivot.real, pivot.imag, modulus.real
-    gap_floor = np.full(members * h, _GAP_FLOOR)  # the first sweep's: every pair's exact rotation
+    gap_floor = np.empty(members * h)
+    gap_floor.fill(_GAP_FLOOR)  # the first sweep's: every pair's exact rotation
     stopped = np.zeros(members * h, bool)  # the pairs of the members at their target
     # c_0, s_0, c_1, s_1, ...: each member's row of its phase table
-    phase = pivot.view(np.float64).reshape(members, 1, m)
-    # the rounds write the members' rows alone, so the pads stay zero
-    rows_work, rows_spare = _stack(work, members, m), _stack(spare, members, m)
-    work_t = rows_work.transpose(0, 2, 1)
+    phase = pivot.view(np.float64)
+    if members == 1:  # 2-D views: each round's three writes then skip a third axis
+        rows_work, rows_spare = work.reshape(m, m), spare.reshape(m, m)
+    else:  # the rounds write the members' rows alone, so the pads stay zero
+        shape, strides = (members, m, m), (8 * block, 8 * m, 8)
+        rows_work = np.ndarray(shape, np.float64, work, 0, strides)
+        rows_spare = np.ndarray(shape, np.float64, spare, 0, strides)
+        phase = phase.reshape(members, 1, m)
+    work_t = rows_work.swapaxes(-1, -2)
     gather = _round_plan(m, members)
     subtract, add, hypot, copysign, divide, multiply, copyto = (
         np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply, np.copyto
     )
 
-    initial, targets = [], []  # each member's, in its own units
+    # each member's off-norms in its own units: its initial one, and the one before the
+    # last sweep (None once it is at its target); its target is taken anew at each test
+    initial, before = [0.0] * members, [math.inf] * members
     sweeps = 0
     while True:
         running = 0  # the members not yet at their target
         for i in range(members):
-            if sweeps and stopped[i * h]:  # frozen since an earlier sweep; order 0 has no pairs
+            if before[i] is None:  # frozen since an earlier sweep
                 continue
             remaining = _off_norm(work, spare, m, i * block)
             if not sweeps:
-                initial.append(remaining)
-                reference = remaining if off_norm is None else math.ldexp(off_norm, -shifts[i])
-                targets.append(convergence_tol * reference)
-            if remaining <= targets[i]:
+                initial[i] = remaining
+            target = convergence_tol * (initial[i] if off_norm is None else math.ldexp(off_norm, -shifts[i]))
+            if remaining <= target:
+                before[i] = None
                 stopped[i * h : (i + 1) * h] = True
                 continue
-            if sweeps == SWEEP_CAP:
+            stalled = remaining >= before[i]  # the last sweep did not lower it: roundoff's floor
+            if stalled or sweeps == SWEEP_CAP:
                 units = exponent + shifts[i]
+                stall = f" stalled ({math.ldexp(before[i], units):.3e} before sweep {sweeps})"
                 raise JacobiConvergenceError(
-                    f"no convergence after {SWEEP_CAP} sweeps: "
-                    f"off-diagonal norm {math.ldexp(remaining, units):.3e}, "
-                    f"target {math.ldexp(targets[i], units):.3e} "
+                    f"no convergence after {sweeps} sweeps: "
+                    f"off-diagonal norm {math.ldexp(remaining, units):.3e}{stall if stalled else ''}, "
+                    f"target {math.ldexp(target, units):.3e} "
                     f"(initial {math.ldexp(initial[i], units):.3e})"
                 )
+            before[i] = remaining
             if sweeps:  # the floor of member i's pairs in the next sweep
                 floor = max(_GAP_FLOOR, _FLOOR_SHARE * remaining)
                 gap_floor[i * h : (i + 1) * h].fill(floor)
@@ -430,7 +481,7 @@ def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
     """
     if grouping_tol is not None:
         _check_tol("grouping_tol", grouping_tol, zero_ok=True)
-    values = list(map(float, values))
+    values = _floats(values)
     return _group_atoms(values, (1,) * len(values), grouping_tol)
 
 

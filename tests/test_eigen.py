@@ -193,6 +193,17 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(a)
         assert np.array_equal(symmetric_eigenvalues(np.empty((0, 0))), [])
 
+    @pytest.mark.parametrize("position", range(9))
+    def test_the_scale_is_the_largest_magnitude_in_any_layout(self, position):
+        # read off argmax and argmin, which stop at the first NaN wherever it sits
+        a = np.arange(9.0).reshape(3, 3) - 4.0
+        a.flat[position] = -9.0
+        for x in (a, a.T, a[::-1, ::-1], np.asfortranarray(a), a[:, 1:]):
+            assert eigen._abs_max(x) == float(np.abs(x).max())
+        a.flat[position] = math.nan
+        assert math.isnan(eigen._abs_max(a)) and math.isnan(eigen._abs_max(a.T))
+        assert eigen._abs_max(np.empty((0, 0))) == 0.0
+
     @pytest.mark.parametrize(
         "matrix",
         [
@@ -243,6 +254,44 @@ class TestSymmetricEigenvalues:
         a = random_symmetric(8, seed=3)
         with pytest.raises(JacobiConvergenceError, match="^no convergence after 1 sweeps: off-diagonal norm"):
             symmetric_eigenvalues(a)
+
+    def test_a_sweep_that_does_not_lower_the_off_norm_stops_the_solve(self, monkeypatch):
+        # an off-norm no lower than before the sweep is a stall, even when equal to it
+        monkeypatch.setattr(eigen, "_off_norm", lambda work, spare, m, start=0: 1.0)
+        with pytest.raises(JacobiConvergenceError) as caught:
+            symmetric_eigenvalues(random_symmetric(8, seed=3))
+        assert re.match(
+            r"no convergence after 1 sweeps: off-diagonal norm \S+ stalled \(\S+ before sweep 1\), "
+            r"target \S+ \(initial \S+\)$",
+            str(caught.value),
+        )
+
+    @pytest.mark.parametrize(
+        "family, m, n, split",
+        [
+            (generalized_fan, 2, 3, False),
+            (nc_graph, 2, 2, True),
+            (nc_graph, 9, 7, True),
+            (generalized_fan, 16, 16, False),
+        ],
+    )
+    def test_a_tolerance_below_roundoff_stalls_long_before_the_cap(self, monkeypatch, family, m, n, split):
+        # the off-norm reaches its roundoff floor and stops falling: no sweep after that
+        # can meet a 1e-300 target, so the first one that does not lower it ends the solve
+        a = laplacian_matrix(family(m, n))
+        runs = record_runs(monkeypatch)
+        with pytest.raises(JacobiConvergenceError) as caught:
+            symmetric_eigenvalues(a, convergence_tol=1e-300)
+        [(members, _, reads)] = runs
+        assert members == (2 if split else 1)
+        sweeps = int(re.match(r"no convergence after (\d+) sweeps: ", str(caught.value)).group(1))
+        assert 1 <= sweeps < eigen.SWEEP_CAP // 4 and " stalled (" in str(caught.value)
+        assert max(len(seen) for seen in reads.values()) - 1 == sweeps
+        initial = float(re.search(r"initial ([-+.e0-9]+)", str(caught.value)).group(1))
+        norm = float(re.search(r"off-diagonal norm ([-+.e0-9]+)", str(caught.value)).group(1))
+        assert norm <= 1e-12 * initial  # converged as far as roundoff lets it
+        # the default target is met on the way down, so the same matrix converges
+        assert np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12, 0.0, -0.0])
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
@@ -855,6 +904,29 @@ class TestSpectrumType:
     def test_a_total_adds_left_to_right_on_every_python(self):
         # (0.1 + 0.2) + 0.3 rounds twice; a compensated sum (CPython 3.12's) gives 0.6
         assert Spectrum(((0.1, 1), (0.2, 1), (0.3, 1))).total() == 0.6000000000000001
+
+    def test_a_total_of_finite_pairs_whose_products_overflow_is_their_sum(self):
+        # -inf + inf was nan: each product leaves float64, their sum does not
+        spectrum = group_multiplicities([-1.7e308, -1.7e308, 1.7e308, 1.7e308])
+        assert spectrum.pairs == ((-1.7e308, 2), (1.7e308, 2))
+        assert spectrum.total() == 0.0
+        assert Spectrum(((-1.7e308, 2), (1e308, 1), (1.7e308, 1))).total() == 1e308 - 1.7e308
+        big = float(np.finfo(float).max)
+        assert Spectrum(((big, 1), (big, 1), (-big, 1))).total() == big  # a partial sum overflows
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((1.7e308, 2),), ((-1.7e308, 2),), ((1e308, 1), (1.7e308, 1)), ((float(np.finfo(float).max), 3),)],
+    )
+    def test_a_total_that_leaves_float64_is_infinite(self, pairs):
+        expected = math.copysign(math.inf, pairs[0][0])
+        assert Spectrum(pairs).total() == expected
+        assert group_multiplicities([v for v, k in pairs for _ in range(k)]).total() == expected
+
+    def test_a_total_of_an_infinite_or_nan_value_is_not_redone(self):
+        assert Spectrum(((-math.inf, 1), (1.0, 1))).total() == -math.inf
+        assert math.isnan(Spectrum(((-math.inf, 1), (math.inf, 1))).total())
+        assert math.isnan(Spectrum(((math.nan, 1),)).total())
 
     def test_closed_and_numeric_spectra_share_the_multiset_members(self):
         closed = Spectrum(((0.0, 1), (2.0, 2)), source="test", errata_notes=())

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fanspectra import quotient, verify
 from fanspectra.closed_forms import fan_distance_laplacian_as_stated, fan_laplacian_spectrum
 from fanspectra.eigen import Spectrum, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan
@@ -68,6 +69,17 @@ class TestContainment:
             quotient = Spectrum(((0.0, 1), (value, 2)))
             assert _contained(quotient, self.FULL, tol=0.25) is contained
 
+    def test_the_nearest_full_values_decide_as_every_full_value_does(self):
+        # the two values either side of where a quotient value sorts in, against the
+        # minimum distance to every value; dyadic values make many distances exactly tol
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            full = np.sort(rng.integers(-8, 9, int(rng.integers(1, 9))) / 4.0)
+            values = rng.integers(-10, 11, int(rng.integers(1, 4))) / 8.0
+            quotient_spectrum = Spectrum(tuple((v, 1) for v in np.unique(values).tolist()))
+            expected = bool(np.abs(np.subtract.outer(values, full)).min(axis=1).max() <= 0.25)
+            assert _contained(quotient_spectrum, full, tol=0.25) is expected
+
     def test_an_empty_quotient_is_contained(self):
         assert _contained(Spectrum(()), self.FULL, tol=0.25) is True
 
@@ -91,6 +103,41 @@ class TestVerifyCase:
         expected = sorted([0.0, 12.0, 12.0, 16 - 2 * 2**0.5, 14.0, 14.0, 16.0, 16 + 2 * 2**0.5])
         np.testing.assert_allclose(sorted(report.closed_form.expanded()), expected, atol=1e-9)
         assert report.errata_flags
+
+    @pytest.mark.parametrize("family, m, n", [("fan", 3, 4), ("nc", 3, 2)])
+    @pytest.mark.parametrize("kind", ["laplacian", "distance-laplacian"])
+    def test_a_case_runs_every_stage_once(self, monkeypatch, family, m, n, kind):
+        # each public call a case makes, counted at the binding it goes through, so that
+        # no stage of the check can drop out unseen; two solves: the matrix and its quotient
+        graph = {"fan": "generalized_fan", "nc": "nc_graph"}[family]
+        form = f"{family}_{kind.replace('-', '_')}_spectrum"
+        stages = {
+            (verify, graph): 1,
+            (verify, f"{family}_partition"): 1,
+            (verify, "build_matrix"): 1,
+            (verify, form): 1,
+            (verify, "symmetric_eigenvalues"): 1,
+            (quotient, "symmetric_eigenvalues"): 1,
+            (verify, "group_multiplicities"): 1,
+            (quotient, "group_multiplicities"): 1,
+            (verify, "compare_spectra"): 1,
+            (verify, "quotient_eigenvalues"): 1,
+            (quotient, "is_equitable"): 1,
+        }
+        calls = dict.fromkeys(stages, 0)
+
+        def counted(key, function):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        for module, name in stages:
+            monkeypatch.setattr(module, name, counted((module, name), getattr(module, name)))
+        report = verify_case(family, m, n, kind)
+        assert report.passed and calls == stages
+        assert calls[verify, "symmetric_eigenvalues"] + calls[quotient, "symmetric_eigenvalues"] == 2
 
     def test_an_nc_case_peaks_below_three_matrices(self):
         # order 48; a symmetry check that held two V x V temporaries took it to 59,642 B
