@@ -104,14 +104,6 @@ def _case(args) -> dict:
     return {"family": args.family, "m": args.m, "n": args.n, "kind": args.kind}
 
 
-def _group_deviations(closed, raw: list[float]) -> list[float]:
-    """Per closed-form group, the max gap against the solver's ascending values
-    at the same sorted positions."""
-    gaps = [abs(c - v) for c, v in zip(closed.expanded(), raw)]
-    ends = itertools.accumulate(k for _, k in closed.pairs)
-    return [max(gaps[end - k : end]) for (_, k), end in zip(closed.pairs, ends)]
-
-
 def _cmd_spectrum(args) -> int:
     graph = FAMILIES[args.family].graph(args.m, args.n)
     payload = {**_case(args), "mode": args.mode}
@@ -131,9 +123,10 @@ def _cmd_spectrum(args) -> int:
         _print(json.dumps(payload))
         return 0
 
-    # one row per closed-form group when there is a closed form
+    # one row per closed-form group when there is a closed form, in both mode with its deviation
     pairs = (numeric if closed is None else closed).pairs
-    deviations = _group_deviations(closed, raw) if both else [None] * len(pairs)
+    ends = itertools.accumulate(k for _, k in pairs)
+    deviations = [compare_spectra([v] * k, raw[end - k : end]) if both else None for (v, k), end in zip(pairs, ends)]
     if args.format == "csv":
         _print("value,multiplicity" + (",deviation" if both else ""))
         for (v, k), d in zip(pairs, deviations):

@@ -29,7 +29,7 @@ part's nonzero-slot eigenvalues, the path's nonzero Laplacian eigenvalues
 2 - 2 cos(pi j / n), or, for the fan distance Laplacian, cos(pi j / n).  The
 two path bases are tuples computed once per n, by ``_path_values`` and
 ``_cosines`` behind a bounded lru_cache (256 orders), so a form evaluated
-again at the same n reads them (22-37 us a form at matrix-family sizes).
+again at the same n reads them.
 Only private helpers are cached: the public forms stay plain functions,
 which a tracer can rebind.
 Only the skeleton turns integers into doubles (no symbolic layer).  It

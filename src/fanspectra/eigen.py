@@ -61,10 +61,6 @@ with the rest but never rotated, and it ends with the diagonal it would reach al
 bit for bit.  Order 2 stays whole: one exact rotation finishes it, and the halves
 would only add their writes.  A matrix solved whole is a stack of one member, so
 every solve has the one setup and teardown of _diagonal around the one _jacobi run.
-That fixed cost, with the checks, is about 17 us for a whole solve and 37 us for a
-split one at orders 2 to 20 (a diagonal input, which runs no sweep; in-process on a
-2-vCPU x86-64 machine); over the 2..12 verify grid the rounds take about 60% of a
-case's 780 us.
 
 ``group_multiplicities`` is the package's one rule for grouping values into
 multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide,
@@ -121,13 +117,10 @@ class Spectrum:
 
     def total(self) -> float:
         """The sum of v * k, left to right; where a product or a partial sum of finite pairs
-        overflows, their exactly rounded sum, taken in units of 2**64, which is inf only
-        when the sum itself leaves float64."""
+        overflows, their _exact_sum, which is inf only when the sum itself leaves float64."""
         total = float(_left_sum(v * k for v, k in self.pairs))
-        if math.isfinite(total) or not all(math.isfinite(v) for v, _ in self.pairs):
-            return total
-        units = math.fsum(math.ldexp(v, -64) * k for v, k in self.pairs)
-        return math.ldexp(units, 64) if abs(units) < 2.0**960 else math.copysign(math.inf, units)
+        overflowed = not math.isfinite(total) and all(math.isfinite(v) for v, _ in self.pairs)
+        return _exact_sum(self.pairs) if overflowed else total
 
 
 def record(value) -> dict:
@@ -142,8 +135,23 @@ def _left_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
+def _exact_sum(pairs, count: int = 1) -> float:
+    """The sum of v * k over finite (value, multiplicity) pairs, divided by count and rounded
+    once (+-inf past float64): the one fallback where a left-to-right sum overflows.  Each
+    double is a whole number of units of 2**-1074, and Python divides two ints exactly rounded."""
+    # as_integer_ratio's denominator d is a power of two, 2**(d.bit_length() - 1)
+    units = sum(k * n << 1075 - d.bit_length() for v, k in pairs for n, d in [v.as_integer_ratio()])
+    try:
+        return units / (count << 1074)
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
+
+
 def _check_tol(name: str, value: float, zero_ok: bool) -> None:
-    """ValueError unless value is finite and positive (or zero, when zero_ok)."""
+    """ValueError unless value is finite and positive (or zero, when zero_ok), and not a
+    bool, which would pass as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
 
@@ -258,7 +266,10 @@ def _check_symmetric(a: np.ndarray, scale: float) -> None:
     """ValueError if max|a - a^T| exceeds 1e-10 * scale, where scale = max|a|.  Holds one
     V x V temporary: a - a.T would hold two, as numpy copies the transposed operand too.
     a - a^T is antisymmetric, entry for entry (x - y rounds to -(y - x)), so its largest
-    entry is max|a - a^T|."""
+    entry is max|a - a^T|.  That can overflow only when scale is 2**1023 or more: then
+    half of a is checked, against half the bound, in one more temporary."""
+    if scale >= 2.0**1023:
+        a, scale = a * 0.5, scale * 0.5
     gap = a.T.copy()
     np.subtract(a, gap, out=gap)
     if gap.size and gap.item(gap.argmax()) > 1e-10 * scale:
@@ -474,7 +485,7 @@ def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
     the group's first value, so a chain of small gaps cannot grow a group
     past that width.  The representative of each group is its arithmetic
     mean, its values added left to right from 0; where that sum overflows, it
-    is the sum of v / count over the copies, kept inside the group's range.
+    is the exactly rounded mean, which lies inside the group's range.
     Raises ValueError unless grouping_tol is finite and non-negative.  Closed
     forms group by the same loop, _group_atoms, over (value, multiplicity)
     atoms: no value is listed once per copy, and a mean still adds every copy.
@@ -511,24 +522,20 @@ def _group_atoms(values, counts, grouping_tol: float | None = None) -> Spectrum:
     if count:
         pairs.append((total / count, count))
     if big >= _SUM_SAFE:
-        pairs = _finite_means(pairs, values, counts)
+        _finite_means(pairs, values, counts)
     return Spectrum(tuple(pairs), grouping_tol)
 
 
-def _finite_means(pairs, values, counts) -> list[tuple[float, int]]:
-    """pairs with each infinite mean, a sum of copies that overflowed, replaced by the
-    sum of v / count over the group's copies, held inside the group's range."""
-    fixed, start = [], 0
-    for mean, count in pairs:
+def _finite_means(pairs, values, counts) -> None:
+    """Replace in pairs each infinite mean, a sum of copies that overflowed, by the group's
+    exactly rounded mean, _exact_sum: it lies inside the group's range, as the exact mean
+    does, since rounding to the nearest double never passes a double."""
+    start = 0
+    for group, (mean, count) in enumerate(pairs):
         end, seen = start, 0
         while seen < count:
             seen += counts[end]
             end += 1
         if not math.isfinite(mean):
-            mean = 0.0
-            for v, k in zip(values[start:end], counts[start:end]):
-                mean += v / count * k
-            mean = min(max(mean, values[start]), values[end - 1])
-        fixed.append((mean, count))
+            pairs[group] = _exact_sum(zip(values[start:end], counts[start:end]), count), count
         start = end
-    return fixed

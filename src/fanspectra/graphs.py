@@ -204,9 +204,7 @@ def _hops(g: Graph) -> np.ndarray:
     one pass.  A count never passes V - 1, which the dtype holds; the pairs
     never reached get UNREACHABLE once, at the end.  The two product buffers
     take turns, and each level's frontier is written over the product it came
-    from.  All V sources cost O(diameter * V^3) flops: about 0.14 ms for the
-    136-vertex nc(34, 34), 0.05 ms for the 112-vertex fan(56, 56) and 6 ms for
-    path_graph(128) with one BLAS thread on a 2-vCPU x86-64 machine.
+    from.  All V sources cost O(diameter * V^3) flops.
     """
     unreached = g.adjacency == 0  # the pairs at distance above 1, once the diagonal is cleared
     unreached.reshape(-1)[:: g.vertex_count + 1] = False

@@ -11,10 +11,9 @@ and raises DisconnectedGraphError otherwise.  Distances come from one
 level-synchronous BFS from all sources at once: level 1 is the adjacency,
 then one float32 V x V BLAS product per level after the first, stopping
 once every pair is reached, and each distance is the count of levels it
-lies beyond, one mask added per level.  So building D costs
-O(diameter * V^3) flops: about 0.14 ms for nc(34, 34) (2 products), 0.05 ms
-for fan(56, 56) (1 product) and about 6 ms for path_graph(128), whose
-diameter is 127.  The connectivity check is one min over row 0.
+lies beyond, one mask added per level.  So building D takes diameter - 1
+products, O(diameter * V^3) flops: 1 for a fan, 2 for an nc graph and 126
+for path_graph(128).  The connectivity check is one min over row 0.
 
 A and D are float64 copies of the graph's two read-only arrays: its 0/1
 adjacency and the hop matrix that the BFS fills once per graph.  Every
@@ -29,8 +28,7 @@ of addition, whatever the BLAS kernel, gives the doubles x.sum(axis=1) gives.
 The diagonal is one strided multiply into the flat view, as np.fill_diagonal
 writes after its checks; that is a view because Graph stores its adjacency
 in C order, and astype keeps it.  So each of those kinds makes three
-passes over V x V doubles, the copy, the product and the scaling: about
-16-22 us a kind at nc(34, 34).
+passes over V x V doubles, the copy, the product and the scaling.
 
 ``build_matrix`` dispatches all seven kinds through one table whose
 entries look the builder names up when they run, so a builder rebound on

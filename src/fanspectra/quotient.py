@@ -7,10 +7,7 @@ the entries of block M_ij) / |block i|.  The partition is equitable when
 every row inside a block has the same sum toward every other block, up to
 EQUITABLE_TOL * max|m_ij|; then the quotient's eigenvalues are among M's.
 ``quotient_eigenvalues`` checks equitability once and then takes the row sums
-without their checks; on fan(6, 6)'s Laplacian it costs about 57 us, and on
-nc(6, 6)'s about 85 us, of which the 2 x 2 solve, or the split 4 x 4 one, is
-about 17 or 37 us of fixed cost and one round (in-process, a 2-vCPU x86-64
-machine).
+without their checks.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import (
-    Spectrum, _abs_max, _check_integers, _check_symmetric, _real_square,
+    Spectrum, _abs_max, _check_sizes, _check_symmetric, _real_square,
     group_multiplicities, symmetric_eigenvalues,
 )
 
@@ -109,13 +106,13 @@ def _consecutive(*sizes: int) -> list[range]:
 
 def fan_partition(m: int, n: int) -> Partition:
     """Path block then hub block, matching the fan's vertex ordering."""
-    m, n = _check_integers(m=m, n=n)
+    m, n = _check_sizes("fan_partition", 1, m=m, n=n)
     return Partition(_consecutive(n, m))
 
 
 def nc_partition(m: int, n: int) -> Partition:
     """Four blocks: first path, first hubs, second hubs, second path."""
-    m, n = _check_integers(m=m, n=n)
+    m, n = _check_sizes("nc_partition", 2, m=m, n=n)
     return Partition(_consecutive(n, m, m, n))
 
 

@@ -8,7 +8,8 @@ length n.  The keys used here are the true (m, n).
 
 ``reproduce_*`` recomputes every cell (adjacency numerically, Laplacian
 from the closed form), rounds to two decimals half away from zero, and
-compares against the reference values with a 0.01 slack.  Cells that
+compares against the reference values with a 0.01 slack, by the rule that
+``verify.compare_spectra`` applies.  Cells that
 disagree get an erratum note; two reference cells are known to fail
 (the n = 3 Laplacian row of the first table and the Laplacian row of
 the (2, 2) generalized fan, whose reference values are the 4-cycle's).
@@ -23,6 +24,7 @@ from .closed_forms import fan_laplacian_spectrum
 from .eigen import _left_sum, symmetric_eigenvalues
 from .graphs import generalized_fan
 from .matrices import adjacency_matrix
+from .verify import _largest_gap
 
 MATCH_SLACK = 0.01 + 1e-9
 
@@ -74,15 +76,11 @@ class RowCheck:
 def _check_cell(reference, computed_exact, trace: float) -> CellCheck:
     reference = tuple(sorted(float(v) for v in reference))
     computed = tuple(sorted(round_half_away(v) for v in computed_exact))
-    ok = len(reference) == len(computed) and all(
-        abs(r - c) <= MATCH_SLACK for r, c in zip(reference, computed)
+    ok = len(reference) == len(computed) and _largest_gap(reference, computed) <= MATCH_SLACK
+    note = "" if ok else (
+        f"reference values {list(reference)} (sum {_left_sum(reference):g}) disagree with "
+        f"the recomputed values {list(computed)} (matrix trace {trace:g})"
     )
-    note = ""
-    if not ok:
-        note = (
-            f"reference values {list(reference)} (sum {_left_sum(reference):g}) disagree with "
-            f"the recomputed values {list(computed)} (matrix trace {trace:g})"
-        )
     return CellCheck(reference, computed, ok, note)
 
 

@@ -5,6 +5,7 @@ rotation kernel itself; everything downstream of this module relies on
 the Jacobi solver alone.
 """
 
+import fractions
 import itertools
 import json
 import math
@@ -802,6 +803,28 @@ class TestGrouping:
         group = [12.999999999999995, 12.999999999999996, 13.000000000000004]
         assert group_multiplicities(group + [1.7e308, 1.7e308]).pairs == ((13.0, 3), (1.7e308, 2))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # adding v / count over the copies rounds to 1.4752323030512927e+308 here, one ulp low
+            [1.1633321407921532e308, 1.4300846387713586e308, 1.5406375886550726e308, 1.7668748439865867e308],
+            [1.0072409213272559e308, 1.0144106662179157e308, 1.292068737931468e308, 1.4614266180557632e308,
+             1.6283000712547944e308],
+            [-np.finfo(float).max, -np.finfo(float).max, -1.5e308],
+            [1e308, 1e308 + 2**971, 1e308 + 2**972],
+        ],
+    )
+    def test_an_overflowing_group_mean_is_exactly_rounded(self, values):
+        exact = float(sum(map(fractions.Fraction, values)) / len(values))
+        assert group_multiplicities(values, grouping_tol=1e308).pairs == ((exact, len(values)),)
+
+    def test_an_overflowing_atom_group_mean_is_exactly_rounded(self):
+        # adding v / count over the copies rounds to 1.5883827718576325e+308 here, one ulp low
+        values, counts = [1.4570454899652414e308, 1.6098217228913398e308, 1.6982811027163166e308], [3, 3, 3]
+        exact = float(sum(fractions.Fraction(v) * k for v, k in zip(values, counts)) / 9)
+        assert exact == 1.5883827718576327e308
+        assert eigen._group_atoms(values, counts, 1e308).pairs == ((exact, 9),)
+
     def test_a_chain_of_small_gaps_does_not_merge_past_the_tolerance(self):
         # 101 values 0.4e-6 apart span 40e-6; each gap is within 1e-6
         values = [i * 4e-7 for i in range(101)]
@@ -854,6 +877,12 @@ class TestGrouping:
     def test_grouping_tol_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="^grouping_tol must be finite and non-negative$"):
             group_multiplicities([1.0, 2.0], grouping_tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, False, np.True_, np.False_])
+    def test_a_bool_grouping_tol_is_rejected(self, tol):
+        # True once merged 1.0, 1.5 and 1.9 into one value of multiplicity 3
+        with pytest.raises(ValueError, match="^grouping_tol must be a number, got "):
+            group_multiplicities([1.0, 1.5, 1.9], grouping_tol=tol)
 
     def test_zero_grouping_tol_merges_exact_duplicates_only(self):
         spectrum = group_multiplicities([1.0, 1.0, 1.0 + 1e-15], grouping_tol=0.0)

@@ -177,9 +177,23 @@ class TestPartitionValidation:
         assert build(integer(70), integer(70)) == build(70, 70)
 
     def test_canonical_partitions_reject_an_empty_block(self):
-        for build in (fan_partition, nc_partition):
-            with pytest.raises(ValueError, match="^partition blocks must be nonempty$"):
+        # a zero size would leave a block empty: the size rule names it first
+        for build, least in ((fan_partition, 1), (nc_partition, 2)):
+            message = f"^{build.__name__} requires m >= {least} and n >= {least}$"
+            with pytest.raises(ValueError, match=message):
                 build(0, 2)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (1, 1), (0, 3), (-1, 2)])
+    def test_canonical_partitions_follow_their_graph_builders_size_rule(self, m, n):
+        # nc(1, 3) has no graph, so it has no canonical partition either
+        for build, graph in ((fan_partition, generalized_fan), (nc_partition, nc_graph)):
+            try:
+                graph(m, n)
+            except ValueError:
+                with pytest.raises(ValueError, match=f"^{build.__name__} requires m >= "):
+                    build(m, n)
+            else:
+                assert build(m, n).block_sizes[:2] == (n, m)
 
 
 class TestQuotientMatrix:
@@ -396,6 +410,10 @@ class TestQuotientEigenvalues:
         [
             [[0.0, 1.0], [0.0, 0.0]],  # eigenvalues 0, 0; its upper triangle's are -1, 1
             [[2.0, 1.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # 3, -1, 1; its upper triangle's are 1 -+ sqrt 2, 1
+            # a - a^T overflows: rejected all the same, with no overflow warning first
+            [[0.0, 1e308], [-1e308, 0.0]],
+            [[1.7e308, 1e308], [-1e308, 1.7e308]],
+            [[0.0, -np.finfo(float).max], [np.finfo(float).max, 0.0]],
         ],
     )
     def test_a_non_symmetric_matrix_is_rejected(self, matrix):
@@ -404,6 +422,13 @@ class TestQuotientEigenvalues:
         for call in (symmetric_eigenvalues, lambda a: quotient_eigenvalues(a, partition)):
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):
                 call(matrix)
+
+    @pytest.mark.parametrize("grouping_tol", [True, False, np.True_])
+    def test_a_bool_grouping_tol_is_rejected(self, grouping_tol):
+        # True would pass as a width of 1.0
+        matrix = laplacian_matrix(generalized_fan(2, 3))
+        with pytest.raises(ValueError, match="^grouping_tol must be a number, got "):
+            quotient_eigenvalues(matrix, fan_partition(2, 3), grouping_tol=grouping_tol)
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=20, deadline=None)

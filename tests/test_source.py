@@ -48,3 +48,22 @@ def test_every_private_module_level_name_is_loaded_outside_its_definition():
         and not any(name in seen for other, seen in zip(statements, loads) if other is not statement)
     ]
     assert unused == []
+
+
+def test_every_name_a_module_imports_is_used_in_that_module():
+    # a fold that drops the last use of an import leaves the import behind; the package's
+    # __init__ imports names only to re-export them
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -167,6 +167,14 @@ class TestVerifyCase:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             sweep((2, 3), (2, 3), tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, np.True_, False])
+    def test_a_bool_tolerance_is_rejected(self, tol):
+        # True would judge the case at a tolerance of 1.0
+        with pytest.raises(ValueError, match="^tol must be a number, got "):
+            verify_case("fan", 2, 3, "laplacian", tol=tol)
+        with pytest.raises(ValueError, match="^tol must be a number, got "):
+            sweep((2, 3), (2, 3), tol=tol)
+
 
 class TestCaseTable:
     def test_case_kinds_order(self):
