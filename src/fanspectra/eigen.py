@@ -5,7 +5,7 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 14 array calls (8 build the rotations, 6 apply them),
+is a fixed sequence of 13 array calls (7 build the rotations, 6 apply them),
 and one masked write once a member of a stack has stopped (below), into
 buffers made once per solve, with its ufuncs bound once per solve and the
 gather cached once per order, so it allocates nothing.  At the orders
@@ -16,9 +16,10 @@ Loan, symSchur2), read off one complex pivot per pair,
 u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq with d = a_qq - a_pp
 and the gap floor f below, whose Im u / Re u is the tangent that zeroes a_pq:
 d and 2 a_pq are written through the real and imaginary views of one buffer,
-and one complex divide by hypot(Re u, Im u) + 0i normalises u in place to
-c + i s (np.hypot on the two views: np.absolute on the complex array rounds
-less accurately).  When d < 0 that is
+and one np.sign call normalises u in place to c + i s: for complex input numpy
+2.0 and later define it as u / |u|, each part divided by hypot(Re u, Im u), the
+correctly rounded phase (np.absolute on the complex array rounds less
+accurately), and the gap floor keeps Re u away from zero.  When d < 0 that is
 -(c + i s), and -J gives the same J^T A J.  The pivots' float view is the
 phase row c_0, s_0, c_1, s_1, ....  Read as complex128, row r of a matrix
 holds the numbers A[r, 2i] + i A[r, 2i+1], so A J is that view times
@@ -50,7 +51,7 @@ the halves cost about a quarter of the whole, and since a round costs its calls,
 the two run as one stack of two members, each scaled by its own power of two.
 Member 1 starts after m pad entries, at m(m + 1), a multiple of the pair stride:
 every pair's a_pp, a_pq and a_qq, in both members, lie on the one stride 2(m + 1),
-so the eight pivot calls stay 1-D, and the two complex products run over each
+so the seven pivot calls stay 1-D, and the two complex products run over each
 whole flat buffer, in which the pads stay zero and the gather maps each pad entry
 to itself.  The stopping rule is the whole matrix's: each member stops at
 convergence_tol times the whole's initial off-norm over sqrt 2, so the two
@@ -399,9 +400,9 @@ def _jacobi(
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next, across members too
     app, apq, aqq = work[::step], work[1::step], work[m + 1 :: step]
-    # one pivot u per pair, normalised in place to c + i s; the modulus stays real
-    pivot, modulus = np.empty(members * h, np.complex128), np.zeros(members * h, np.complex128)
-    gap, twice_apq, norm = pivot.real, pivot.imag, modulus.real
+    # one pivot u per pair, normalised in place to c + i s, and a real scratch row
+    pivot, norm = np.empty(members * h, np.complex128), np.empty(members * h)
+    gap, twice_apq = pivot.real, pivot.imag
     gap_floor = np.empty(members * h)
     gap_floor.fill(_GAP_FLOOR)  # the first sweep's: every pair's exact rotation
     stopped = np.zeros(members * h, bool)  # the pairs of the members at their target
@@ -416,8 +417,8 @@ def _jacobi(
         phase = phase.reshape(members, 1, m)
     work_t = rows_work.swapaxes(-1, -2)
     gather = _round_plan(m, members)
-    subtract, add, hypot, copysign, divide, multiply, copyto = (
-        np.subtract, np.add, np.hypot, np.copysign, np.divide, np.multiply, np.copyto
+    subtract, add, hypot, copysign, sign, multiply, copyto = (
+        np.subtract, np.add, np.hypot, np.copysign, np.sign, np.multiply, np.copyto
     )
 
     # each member's off-norms in its own units: its initial one, and the one before the
@@ -464,8 +465,7 @@ def _jacobi(
             hypot(norm, gap_floor, norm)
             copysign(norm, gap, norm)
             add(gap, norm, gap)
-            hypot(gap, twice_apq, norm)
-            divide(pivot, modulus, pivot)  # c + i s, or -(c + i s): the same J^T A J
+            sign(pivot, pivot)  # u / |u|: c + i s, or -(c + i s), the same J^T A J
             if frozen:  # the stopped members are permuted with the rest but never rotated
                 copyto(pivot, _UNIT_PHASE, "no", stopped)
             rows_spare[...] = phase  # the phase table, in the free buffer

@@ -317,15 +317,15 @@ class TestExportCommand:
 
 class TestNonConvergence:
     def test_a_tolerance_below_roundoff_exits_6(self, capsys):
-        # the off-norm stalls near 6e-16 against a 4e-300 target: sweep 11 does not lower
+        # the off-norm stalls near 8e-16 against a 4e-300 target: sweep 7 does not lower
         # it, and the solve stops there, long before SWEEP_CAP
         code, out, err = run(
             capsys, "spectrum", "fan", "2", "3", "laplacian", "--mode", "numeric",
             "--convergence-tol", "1e-300",
         )
         assert code == 6 and out == ""
-        assert err.startswith("error: no convergence after 11 sweeps: off-diagonal norm ")
-        assert " stalled (" in err and " before sweep 11), target 4.000e-300 (initial " in err
+        assert err.startswith("error: no convergence after 7 sweeps: off-diagonal norm ")
+        assert " stalled (" in err and " before sweep 7), target 4.000e-300 (initial " in err
 
     # a replaced solver takes other commands to the same exit, without 100 sweeps each
     @pytest.mark.parametrize(

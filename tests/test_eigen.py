@@ -503,18 +503,36 @@ class TestRoundLoop:
             _round_plan.cache_clear()
             assert np.array_equal(symmetric_eigenvalues(a), values)
 
+    def test_np_sign_of_a_complex_pivot_is_its_correctly_rounded_phase(self):
+        # each round normalises its pivots u with one np.sign call, which numpy 2.0 and
+        # later define for complex input as u / |u|, each part divided by hypot(Re u, Im u);
+        # numpy 1.x gives the sign of Re u alone, and no pair would be rotated
+        rng = np.random.default_rng(20261020)
+        size = 20_000
+        re = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+        im = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+        phase, modulus = np.sign(re + 1j * im), np.hypot(re, im)
+        same = np.array_equal(phase.real, re / modulus) and np.array_equal(phase.imag, im / modulus)
+        floor = "np.sign of a complex array is not u / hypot(Re u, Im u): the solver needs numpy>=2.0"
+        assert same, f"{floor}, and this is numpy {np.__version__}"
+
 
 class TestOracleRegressionGuards:
     def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
-        # one run per solve, of the 484 matrices and their 484 quotients; 35,930
+        # one run per solve, of the 484 matrices and their 484 quotients; 35,928
         # rounds, a round of the two halves of an nc matrix or nc quotient counted
-        # once, plus 1%. Counted per member the halves run 53,016
+        # once, plus 1%. Counted per member the halves run 53,003
         assert grid_sweep[1] == 968
         assert 0 < grid_sweep[2] <= 36_290
 
+    def test_the_verify_grid_keeps_its_accuracy(self, grid_sweep):
+        # 3.41e-13 at most with each pivot's phase correctly rounded (np.sign); a complex
+        # divide by hypot(Re u, Im u) + 0i gave 7.53e-13
+        assert max(report.max_abs_deviation for report in grid_sweep[0]) <= 4e-13
+
     def test_the_grid_runs_stacks_with_a_member_frozen(self, grid_sweep):
-        # 97 of the grid's 484 two-member runs stop one member sweeps before the other,
-        # which then runs 1,376 of the 35,930 rounds beside a frozen member
+        # 98 of the grid's 484 two-member runs stop one member sweeps before the other,
+        # which then runs 1,387 of the 35,928 rounds beside a frozen member
         assert grid_sweep[4] > 0
 
     def test_the_grid_s_order_2_and_4_solves_take_no_extra_sweeps(self, grid_sweep):
