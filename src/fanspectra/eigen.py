@@ -5,25 +5,27 @@ so it deliberately does not delegate to an external eigensolver.  Jacobi
 sweeps use the round-robin ordering of Brent & Luk (SIAM J. Sci. Stat.
 Comput. 6, 1985; Golub & Van Loan, Matrix Computations, section 8.5): each
 of the m - 1 rounds of a sweep rotates m/2 disjoint pairs at once.  A round
-is a fixed sequence of 13 array calls (7 build the rotations, 6 apply them),
+is a fixed sequence of 12 array calls (6 build the rotations, 6 apply them),
 and one masked write once a member of a stack has stopped (below), into
 buffers made once per solve, with its ufuncs bound once per solve and the
 gather cached once per order, so it allocates nothing.  At the orders
 verified here its cost is those calls, not their arithmetic, so each call
 passes its output positionally and takes array operands, never Python floats.
 Each pair (2i, 2i+1) gets the rotation J = [[c, s], [-s, c]] (Golub & Van
-Loan, symSchur2), read off one complex pivot per pair,
-u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq with d = a_qq - a_pp
-and the gap floor f below, whose Im u / Re u is the tangent that zeroes a_pq:
-d and 2 a_pq are written through the real and imaginary views of one buffer,
-and one np.sign call normalises u in place to c + i s: for complex input numpy
-2.0 and later define it as u / |u|, each part divided by hypot(Re u, Im u), the
-correctly rounded phase (np.absolute on the complex array rounds less
-accurately), and the gap floor keeps Re u away from zero.  When d < 0 that is
--(c + i s), and -J gives the same J^T A J.  The pivots' float view is the
-phase row c_0, s_0, c_1, s_1, ....  Read as complex128, row r of a matrix
-holds the numbers A[r, 2i] + i A[r, 2i+1], so A J is that view times
-c_i + i s_i: the round writes the phase row into every row of whichever
+Loan, symSchur2) whose tangent 2 a_pq / (d + sign(d) hypot(d, 2 a_pq)), with
+d = a_qq - a_pp, zeroes a_pq: that is tan(theta / 2) = Im w / (|w| + Re w) for
+the angle theta of w = |d| + 2i sign(d) a_pq.  One complex pivot per pair holds
+w with |d| floored to hypot(d, f), f the gap floor below, written through its
+real and imaginary views; np.sqrt takes the principal root, which halves the
+angle, and np.sign normalises the root in place to c + i s: for complex input
+numpy 2.0 and later define it as u / |u|, each part divided by hypot(Re u, Im u),
+the correctly rounded phase (np.absolute on the complex array rounds less
+accurately).  The root comes first: normalising w first and rooting its phase
+rounds less well.  Re w >= f > 0, so |theta| < pi / 2 and c > 0, every rotation
+is inner, and the floored tangent is never longer than the exact one.  The
+pivots' float view is the phase row c_0, s_0, c_1, s_1, ....  Read as complex128,
+row r of a matrix holds the numbers A[r, 2i] + i A[r, 2i+1], so A J is that view
+times c_i + i s_i: the round writes the phase row into every row of whichever
 buffer is free, multiplies (A J), copies the transpose (J^T A) and multiplies
 again (J^T A J).  The gather to the next round's slots is a pure permutation:
 the pivots a_pq and a_qp move with the rest, and nothing is set to zero by fiat.
@@ -51,7 +53,7 @@ the halves cost about a quarter of the whole, and since a round costs its calls,
 the two run as one stack of two members, each scaled by its own power of two.
 Member 1 starts after m pad entries, at m(m + 1), a multiple of the pair stride:
 every pair's a_pp, a_pq and a_qq, in both members, lie on the one stride 2(m + 1),
-so the seven pivot calls stay 1-D, and the two complex products run over each
+so the six pivot calls stay 1-D, and the two complex products run over each
 whole flat buffer, in which the pads stay zero and the gather maps each pad entry
 to itself.  The stopping rule is the whole matrix's: each member stops at
 convergence_tol times the whole's initial off-norm over sqrt 2, so the two
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 
@@ -92,6 +95,8 @@ _GAP_FLOOR = 2.0**-52
 _FLOOR_SHARE = 0.01
 _UNIT_PHASE = np.array(1.0 + 0.0j)  # the phase of every pair of a member at its target
 _UNIT_PHASE.flags.writeable = False
+_TWO = np.array(2.0)  # an array operand: a Python float allocates on every call
+_TWO.flags.writeable = False
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -148,10 +153,19 @@ def _exact_sum(pairs, count: int = 1) -> float:
         return math.inf if units > 0 else -math.inf
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number: a numbers.Real (a Python or numpy int or float, or a
+    Fraction) or a 0-d array of ints or floats, and not a bool, which would pass as 0 or 1."""
+    # the concrete types first: numbers.Real alone is an ABC check, several times slower
+    if isinstance(value, (float, int, np.floating, np.integer, numbers.Real)):
+        return not isinstance(value, bool)
+    return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
+
+
 def _check_tol(name: str, value: float, zero_ok: bool) -> None:
-    """ValueError unless value is finite and positive (or zero, when zero_ok), and not a
-    bool, which would pass as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
+    """ValueError unless value is a real number (_is_real), finite and positive (or zero,
+    when zero_ok)."""
+    if not _is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
@@ -336,13 +350,13 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
     block = m * (m + 1)  # member 1 starts after m pad entries, a multiple of the pair stride
     work, spare = np.zeros(members * block - m), np.zeros(members * block - m)
     b, scratch = work[: m * m].reshape(m, m), spare[: m * m].reshape(m, m)
-    b[:k, :k] = a[:k, :k]
     shifts, off_norm = (0,), None
     if members == 1:
-        np.ldexp(work, -1 - exponent, out=work)
+        np.ldexp(a, -1 - exponent, out=b[:k, :k])
         scratch[...] = b.T
         np.add(work, spare, work)  # the exact symmetric part
     else:
+        b[:k, :k] = a[:k, :k]
         cj = work[block:].reshape(m, m)
         cj[:k, :k] = a[:k, : k - 1 : -1]
         np.ldexp(work, -1 - exponent, out=work)
@@ -400,7 +414,7 @@ def _jacobi(
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next, across members too
     app, apq, aqq = work[::step], work[1::step], work[m + 1 :: step]
-    # one pivot u per pair, normalised in place to c + i s, and a real scratch row
+    # one pivot w per pair, turned in place into c + i s, and a real scratch row
     pivot, norm = np.empty(members * h, np.complex128), np.empty(members * h)
     gap, twice_apq = pivot.real, pivot.imag
     gap_floor = np.empty(members * h)
@@ -417,13 +431,13 @@ def _jacobi(
         phase = phase.reshape(members, 1, m)
     work_t = rows_work.swapaxes(-1, -2)
     gather = _round_plan(m, members)
-    subtract, add, hypot, copysign, sign, multiply, copyto = (
-        np.subtract, np.add, np.hypot, np.copysign, np.sign, np.multiply, np.copyto
+    subtract, hypot, copysign, multiply, sqrt, sign, copyto = (
+        np.subtract, np.hypot, np.copysign, np.multiply, np.sqrt, np.sign, np.copyto
     )
 
     # each member's off-norms in its own units: its initial one, and the one before the
-    # last sweep (None once it is at its target); its target is taken anew at each test
-    initial, before = [0.0] * members, [math.inf] * members
+    # last sweep (None once it is at its target); its target, taken at sweep 0
+    initial, before, targets = [0.0] * members, [math.inf] * members, [0.0] * members
     sweeps = 0
     while True:
         running = 0  # the members not yet at their target
@@ -433,7 +447,8 @@ def _jacobi(
             remaining = _off_norm(work, spare, m, i * block)
             if not sweeps:
                 initial[i] = remaining
-            target = convergence_tol * (initial[i] if off_norm is None else math.ldexp(off_norm, -shifts[i]))
+                targets[i] = convergence_tol * (remaining if off_norm is None else math.ldexp(off_norm, -shifts[i]))
+            target = targets[i]
             if remaining <= target:
                 before[i] = None
                 stopped[i * h : (i + 1) * h] = True
@@ -451,21 +466,20 @@ def _jacobi(
             before[i] = remaining
             if sweeps:  # the floor of member i's pairs in the next sweep
                 floor = max(_GAP_FLOOR, _FLOOR_SHARE * remaining)
-                gap_floor[i * h : (i + 1) * h].fill(floor)
+                (gap_floor if members == 1 else gap_floor[i * h : (i + 1) * h]).fill(floor)
             running += 1
         if not running:
             break
         frozen = running < members
         for _ in range(m - 1):
-            # u = (d + sign(d) hypot(hypot(d, 2 a_pq), f)) + 2i a_pq, with d = a_qq - a_pp
-            # and the floor f, so Im u / Re u is the tangent of the angle that zeroes a_pq
-            subtract(aqq, app, gap)
-            add(apq, apq, twice_apq)
-            hypot(gap, twice_apq, norm)
-            hypot(norm, gap_floor, norm)
-            copysign(norm, gap, norm)
-            add(gap, norm, gap)
-            sign(pivot, pivot)  # u / |u|: c + i s, or -(c + i s), the same J^T A J
+            # w = hypot(d, f) + 2i sign(d) a_pq, with d = a_qq - a_pp and the floor f:
+            # half its angle has the tangent Im w / (|w| + Re w) that zeroes a_pq, or less
+            subtract(aqq, app, norm)
+            hypot(norm, gap_floor, gap)
+            copysign(_TWO, norm, norm)
+            multiply(apq, norm, twice_apq)
+            sqrt(pivot, pivot)  # the principal root halves the angle: Re w >= f > 0
+            sign(pivot, pivot)  # its correctly rounded phase c + i s
             if frozen:  # the stopped members are permuted with the rest but never rotated
                 copyto(pivot, _UNIT_PHASE, "no", stopped)
             rows_spare[...] = phase  # the phase table, in the free buffer

@@ -41,6 +41,7 @@ from enum import Enum
 
 import numpy as np
 
+from .eigen import _is_real
 from .graphs import DisconnectedGraphError, Graph, UNREACHABLE
 
 
@@ -94,6 +95,8 @@ def distance_signless_laplacian(g: Graph) -> np.ndarray:
 def _check_blend(t: float | None) -> None:
     if t is None:
         raise ValueError("generalized-distance requires the blend parameter t")
+    if not _is_real(t):
+        raise ValueError(f"blend parameter t must be a number, got {t!r}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"blend parameter t={t} must satisfy 0 < t < 1")
 

@@ -299,6 +299,20 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError, match="^convergence_tol must be finite and positive$"):
             symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-13", None, 1e-13 + 0j, np.array([1e-13]), np.array(True)])
+    def test_a_convergence_tol_that_is_not_a_number_is_rejected(self, tol):
+        # once a TypeError from math.isfinite (np.array(True) was read as 1, too loose)
+        with pytest.raises(ValueError, match="^convergence_tol must be a number, got "):
+            symmetric_eigenvalues(np.eye(2), convergence_tol=tol)
+
+    @pytest.mark.parametrize(
+        "tol", [np.float64(1e-13), np.float32(1e-13), np.array(1e-13), fractions.Fraction(1, 10**13)]
+    )
+    def test_a_real_scalar_or_0_d_convergence_tol_is_accepted(self, tol):
+        matrix = laplacian_matrix(generalized_fan(2, 3))
+        values = symmetric_eigenvalues(matrix, convergence_tol=tol)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(matrix))) <= 1e-12
+
     @pytest.mark.parametrize("tol", [math.nextafter(1e-12, 1.0), 1e-9, 0.5, 0.9, 1.0, 2.0, 1e300])
     def test_convergence_tol_must_be_at_most_the_default(self, tol):
         # the default grouping width assumes values at least this tight: at 0.9 the
@@ -516,6 +530,50 @@ class TestRoundLoop:
         floor = "np.sign of a complex array is not u / hypot(Re u, Im u): the solver needs numpy>=2.0"
         assert same, f"{floor}, and this is numpy {np.__version__}"
 
+    @staticmethod
+    def _round_phases(app, apq, aqq, gap_floor):
+        """Each pair's c + i s, built by the round's six pivot calls as _jacobi makes them."""
+        pivot, norm = np.empty(len(app), np.complex128), np.empty(len(app))
+        np.subtract(aqq, app, norm)
+        np.hypot(norm, gap_floor, pivot.real)
+        np.copysign(eigen._TWO, norm, norm)
+        np.multiply(apq, norm, pivot.imag)
+        np.sqrt(pivot, pivot)
+        np.sign(pivot, pivot)
+        return pivot
+
+    def test_the_half_angle_pivot_is_a_unit_inner_rotation_no_longer_than_the_exact_one(self):
+        # w = hypot(d, f) + 2i sign(d) a_pq; the root of w halves its angle, so s / c is
+        # 2 sign(d) a_pq / (hypot(d, f) + |w|), the floored symSchur2 tangent
+        rng = np.random.default_rng(20261021)
+        size = 10_000
+        magnitude = lambda: rng.choice([-1.0, 1.0], size) * 2.0 ** rng.uniform(-60, 1, size)  # noqa: E731
+        app, apq, aqq, gap_floor = magnitude(), magnitude(), magnitude(), np.abs(magnitude())
+        edges = [  # (a_pp, a_pq, a_qq, f)
+            (0.0, 0.5, 0.0, 2.0**-52), (0.0, -0.5, -0.0, 2.0**-52), (1.0, 1e-9, 1.0, 2.0**-52),
+            (0.0, -2.0**-60, -0.0, 2.0), (0.25, 0.0, -0.75, 2.0**-52), (-0.75, 0.0, 0.25, 2.0**-52),
+            (0.0, 0.0, 0.0, 2.0**-52), (0.0, 0.0, -0.0, 1.0), (0.5, 2.0**-30, 0.5 + 2.0**-50, 1.0),
+            (0.5, -2.0**-30, 0.5 - 2.0**-50, 1.0), (2.0, 2.0**-60, -2.0, 2.0**-52),
+            (-2.0, -2.0**-60, 2.0, 2.0**-52), (2.0**-60, 1.0, -2.0**-60, 2.0**-60),
+        ]
+        app, apq, aqq, gap_floor = (
+            np.concatenate([drawn, edge]) for drawn, edge in zip((app, apq, aqq, gap_floor), zip(*edges))
+        )
+        phase = self._round_phases(app, apq, aqq, gap_floor)
+        c, s = phase.real, phase.imag
+        assert np.all(np.abs(np.abs(phase) - 1.0) <= 4 * np.finfo(float).eps)
+        assert np.all(c > 0.0)  # an inner rotation: |angle| < pi / 4
+        d = aqq - app
+        assert np.array_equal(np.signbit(s), np.signbit(apq * d))  # the sign of a_pq d, or of 0
+        for ci, si, p, a, q, di in zip(*map(np.ndarray.tolist, (c, s, app, apq, aqq, d))):
+            exact = 0.0 if a == 0.0 else 2.0 * a / (di + math.copysign(math.hypot(di, 2.0 * a), di))
+            assert abs(si / ci) <= abs(exact) * (1.0 + 8.0 * np.finfo(float).eps)
+            # J^T A J's a_pq for J = [[c, s], [-s, c]], exactly: a (c^2 - s^2) - c s (a_qq - a_pp),
+            # against |a_pq| times c^2 + s^2, the factor by which J scales
+            c_, s_, a_ = fractions.Fraction(ci), fractions.Fraction(si), fractions.Fraction(a)
+            rotated = a_ * (c_ * c_ - s_ * s_) - c_ * s_ * (fractions.Fraction(q) - fractions.Fraction(p))
+            assert abs(rotated) <= abs(a_) * (c_ * c_ + s_ * s_)
+
 
 class TestOracleRegressionGuards:
     def test_the_verify_grid_takes_no_more_rounds(self, grid_sweep):
@@ -526,8 +584,9 @@ class TestOracleRegressionGuards:
         assert 0 < grid_sweep[2] <= 36_290
 
     def test_the_verify_grid_keeps_its_accuracy(self, grid_sweep):
-        # 3.41e-13 at most with each pivot's phase correctly rounded (np.sign); a complex
-        # divide by hypot(Re u, Im u) + 0i gave 7.53e-13
+        # 3.27e-13 at most with each phase the correctly rounded (np.sign) half angle
+        # (np.sqrt) of w; 3.41e-13 from the full-angle pivot, and a complex divide by
+        # hypot(Re u, Im u) + 0i gave 7.53e-13
         assert max(report.max_abs_deviation for report in grid_sweep[0]) <= 4e-13
 
     def test_the_grid_runs_stacks_with_a_member_frozen(self, grid_sweep):
@@ -901,6 +960,16 @@ class TestGrouping:
         # True once merged 1.0, 1.5 and 1.9 into one value of multiplicity 3
         with pytest.raises(ValueError, match="^grouping_tol must be a number, got "):
             group_multiplicities([1.0, 1.5, 1.9], grouping_tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.array([1e-9]), "1e-9", 1e-9 + 0j, [1e-9]])
+    def test_a_grouping_tol_that_is_not_a_number_is_rejected(self, tol):
+        # once a TypeError from math.isfinite
+        with pytest.raises(ValueError, match="^grouping_tol must be a number, got "):
+            group_multiplicities([1.0, 2.0], grouping_tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float64(0.6), np.float32(0.6), np.array(0.6), 1])
+    def test_a_real_scalar_or_0_d_grouping_tol_is_accepted(self, tol):
+        assert group_multiplicities([1.0, 1.5, 3.0], grouping_tol=tol).pairs == ((1.25, 2), (3.0, 1))
 
     def test_zero_grouping_tol_merges_exact_duplicates_only(self):
         spectrum = group_multiplicities([1.0, 1.0, 1.0 + 1e-15], grouping_tol=0.0)

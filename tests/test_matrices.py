@@ -177,6 +177,16 @@ class TestTransmissionAndBlends:
         with pytest.raises(ValueError):
             generalized_distance(K2, t)
 
+    @pytest.mark.parametrize("t", ["0.5", 0.5 + 0j, [0.5], np.array([0.5, 0.7]), np.array([0.5]), True])
+    def test_a_blend_parameter_that_is_not_a_number_is_rejected(self, t):
+        # once a TypeError from comparing it with 0.0, or numpy's "truth value is ambiguous"
+        with pytest.raises(ValueError, match="^blend parameter t must be a number, got "):
+            generalized_distance(path_graph(3), t)
+
+    @pytest.mark.parametrize("t", [np.float64(0.5), np.float32(0.5), np.array(0.5)])
+    def test_a_real_scalar_or_0_d_blend_parameter_is_accepted(self, t):
+        assert np.array_equal(generalized_distance(path_graph(3), t), generalized_distance(path_graph(3), float(t)))
+
 
 class TestDispatch:
     def test_build_matrix_covers_every_kind(self):
