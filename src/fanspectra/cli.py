@@ -47,7 +47,6 @@ from .eigen import (
     DEFAULT_CONVERGENCE_TOL,
     GROUPING_SCALE,
     JacobiConvergenceError,
-    _check_convergence_tol,
     _check_tol,
     group_multiplicities,
     record,
@@ -367,11 +366,11 @@ def _check_args(args) -> None:
         if value is not None and value > MAX_SWEEP_PARAM:
             raise ValueError(f"{name}={value} exceeds the maximum of {MAX_SWEEP_PARAM}")
     if hasattr(args, "convergence_tol"):
-        _check_convergence_tol(args.convergence_tol)
+        args.convergence_tol = _check_tol("convergence_tol", args.convergence_tol, most=DEFAULT_CONVERGENCE_TOL)
     if getattr(args, "grouping_tol", None) is not None:
-        _check_tol("grouping_tol", args.grouping_tol, zero_ok=True)
+        args.grouping_tol = _check_tol("grouping_tol", args.grouping_tol, zero_ok=True)
     if getattr(args, "t", None) is not None:
-        _check_blend(args.t)
+        args.t = _check_blend(args.t)
 
 
 def main(argv=None) -> int:

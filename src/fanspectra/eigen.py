@@ -162,20 +162,21 @@ def _is_real(value) -> bool:
     return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
 
 
-def _check_tol(name: str, value: float, zero_ok: bool) -> None:
-    """ValueError unless value is a real number (_is_real), finite and positive (or zero,
-    when zero_ok)."""
+def _check_tol(name: str, value: float, zero_ok: bool = False, most: float = math.inf) -> float:
+    """value as the float its caller uses; ValueError unless it is a real number (_is_real),
+    finite, positive (or zero, when zero_ok) and at most most.  An int or Fraction beyond
+    every double reads as infinite, so it is not finite."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(number) and (number >= 0.0 if zero_ok else number > 0.0)):
         raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}")
-
-
-def _check_convergence_tol(convergence_tol: float) -> None:
-    """ValueError unless convergence_tol is finite, positive and at most DEFAULT_CONVERGENCE_TOL."""
-    _check_tol("convergence_tol", convergence_tol, zero_ok=False)
-    if convergence_tol > DEFAULT_CONVERGENCE_TOL:
-        raise ValueError(f"convergence_tol must be at most {DEFAULT_CONVERGENCE_TOL:g}")
+    if number > most:
+        raise ValueError(f"{name} must be at most {most:g}")
+    return number
 
 
 def _is_integer(value) -> bool:
@@ -317,7 +318,7 @@ def symmetric_eigenvalues(
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     if convergence_tol != DEFAULT_CONVERGENCE_TOL:  # the default needs no check
-        _check_convergence_tol(convergence_tol)
+        convergence_tol = _check_tol("convergence_tol", convergence_tol, most=DEFAULT_CONVERGENCE_TOL)
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
@@ -505,7 +506,7 @@ def group_multiplicities(values, grouping_tol: float | None = None) -> Spectrum:
     atoms: no value is listed once per copy, and a mean still adds every copy.
     """
     if grouping_tol is not None:
-        _check_tol("grouping_tol", grouping_tol, zero_ok=True)
+        grouping_tol = _check_tol("grouping_tol", grouping_tol, zero_ok=True)
     values = _floats(values)
     return _group_atoms(values, (1,) * len(values), grouping_tol)
 

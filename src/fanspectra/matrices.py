@@ -92,18 +92,20 @@ def distance_signless_laplacian(g: Graph) -> np.ndarray:
     return _row_sum_rule(distance_matrix(g), 1.0, 1.0)
 
 
-def _check_blend(t: float | None) -> None:
+def _check_blend(t: float | None) -> float:
+    """t as the float the builder uses; ValueError unless it is a real number in (0, 1)."""
     if t is None:
         raise ValueError("generalized-distance requires the blend parameter t")
     if not _is_real(t):
         raise ValueError(f"blend parameter t must be a number, got {t!r}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"blend parameter t={t} must satisfy 0 < t < 1")
+    return float(t)
 
 
 def generalized_distance(g: Graph, t: float) -> np.ndarray:
     """t*Tr + (1-t)*D; t must lie strictly between 0 and 1."""
-    _check_blend(t)
+    t = _check_blend(t)
     return _row_sum_rule(distance_matrix(g), 1.0 - t, t)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -160,9 +160,11 @@ def quotient_eigenvalues(
     The quotient B is not symmetric in general, but for an equitable
     partition of a symmetric matrix it is diagonally similar to the
     symmetric matrix C with c[i][j] = blocksum(i, j) / sqrt(|b_i| |b_j|)
-    (conjugate by diag(sqrt(|b_i|))).  C is built directly from the
-    upper triangle so it is exactly symmetric, then handed to the Jacobi
-    solver.  The matrix itself must pass the solver's symmetry check.
+    (conjugate by diag(sqrt(|b_i|))).  C = I^T (A I) / sqrt(s s^T), for the
+    indicator I and the block sizes s, is handed to the Jacobi solver as
+    computed: the solver checks its symmetry and takes its exact symmetric
+    part.  The matrix itself must pass the solver's symmetry check first, since
+    the block sums of a non-symmetric matrix can be symmetric.
     """
     if not is_equitable(matrix, partition):
         raise NotEquitableError("partition is not equitable for this matrix")
@@ -173,14 +175,4 @@ def quotient_eigenvalues(
     data = partition._block_data
     c = data.indicator.T @ (a @ data.indicator)
     c /= np.sqrt(np.multiply.outer(data.sizes, data.sizes))
-    # the upper triangle and its mirror; adding 0.0 turns -0.0 into +0.0, as summing the two did
-    c = np.where(_below_diagonal(len(c)), c.T, c) + 0.0
     return group_multiplicities(symmetric_eigenvalues(c), grouping_tol=grouping_tol)
-
-
-@lru_cache(maxsize=16)
-def _below_diagonal(k: int) -> np.ndarray:
-    """The read-only k x k mask of the entries below the diagonal, once per block count."""
-    mask = np.tri(k, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask

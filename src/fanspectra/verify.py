@@ -161,7 +161,7 @@ def verify_case(
     family: str, m: int, n: int, kind: str, tol: float = DEFAULT_CASE_TOL
 ) -> VerificationReport:
     """Check one closed form against the numeric oracle and the quotient route."""
-    _check_tol("tol", tol, zero_ok=False)
+    tol = _check_tol("tol", tol)
     form = closed_form(family, kind)
     row = FAMILIES[family]
     matrix = build_matrix(row.graph(m, n), kind)
@@ -217,7 +217,7 @@ def sweep(
     for case_kind in kinds:
         if case_kind not in CASES:
             raise ValueError(f"unknown case kind {case_kind!r}; expected one of {CASE_KINDS}")
-    _check_tol("tol", tol, zero_ok=False)
+    tol = _check_tol("tol", tol)
     requested = [CASES[case_kind] for case_kind in kinds]
     cases = [
         (family, m, n, kind)

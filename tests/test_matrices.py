@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,9 +184,14 @@ class TestTransmissionAndBlends:
         with pytest.raises(ValueError, match="^blend parameter t must be a number, got "):
             generalized_distance(path_graph(3), t)
 
-    @pytest.mark.parametrize("t", [np.float64(0.5), np.float32(0.5), np.array(0.5)])
+    @pytest.mark.parametrize(
+        "t", [np.float64(0.5), np.float32(0.5), np.array(0.5), Fraction(1, 2), np.float32(0.3), np.array(0.25)]
+    )
     def test_a_real_scalar_or_0_d_blend_parameter_is_accepted(self, t):
-        assert np.array_equal(generalized_distance(path_graph(3), t), generalized_distance(path_graph(3), float(t)))
+        # the builder uses t as its float, bit for bit: a Fraction once reached numpy as an
+        # object and failed there
+        g = generalized_fan(3, 4)
+        assert generalized_distance(g, t).tobytes() == generalized_distance(g, float(t)).tobytes()
 
 
 class TestDispatch:

@@ -287,9 +287,9 @@ class TestBitIdentityOnTheFamilies:
 
     @pytest.mark.parametrize("kind", list(MatrixKind), ids=[kind.value for kind in MatrixKind])
     @pytest.mark.parametrize("family", sorted(FAMILY_GRIDS))
-    def test_c_is_the_upper_triangle_and_its_mirror_bit_for_bit(self, monkeypatch, family, kind):
-        # C was the upper triangle plus its strict part transposed; that sum turned -0.0
-        # into +0.0, and C now adds 0.0 to one select for the same bits
+    def test_c_is_the_scaled_block_sums_as_computed_bit_for_bit(self, monkeypatch, family, kind):
+        # the solver takes C's exact symmetric part itself, so C is handed over unmirrored;
+        # the integer kinds L and D^L give an exactly symmetric C
         solved = []
         monkeypatch.setattr(quotient, "symmetric_eigenvalues", lambda c: solved.append(c) or symmetric_eigenvalues(c))
         graph, canonical, params = FAMILY_GRIDS[family]
@@ -301,11 +301,10 @@ class TestBitIdentityOnTheFamilies:
                     continue
                 quotient_eigenvalues(matrix, partition)
                 data = partition._block_data
-                sums = data.indicator.T @ quotient._row_sums(matrix, partition)
-                upper = np.triu(sums / np.sqrt(np.outer(data.sizes, data.sizes)))
-                expected = upper + np.triu(upper, 1).T
+                expected = data.indicator.T @ (matrix @ data.indicator) / np.sqrt(np.outer(data.sizes, data.sizes))
                 assert solved[-1].tobytes() == expected.tobytes(), (m, n)
-                assert not np.signbit(solved[-1][solved[-1] == 0.0]).any()
+                if kind in (MatrixKind.LAPLACIAN, MatrixKind.DISTANCE_LAPLACIAN):
+                    assert np.array_equal(solved[-1], solved[-1].T), (m, n)
                 checked += 1
         assert checked > 0
 
@@ -422,6 +421,21 @@ class TestQuotientEigenvalues:
         for call in (symmetric_eigenvalues, lambda a: quotient_eigenvalues(a, partition)):
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):
                 call(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix, blocks",
+        [
+            (np.roll(np.eye(3), 1, axis=1), [range(3)]),  # the 3-cycle permutation: C = [[1]]
+            (np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=1)), [range(3), range(3, 6)]),  # C = I
+        ],
+    )
+    def test_a_non_symmetric_matrix_with_symmetric_block_sums_is_rejected(self, matrix, blocks):
+        # every block row sums to 1, so the partition is equitable and C is symmetric:
+        # the check on the matrix itself rejects it
+        partition = Partition(blocks)
+        assert is_equitable(matrix, partition)
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            quotient_eigenvalues(matrix, partition)
 
     @pytest.mark.parametrize("grouping_tol", [True, False, np.True_])
     def test_a_bool_grouping_tol_is_rejected(self, grouping_tol):

@@ -11,7 +11,7 @@ import pytest
 
 from fanspectra import quotient, verify
 from fanspectra.closed_forms import fan_distance_laplacian_as_stated, fan_laplacian_spectrum
-from fanspectra.eigen import Spectrum, symmetric_eigenvalues
+from fanspectra.eigen import Spectrum, group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan
 from fanspectra.matrices import laplacian_matrix
 from fanspectra.verify import (
@@ -184,6 +184,23 @@ class TestVerifyCase:
     @pytest.mark.parametrize("tol", [1e-8, np.float64(1e-8), np.float32(1e-8), np.array(1e-8), 1])
     def test_a_real_scalar_or_0_d_tolerance_is_accepted(self, tol):
         assert verify_case("fan", 2, 3, "laplacian", tol=tol).passed
+
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_an_int_beyond_every_double_is_not_a_finite_tolerance(self, huge):
+        # it reads as infinite: once an OverflowError from math.isfinite
+        matrix = laplacian_matrix(generalized_fan(2, 3))
+        calls = {
+            "convergence_tol": [lambda tol: symmetric_eigenvalues(matrix, convergence_tol=tol)],
+            "grouping_tol": [
+                lambda tol: group_multiplicities([1.0, 2.0], grouping_tol=tol),
+                lambda tol: quotient.quotient_eigenvalues(matrix, quotient.fan_partition(2, 3), grouping_tol=tol),
+            ],
+            "tol": [lambda tol: verify_case("fan", 2, 3, "laplacian", tol=tol), lambda tol: sweep((2, 3), (2, 3), tol=tol)],
+        }
+        for name, checks in calls.items():
+            for call in checks:
+                with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+                    call(huge)
 
 
 class TestCaseTable:
