@@ -63,7 +63,8 @@ the pairs writes its phases as exactly 1 + 0i in every later round, so it is per
 with the rest but never rotated, and it ends with the diagonal it would reach alone,
 bit for bit.  Order 2 stays whole: one exact rotation finishes it, and the halves
 would only add their writes.  A matrix solved whole is a stack of one member, so
-every solve has the one setup and teardown of _diagonal around the one _jacobi run.
+every solve has the one setup of _diagonal, on flat buffers (an odd order, padded,
+holds what the order above it holds), its one teardown and the one _jacobi run.
 
 ``group_multiplicities`` is the package's one rule for grouping values into
 multiplicities, numeric or closed form: GROUPING_SCALE * max(1, max|v|) wide,
@@ -305,20 +306,19 @@ def symmetric_eigenvalues(
     rotation.  Raises JacobiConvergenceError with diagnostics at the first sweep
     that does not lower the off-norm (it has stalled at its roundoff floor, above
     the target) or if SWEEP_CAP sweeps do not get there, and ValueError for
-    complex or non-finite input,
-    for input with max|a - a^T| above 1e-10 * max|a|, for a
-    convergence_tol that is not finite, positive and at most DEFAULT_CONVERGENCE_TOL,
-    the tightness that group_multiplicities' default width assumes, or for a
-    spectrum that leaves float64 (an eigenvalue of magnitude 2**1024 or more, which
-    finite entries near the largest double can give).
+    complex or non-finite input, for input with max|a - a^T| above 1e-10 * max|a|,
+    for a convergence_tol, the default too, that is not a real number, finite,
+    positive and at most DEFAULT_CONVERGENCE_TOL, the tightness that
+    group_multiplicities' default width assumes, or for a spectrum that leaves
+    float64 (an eigenvalue of magnitude 2**1024 or more, which finite entries near
+    the largest double can give).
     """
     a = _real_square(matrix)
     # one look for finiteness and scale: a NaN or inf entry makes max|a| non-finite
     scale = _abs_max(a)
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    if convergence_tol != DEFAULT_CONVERGENCE_TOL:  # the default needs no check
-        convergence_tol = _check_tol("convergence_tol", convergence_tol, most=DEFAULT_CONVERGENCE_TOL)
+    convergence_tol = _check_tol("convergence_tol", convergence_tol, most=DEFAULT_CONVERGENCE_TOL)
     _check_symmetric(a, scale)
 
     # work on 2**-exponent times the matrix so that no square over- or underflows
@@ -342,41 +342,36 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
     gives Q a Q^T = diag(B + CJ, B - CJ).  Each member is scaled and added to its transpose
     as the whole would be, so B and CJ are taken from a's symmetric part, which the solver
     reads and which equals its reversal too: its top-right block with the columns reversed
-    is the symmetric part of CJ.  Every operand is contiguous and below 1.  Each member is
-    read and written through its own 2-D view, and scaled by a Python int: a strided stack
-    view would leave a buffer record on each buffer, and an int64 exponent array a cast.
+    is the symmetric part of CJ.  One loop copies each part (a, or B and CJ) and its
+    transpose into its member's m x m slot; every later call runs on a flat buffer, zero
+    padded, contiguous and below 1 (into a strided slot np.ldexp takes a matrix-sized
+    buffer and np.vdot a copy), and scales by a Python int, not an int64 array (a cast).
     """
     k = len(a) // members
     m = k + k % 2  # an odd order gets a zero row and column, and they stay zero
     block = m * (m + 1)  # member 1 starts after m pad entries, a multiple of the pair stride
-    work, spare = np.zeros(members * block - m), np.zeros(members * block - m)
-    b, scratch = work[: m * m].reshape(m, m), spare[: m * m].reshape(m, m)
+    rows = members * (m + 1) - 1  # member i's m rows start at row i(m + 1), after a pad row
+    work, spare = np.zeros(rows * m), np.zeros(rows * m)
+    for i, part in enumerate((a,) if members == 1 else (a[:k, :k], a[:k, : k - 1 : -1])):  # a, or B and CJ
+        work.reshape(rows, m)[i * (m + 1) : i * (m + 1) + k, :k] = part
+        spare.reshape(rows, m)[i * (m + 1) : i * (m + 1) + k, :k] = part.T
+    np.ldexp(work, -1 - exponent, out=work)
+    np.ldexp(spare, -1 - exponent, out=spare)
+    np.add(work, spare, work)  # the exact symmetric part
     shifts, off_norm = (0,), None
-    if members == 1:
-        np.ldexp(a, -1 - exponent, out=b[:k, :k])
-        scratch[...] = b.T
-        np.add(work, spare, work)  # the exact symmetric part
-    else:
-        b[:k, :k] = a[:k, :k]
-        cj = work[block:].reshape(m, m)
-        cj[:k, :k] = a[:k, : k - 1 : -1]
-        np.ldexp(work, -1 - exponent, out=work)
-        scratch[...] = b.T
-        spare[block:].reshape(m, m)[...] = cj.T
-        np.add(work, spare, work)  # the exact symmetric part
+    if members == 2:
+        b, cj, scratch = work[: m * m], work[block:], spare[: m * m]
         # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
         scratch[...] = b
-        spare[: m * m : m + 1] = 0.0
-        b_off, cj_all = scratch[:k, :k], cj[:k, :k]
-        off_norm = math.sqrt(float(np.vdot(b_off, b_off)) + float(np.vdot(cj_all, cj_all)))
+        scratch[:: m + 1] = 0.0
+        off_norm = math.sqrt(float(np.vdot(scratch, scratch)) + float(np.vdot(cj, cj)))
         np.subtract(b, cj, scratch)
         np.add(b, cj, b)
         cj[...] = scratch
         shifts = math.frexp(_abs_max(b))[1], math.frexp(_abs_max(cj))[1]
         np.ldexp(b, -shifts[0], out=b)
         np.ldexp(cj, -shifts[1], out=cj)
-        del cj, b_off, cj_all
-    del b, scratch  # only work and spare stay alive through the run
+        del b, cj, scratch, part  # only work and spare stay alive through the run
     _jacobi(work, spare, m, exponent, convergence_tol, shifts, off_norm)
     if members == 1:
         return work[: k * (m + 1) : m + 1].copy()

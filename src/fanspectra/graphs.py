@@ -38,6 +38,7 @@ import numpy as np
 from .eigen import _check_sizes, _is_integer
 
 UNREACHABLE = -1
+_DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}  # never a bare DOT ID
 
 
 class DisconnectedGraphError(ValueError):
@@ -241,6 +242,9 @@ def to_edge_list(g: Graph) -> str:
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
+    """g in DOT; ValueError unless name is a bare DOT ID: an ASCII identifier and no keyword."""
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name.lower() in _DOT_KEYWORDS:
+        raise ValueError(f"name must be a DOT ID (a letter or _, then letters, digits or _; no keyword), got {name!r}")
     lines = [f"graph {name} {{"]
     lines += [f"  {v};" for v in range(g.vertex_count)]
     lines += [f"  {u} -- {v};" for u, v in g.sorted_edges()]

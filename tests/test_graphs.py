@@ -565,3 +565,13 @@ class TestValidationAndExport:
         assert "graph pair {" in text
         assert "  0;" in text and "  1;" in text
         assert "--" not in text
+
+    @pytest.mark.parametrize("name", ['a"b', "", "2fan", "fan-2-3", "x y", "G\n", "é", "node", "Graph", None])
+    def test_dot_rejects_a_name_that_is_not_a_dot_id(self, name):
+        # once written as is: 'graph a"b {' is not valid DOT, nor is a keyword as a bare ID
+        with pytest.raises(ValueError, match=r"^name must be a DOT ID \(a letter or _, "):
+            to_dot(make_graph(2, []), name=name)
+
+    @pytest.mark.parametrize("name", ["G", "_", "fan_2_3", "nc_64_64", "graph1"])
+    def test_dot_takes_a_name_that_is_a_dot_id(self, name):
+        assert to_dot(make_graph(2, []), name=name).startswith(f"graph {name} {{\n")
