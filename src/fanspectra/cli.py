@@ -55,7 +55,7 @@ from .eigen import (
 from .graphs import DisconnectedGraphError, to_dot, to_edge_list
 from .matrices import MatrixKind, _check_blend, build_matrix
 from .quotient import quotient_eigenvalues, quotient_matrix
-from .tables import reproduce_fan_table, reproduce_generalized_fan_table
+from .tables import COLUMNS, reproduce_fan_table, reproduce_generalized_fan_table
 from .verify import (
     CASES,
     CASE_KINDS,
@@ -209,30 +209,20 @@ def _cmd_tables(args) -> int:
     if args.format == "json":
         _print(json.dumps([record(row) for row in rows]))
         return 0
+    cells = [(_words(row.key, ""), column, getattr(row, column)) for row in rows for column in COLUMNS]
     if args.format == "csv":
         _print("key,column,ok,computed,reference")
-        for row in rows:
-            for column, cell in (("adjacency", row.adjacency), ("laplacian", row.laplacian)):
-                _print(
-                    f"{_words(row.key, '')},{column},{'yes' if cell.ok else 'no'},"
-                    f"{_words(cell.computed)},{_words(cell.reference)}"
-                )
+        for key, column, cell in cells:
+            _print(f"{key},{column},{'yes' if cell.ok else 'no'},{_words(cell.computed)},{_words(cell.reference)}")
         return 0
-    for title in titles:
-        _print(title)
-    _print(f"{key_header} | adjacency (computed) | laplacian (computed)")
-    for row in rows:
-        cells = []
-        for cell in (row.adjacency, row.laplacian):
-            text = _words(cell.computed)
-            if not cell.ok:
-                text += f" [ERRATUM vs reference {_words(cell.reference)}]"
-            cells.append(text)
-        _print(f"{_words(row.key, '')} | {cells[0]} | {cells[1]}")
-    for row in rows:
-        for cell in (row.adjacency, row.laplacian):
-            if cell.note:
-                _print(f"note ({_words(row.key, '')}): {cell.note}")
+    header = " | ".join([key_header, *(f"{column} (computed)" for column in COLUMNS)])
+    lines, notes = {}, []  # each key's row of cells, then the errata notes
+    for key, _, cell in cells:
+        erratum = "" if cell.ok else f" [ERRATUM vs reference {_words(cell.reference)}]"
+        lines[key] = f"{lines.get(key, key)} | {_words(cell.computed)}{erratum}"
+        notes += [f"note ({key}): {cell.note}"] if cell.note else []
+    for line in [*titles, header, *lines.values(), *notes]:
+        _print(line)
     return 0
 
 

@@ -15,8 +15,8 @@ Each pair (2i, 2i+1) gets the rotation J = [[c, s], [-s, c]] (Golub & Van
 Loan, symSchur2) whose tangent 2 a_pq / (d + sign(d) hypot(d, 2 a_pq)), with
 d = a_qq - a_pp, zeroes a_pq: that is tan(theta / 2) = Im w / (|w| + Re w) for
 the angle theta of w = |d| + 2i sign(d) a_pq.  One complex pivot per pair holds
-w with |d| floored to hypot(d, f), f the gap floor below, written through its
-real and imaginary views; np.sqrt takes the principal root, which halves the
+w with |d| floored to hypot(d, f), f the gap floor below, built in its own real
+and imaginary views alone; np.sqrt takes the principal root, which halves the
 angle, and np.sign normalises the root in place to c + i s: for complex input
 numpy 2.0 and later define it as u / |u|, each part divided by hypot(Re u, Im u),
 the correctly rounded phase (np.absolute on the complex array rounds less
@@ -79,6 +79,7 @@ import functools
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -216,10 +217,17 @@ def _real_square(matrix) -> np.ndarray:
 
 def _floats(values) -> list[float]:
     """values as a new list of Python floats: a 1-D float64 array in one tolist, which
-    gives the same floats as one float() per element, anything else one float() each."""
+    gives the same floats as one float() per element, anything else one float() each;
+    ValueError for a str or bytes (read as its characters), for values that cannot be
+    iterated (a 0-d array has __iter__ too) or for an entry that is not _is_real."""
     if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
         return values.tolist()
-    return list(map(float, values))
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable) or getattr(values, "ndim", 1) == 0:
+        raise ValueError(f"values must be a sequence of real numbers, got {values!r}")
+    entries = list(values)
+    if not all(map(_is_real, entries)):
+        raise ValueError(f"values must be real numbers, got {next(v for v in entries if not _is_real(v))!r}")
+    return list(map(float, entries))
 
 
 def _abs_max(x: np.ndarray) -> float:
@@ -345,7 +353,8 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
     is the symmetric part of CJ.  One loop copies each part (a, or B and CJ) and its
     transpose into its member's m x m slot; every later call runs on a flat buffer, zero
     padded, contiguous and below 1 (into a strided slot np.ldexp takes a matrix-sized
-    buffer and np.vdot a copy), and scales by a Python int, not an int64 array (a cast).
+    buffer), takes every off-norm with np.dot, as _off_norm does, and scales by a Python
+    int, not an int64 array (a cast).
     """
     k = len(a) // members
     m = k + k % 2  # an odd order gets a zero row and column, and they stay zero
@@ -364,7 +373,7 @@ def _diagonal(a: np.ndarray, exponent: int, convergence_tol: float, members: int
         # the whole's off-norm squared is twice the sum of B's off-diagonal squares and CJ's squares
         scratch[...] = b
         scratch[:: m + 1] = 0.0
-        off_norm = math.sqrt(float(np.vdot(scratch, scratch)) + float(np.vdot(cj, cj)))
+        off_norm = math.sqrt(float(np.dot(scratch, scratch)) + float(np.dot(cj, cj)))
         np.subtract(b, cj, scratch)
         np.add(b, cj, b)
         cj[...] = scratch
@@ -410,8 +419,8 @@ def _jacobi(
     pairs_work, pairs_spare = work.view(np.complex128), spare.view(np.complex128)
     step = 2 * (m + 1)  # from one pair's 2x2 diagonal block to the next, across members too
     app, apq, aqq = work[::step], work[1::step], work[m + 1 :: step]
-    # one pivot w per pair, turned in place into c + i s, and a real scratch row
-    pivot, norm = np.empty(members * h, np.complex128), np.empty(members * h)
+    # one pivot w per pair, built in its real and imaginary views, then turned into c + i s
+    pivot = np.empty(members * h, np.complex128)
     gap, twice_apq = pivot.real, pivot.imag
     gap_floor = np.empty(members * h)
     gap_floor.fill(_GAP_FLOOR)  # the first sweep's: every pair's exact rotation
@@ -470,10 +479,10 @@ def _jacobi(
         for _ in range(m - 1):
             # w = hypot(d, f) + 2i sign(d) a_pq, with d = a_qq - a_pp and the floor f:
             # half its angle has the tangent Im w / (|w| + Re w) that zeroes a_pq, or less
-            subtract(aqq, app, norm)
-            hypot(norm, gap_floor, gap)
-            copysign(_TWO, norm, norm)
-            multiply(apq, norm, twice_apq)
+            subtract(aqq, app, gap)
+            copysign(_TWO, gap, twice_apq)
+            hypot(gap, gap_floor, gap)
+            multiply(apq, twice_apq, twice_apq)
             sqrt(pivot, pivot)  # the principal root halves the angle: Re w >= f > 0
             sign(pivot, pivot)  # its correctly rounded phase c + i s
             if frozen:  # the stopped members are permuted with the rest but never rotated

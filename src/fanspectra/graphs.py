@@ -113,6 +113,8 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if not _is_integer(vertex_count) or vertex_count < 0:
         raise ValueError("vertex_count must be a non-negative integer")
+    if not isinstance(edges, Iterable):
+        raise ValueError(f"edges must be an iterable of vertex pairs, got {edges!r}")
     ends = []
     for edge in edges:
         try:
@@ -151,8 +153,9 @@ def path_graph(n: int) -> Graph:
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union (g1's vertices first) plus every cross edge."""
-    if g1.vertex_count == 0 or g2.vertex_count == 0:
-        raise ValueError("join requires two nonempty graphs")
+    for name, g in (("g1", g1), ("g2", g2)):
+        if not isinstance(g, Graph) or g.vertex_count == 0:
+            raise ValueError(f"join requires two nonempty graphs, got {name} = {g!r}")
     shift, order = g1.vertex_count, g1.vertex_count + g2.vertex_count
     a = np.ones((order, order), np.int8)
     a[:shift, :shift], a[shift:, shift:] = g1.adjacency, g2.adjacency

@@ -27,6 +27,7 @@ from .matrices import adjacency_matrix
 from .verify import _largest_gap
 
 MATCH_SLACK = 0.01 + 1e-9
+COLUMNS = ("adjacency", "laplacian")  # each row's cells, as RowCheck names them
 
 REFERENCE_FAN_TABLE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
     # n: (adjacency values, laplacian values) as stated, order immaterial
@@ -52,10 +53,9 @@ REFERENCE_GENERALIZED_FAN_TABLE: dict[
 }
 
 
-def round_half_away(x: float, decimals: int = 2) -> float:
-    shift = 10 ** decimals
-    # the trailing + 0.0 normalizes -0.0
-    return math.copysign(math.floor(abs(x) * shift + 0.5), x) / shift + 0.0
+def round_half_away(x: float) -> float:
+    # to two decimals; the trailing + 0.0 normalizes -0.0
+    return math.copysign(math.floor(abs(x) * 100 + 0.5), x) / 100 + 0.0
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,9 @@ def _check_cell(reference, computed_exact, trace: float) -> CellCheck:
 
 def _check_row(key: tuple[int, ...], m: int, n: int, reference) -> RowCheck:
     graph = generalized_fan(m, n)
-    ref_adjacency, ref_laplacian = reference
-    adjacency = _check_cell(ref_adjacency, symmetric_eigenvalues(adjacency_matrix(graph)), 0.0)
-    laplacian = _check_cell(
-        ref_laplacian,
-        fan_laplacian_spectrum(m, n).expanded(),
-        float(2 * graph.edge_count),
-    )
-    return RowCheck(key, adjacency, laplacian)
+    computed = symmetric_eigenvalues(adjacency_matrix(graph)), fan_laplacian_spectrum(m, n).expanded()
+    traces = 0.0, float(2 * graph.edge_count)  # each cell's matrix trace, in COLUMNS order
+    return RowCheck(key, *map(_check_cell, reference, computed, traces))
 
 
 def reproduce_fan_table() -> list[RowCheck]:

@@ -40,7 +40,7 @@ from .eigen import (
     Spectrum, _check_integers, _check_sizes, _check_tol, _floats, _is_integer, _sorted_values,
     group_multiplicities, record, symmetric_eigenvalues,
 )
-from .graphs import Graph, generalized_fan, join, nc_graph
+from .graphs import Graph, _is_pair, generalized_fan, join, nc_graph
 from .matrices import build_matrix, distance_laplacian, laplacian_matrix
 from .quotient import Partition, fan_partition, nc_partition, quotient_eigenvalues
 
@@ -102,10 +102,9 @@ CASE_KINDS = tuple(CASES)
 
 def closed_form(family: str, kind: str) -> Callable[[int, int], Spectrum]:
     """The closed form of a case; UnsupportedCombination if the table has none."""
-    row = FAMILIES.get(family)
-    if row is None or kind not in row.closed_forms:
+    if (family, kind) not in CASES.values():  # compared, not hashed: a list is no case either
         raise UnsupportedCombination(f"no closed form for family {family!r} and kind {kind!r}")
-    return row.closed_forms[kind]
+    return FAMILIES[family].closed_forms[kind]
 
 
 def compare_spectra(a, b) -> float:
@@ -163,6 +162,7 @@ def verify_case(
     """Check one closed form against the numeric oracle and the quotient route."""
     tol = _check_tol("tol", tol)
     form = closed_form(family, kind)
+    m, n = _check_integers(m=m, n=n)  # as the graph builder checks them: the report holds ints
     row = FAMILIES[family]
     matrix = build_matrix(row.graph(m, n), kind)
     closed = form(m, n)
@@ -202,10 +202,12 @@ def sweep(
     leaves no case at all is a ValueError, not an empty pass.  Failing
     reports are kept, never raised; callers decide what a failure means.
     """
-    (m_low, m_high), (n_low, n_high) = m_range, n_range
-    m_low, m_high, n_low, n_high = _check_integers(
-        m_low=m_low, m_high=m_high, n_low=n_low, n_high=n_high
-    )
+    bounds = {}
+    for name, pair in (("m", m_range), ("n", n_range)):
+        if not _is_pair(pair):  # None, a number, a string, three entries
+            raise ValueError(f"{name}_range must be a (low, high) pair, got {pair!r}")
+        bounds[f"{name}_low"], bounds[f"{name}_high"] = pair
+    m_low, m_high, n_low, n_high = _check_integers(**bounds)
     for lo, hi in ((m_low, m_high), (n_low, n_high)):
         if not (1 <= lo <= hi <= MAX_SWEEP_PARAM):
             raise ValueError(f"range ({lo}, {hi}) outside 1..{MAX_SWEEP_PARAM}")

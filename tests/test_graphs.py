@@ -1,6 +1,7 @@
 """Graph construction, ordering, and traversal tests."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,15 @@ class TestBasicFamilies:
     def test_join_requires_nonempty(self):
         with pytest.raises(ValueError):
             join(make_graph(0, []), path_graph(2))
+
+    @pytest.mark.parametrize("other", [None, 3, np.zeros((2, 2), np.int8)], ids=["None", "int", "ndarray"])
+    def test_join_names_an_argument_that_is_not_a_graph(self, other):
+        # once an AttributeError from other.vertex_count
+        message = f"^join requires two nonempty graphs, got g{{}} = {re.escape(repr(other))}$"
+        with pytest.raises(ValueError, match=message.format(2)):
+            join(path_graph(2), other)
+        with pytest.raises(ValueError, match=message.format(1)):
+            join(other, path_graph(2))
 
 
 class TestFan:
@@ -439,6 +449,12 @@ class TestValidationAndExport:
     def test_names_the_first_entry_that_is_not_a_pair(self, edges, message):
         # once numpy's reshape or "inhomogeneous shape" message, naming no edge
         with pytest.raises(ValueError, match=f"^{message} is not a pair of vertices$"):
+            make_graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [None, 3, 2.5])
+    def test_rejects_edges_that_cannot_be_iterated(self, edges):
+        # once a TypeError from the loop over them
+        with pytest.raises(ValueError, match=f"^edges must be an iterable of vertex pairs, got {edges!r}$"):
             make_graph(3, edges)
 
     def test_a_bad_edge_before_an_entry_that_is_not_a_pair_is_named_first(self):

@@ -1,8 +1,12 @@
 """Reference-table reproduction tests."""
 
+from dataclasses import fields
+
 from fanspectra.tables import (
+    COLUMNS,
     REFERENCE_FAN_TABLE,
     REFERENCE_GENERALIZED_FAN_TABLE,
+    RowCheck,
     reproduce_fan_table,
     reproduce_generalized_fan_table,
     round_half_away,
@@ -19,6 +23,13 @@ class TestRounding:
     def test_sqrt_based_entries(self):
         assert round_half_away(3 + 2**0.5) == 4.41
         assert round_half_away(3 - 2**0.5) == 1.59
+
+
+class TestColumns:
+    def test_columns_name_the_cells_of_a_row_in_order(self):
+        # the CLI prints each row's cells in COLUMNS order, and a row is built in that order
+        assert COLUMNS == ("adjacency", "laplacian")
+        assert tuple(f.name for f in fields(RowCheck)) == ("key", *COLUMNS)
 
 
 class TestFanTable:

@@ -3,14 +3,21 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fanspectra import quotient, verify
-from fanspectra.closed_forms import fan_distance_laplacian_as_stated, fan_laplacian_spectrum
+from fanspectra.closed_forms import (
+    fan_distance_laplacian_as_stated,
+    fan_laplacian_spectrum,
+    join_distance_laplacian_spectrum,
+    join_laplacian_spectrum,
+)
 from fanspectra.eigen import Spectrum, group_multiplicities, symmetric_eigenvalues
 from fanspectra.graphs import generalized_fan
 from fanspectra.matrices import laplacian_matrix
@@ -59,6 +66,45 @@ class TestCompareSpectra:
                 compare_spectra(a, b)
 
 
+# each reader of outside values, with the values at one place of its arguments
+READERS = {
+    "group_multiplicities": group_multiplicities,
+    "compare_spectra-first": lambda values: compare_spectra(values, [0.0]),
+    "compare_spectra-second": lambda values: compare_spectra([0.0], values),
+    "join_laplacian_spectrum": lambda values: join_laplacian_spectrum(values, 1, [0.0], 1),
+    "join_distance_laplacian_spectrum": lambda values: join_distance_laplacian_spectrum([0.0], 1, values, 1),
+}
+
+
+class TestOutsideValues:
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # a str or bytes once read as its characters: "12" as 1.0 and 2.0, b"12" as 49 and 50
+            ("12", "values must be a sequence of real numbers, got '12'"),
+            (b"0", "values must be a sequence of real numbers, got b'0'"),
+            (None, "values must be a sequence of real numbers, got None"),
+            (0.0, "values must be a sequence of real numbers, got 0.0"),
+            (np.array(0.0), r"values must be a sequence of real numbers, got array\(0.\)"),
+            (["0"], "values must be real numbers, got '0'"),
+            ([True], "values must be real numbers, got True"),
+            ([None], "values must be real numbers, got None"),
+            ([[0.0]], r"values must be real numbers, got \[0.0\]"),
+            ([1j], "values must be real numbers, got 1j"),
+        ],
+        ids=["str", "bytes", "None", "float", "0-d", "str-entry", "bool", "None-entry", "list-entry", "complex"],
+    )
+    def test_values_that_are_not_a_sequence_of_real_numbers_are_rejected(self, read, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(values)
+
+    def test_every_real_entry_is_read_as_its_float(self):
+        values = [np.float32(0.25), Fraction(1, 2), 1, np.int64(2), np.array(3.0), np.uint8(4)]
+        assert group_multiplicities(values).pairs == ((0.25, 1), (0.5, 1), (1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1))
+        assert compare_spectra(values, [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]) == 0.0
+
+
 class TestContainment:
     FULL = np.array([0.0, 1.0, 1.0, 3.0])
 
@@ -103,6 +149,36 @@ class TestVerifyCase:
         expected = sorted([0.0, 12.0, 12.0, 16 - 2 * 2**0.5, 14.0, 14.0, 16.0, 16 + 2 * 2**0.5])
         np.testing.assert_allclose(sorted(report.closed_form.expanded()), expected, atol=1e-9)
         assert report.errata_flags
+
+    def test_numpy_integer_sizes_are_stored_as_python_ints(self):
+        # the raw np.int64 sizes once went into the report, which JSON could not write
+        report = verify_case("fan", np.int64(2), np.int64(3), "laplacian")
+        assert type(report.m) is int and type(report.n) is int
+        assert reports_to_json([report]) == reports_to_json([verify_case("fan", 2, 3, "laplacian")])
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [(["fan"], "laplacian"), ("fan", ["laplacian"]), ({"nc": 1}, "laplacian"), (None, "laplacian")],
+    )
+    def test_a_family_or_kind_the_table_lacks_is_an_unsupported_combination(self, family, kind):
+        # a list or dict once raised TypeError (unhashable) inside closed_form
+        with pytest.raises(UnsupportedCombination, match="^no closed form for family "):
+            verify_case(family, 2, 3, kind)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("fan", 2.5, 3, "adjacency", "x"), ValueError, "tol must be a number, got 'x'"),
+            (("fan", 2.5, 3, "adjacency"), UnsupportedCombination, "no closed form"),
+            (("nc", 1, 2.5, "laplacian"), ValueError, "n must be an integer, got 2.5$"),
+            (("nc", "1", 2.5, "laplacian"), ValueError, "m must be an integer, got '1'$"),
+            (("nc", 1, 3, "laplacian"), ValueError, "nc_graph requires m >= 2 and n >= 2$"),
+        ],
+        ids=["tol", "case", "n", "m", "domain"],
+    )
+    def test_each_argument_error_comes_in_its_order(self, args, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            verify_case(*args)
 
     @pytest.mark.parametrize("family, m, n", [("fan", 3, 4), ("nc", 3, 2)])
     @pytest.mark.parametrize("kind", ["laplacian", "distance-laplacian"])
@@ -272,6 +348,15 @@ class TestSweep:
             sweep((2, size), (2, 2))
         with pytest.raises(ValueError, match=f"^n_low must be an integer, got {size!r}$"):
             sweep((2, 2), (size, 3))
+
+    @pytest.mark.parametrize("bad", [None, 3, (2, 3, 4), (2,)])
+    def test_a_range_that_is_not_a_pair_is_named(self, bad):
+        # None and 3 were a TypeError from the unpacking, (2, 3, 4) an unnamed ValueError
+        message = rf"_range must be a \(low, high\) pair, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=f"^m{message}"):
+            sweep(bad, (2, 3))
+        with pytest.raises(ValueError, match=f"^n{message}"):
+            sweep((2, 3), bad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
